@@ -25,6 +25,7 @@ from .eigensolve import (
     EigenSolverError,
     converged_spectrum,
     eigen,
+    eigenvalue,
 )
 from .esqpt import (
     CriticalPointEstimate,

@@ -10,18 +10,25 @@ parameter sweep.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
-from .eigensolve import ConvergedSpectrum, DEFAULT_N_MAX, eigen
-from .fock import FockSpace, HamiltonianSpec, assemble, standard_hamiltonian
-from .sectors import detect_modulus, split
-from .sweep import SpectrumGrid, SweepPlan, sector_levels_at
+from .eigensolve import ConvergedSpectrum, DEFAULT_N_MAX
+from .fock import HamiltonianSpec, standard_hamiltonian
+from .sectors import detect_modulus
+from .sweep import SpectrumGrid, SweepPlan, sector_levels_at, spec_levels
+
+# perfbench/spans.py traces the library by wrapping these names in each
+# caller's namespace, this module included; they stay bound here.
+from .eigensolve import eigen  # noqa: F401
+from .fock import assemble  # noqa: F401
+from .sectors import split  # noqa: F401
 
 __all__ = [
     "DEFAULT_TOL_DEG",
@@ -42,6 +49,9 @@ __all__ = [
 # True splittings in the braiding region sit orders of magnitude above the
 # eigensolver backward error at the default basis size.
 DEFAULT_TOL_DEG = 1e-6
+
+# Bracket width, in the swept parameter, at which a crossing root is accepted.
+ROOT_XTOL = 1e-12
 
 COUPLING_KINDS = {"P2": "xi", "P3": "xi3", "P4": "xi4", "nP2": "xi2p"}
 
@@ -197,47 +207,31 @@ class CrossingEvent:
 
 def _pair_gap(plan: SweepPlan, k, ra: int, ia: int, rb: int, ib: int):
     """Signed level difference E_a - E_b as a function of the sweep parameter."""
-    wanted = (ra, rb)
+    wanted = ((ra, ia), (rb, ib))
 
     def f(t: float) -> float:
-        levels = sector_levels_at(plan, t, k, residues=wanted)
-        return float(levels[ra][ia] - levels[rb][ib])
+        ea, eb = sector_levels_at(plan, t, k, wanted)
+        return ea - eb
 
     return f
 
 
-def _bisect_root(f, lo: float, hi: float, f_lo: float, tol: float) -> tuple[float, float]:
-    """Bisection on a sign change; returns (root, |f(root)|)."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) < tol or hi - lo < 1e-13 * max(1.0, abs(mid)):
-            return mid, abs(f_mid)
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return mid, abs(f_mid)
+def _root_in_bracket(f, lo: float, hi: float, f_lo: float, f_hi: float):
+    """Brent root of f on [lo, hi]; returns (root, |f(root)|).
 
+    The end values are taken as given, not re-solved: a crossing that sits
+    on a grid node has an end value that is pure roundoff, and a fresh solve
+    there may carry the other sign.
+    """
+    known = {lo: f_lo, hi: f_hi}
 
-def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(90):
-        if b - a < 1e-12 * max(1.0, abs(a)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+    def g(t: float) -> float:
+        if t not in known:
+            known[t] = f(t)
+        return known[t]
+
+    root = brentq(g, lo, hi, xtol=ROOT_XTOL)
+    return root, abs(g(root))
 
 
 def _warn_if_unconverged(grid: SpectrumGrid, g: int, r: int, i: int, t: float) -> None:
@@ -255,14 +249,23 @@ def _warn_if_unconverged(grid: SpectrumGrid, g: int, r: int, i: int, t: float) -
 def detect_crossings(
     grid: SpectrumGrid,
     max_levels: int | None = 30,
-    refine_tol: float = 1e-9,
 ) -> list[CrossingEvent]:
     """Locate true (inter-sector) and avoided (intra-sector) crossings.
 
-    Sign changes of inter-sector level differences along the grid are refined
-    by bisection on the parameter to |dE| < refine_tol; interior local minima
-    of intra-sector adjacent gaps are refined by golden section.  At most
-    ``max_levels`` curves per sector are scanned.
+    A sign change of an inter-sector level difference between two grid nodes
+    is refined by Brent's root finder, started from the grid's values at the
+    two nodes; a crossing that sits on a node, where the grid difference is
+    roundoff of either sign, is thus reported once, at that node.  An
+    interior local minimum of an intra-sector adjacent gap is refined by
+    Brent's bounded minimizer over the two grid intervals around it.  Every
+    evaluation solves only the two levels compared, through
+    ``sector_levels_at``.
+
+    True crossings are located to ``ROOT_XTOL`` + 4 eps |t| in the parameter
+    t.  Avoided-crossing minima are located to about 2 sqrt(eps) |t| +
+    ``ROOT_XTOL``: the gap is quadratic there, so energies accurate to eps
+    fix its position no better.  ``min_gap`` is |E_a - E_b| at the returned parameter.  At
+    most ``max_levels`` curves per sector are scanned.
     """
     params = grid.params
     events: list[CrossingEvent] = []
@@ -289,8 +292,13 @@ def detect_crossings(
             flips = np.argwhere(sign[:-1] * sign[1:] < 0)
             for g, i, jj in flips:
                 f = _pair_gap(grid.plan, grid.modulus, ra, int(i), rb, int(jj))
-                lo, hi = float(params[g]), float(params[g + 1])
-                root, gap = _bisect_root(f, lo, hi, float(diff[g, i, jj]), refine_tol)
+                root, gap = _root_in_bracket(
+                    f,
+                    float(params[g]),
+                    float(params[g + 1]),
+                    float(diff[g, i, jj]),
+                    float(diff[g + 1, i, jj]),
+                )
                 events.append(
                     CrossingEvent("true_crossing", root, (ra, int(i), rb, int(jj)), gap)
                 )
@@ -308,11 +316,15 @@ def detect_crossings(
             mins = interior[(g[interior] < g[interior - 1]) & (g[interior] <= g[interior + 1])]
             for m in mins:
                 fn = _pair_gap(grid.plan, grid.modulus, r, i + 1, r, i)
-                t, gap = _golden_min(
-                    lambda x: abs(fn(x)), float(params[m - 1]), float(params[m + 1])
+                best = minimize_scalar(
+                    fn,
+                    bounds=(float(params[m - 1]), float(params[m + 1])),
+                    method="bounded",
+                    options={"xatol": ROOT_XTOL},
                 )
+                t = float(best.x)
                 events.append(
-                    CrossingEvent("avoided_crossing", t, (r, i + 1, r, i), gap)
+                    CrossingEvent("avoided_crossing", t, (r, i + 1, r, i), abs(best.fun))
                 )
                 _warn_if_unconverged(grid, int(m), r, i, t)
 
@@ -348,9 +360,13 @@ def track_crossing_location(
     """Follow the detuning eta*(xi) where a level pair stays degenerate.
 
     ``coupling`` is one of P2, P3, P4, nP2; at xi = 0 the pair crosses at
-    eta0.  Each step root-finds the signed pair difference in eta, starting
-    the bracket at the previous location; a bracket that never changes sign
-    (the pair has merged into the avoided regime) is reported as not found.
+    eta0.  Each step brackets the signed pair difference in eta around the
+    previous location, widening the bracket up to ``max_expand`` times, and
+    refines the root with Brent's method to ``ROOT_XTOL`` in eta.  Each evaluation
+    solves only the two levels of the pair at ``n_max``; the bracket ends are
+    not solved twice, and ``gap`` is |E_a - E_b| at the root.  A bracket that
+    never changes sign (the pair has merged into the avoided regime) is
+    reported as not found.
     """
     if coupling not in COUPLING_KINDS:
         raise ValueError(f"coupling must be one of {sorted(COUPLING_KINDS)}")
@@ -359,36 +375,30 @@ def track_crossing_location(
         standard_hamiltonian(HamiltonianSpec(eta=float(eta0), **{field_name: 1.0}))
     )
     ra, ia, rb, ib = pair
+    wanted = ((ra, ia), (rb, ib))
 
     def level_diff(eta: float, xi: float) -> float:
-        spec = HamiltonianSpec(eta=eta, **{field_name: float(xi)})
-        decomp = split(assemble(standard_hamiltonian(spec), FockSpace(n_max)), k)
-        ea = eigen(decomp.sector(ra).block).eigenvalues[ia]
-        eb = eigen(decomp.sector(rb).block).eigenvalues[ib]
-        return float(ea - eb)
+        spec = HamiltonianSpec(eta=eta, **{field_name: xi})
+        ea, eb = spec_levels(spec, n_max, k, wanted)
+        return ea - eb
 
     center = float(eta0)
     out: list[TrackedCrossing] = []
     for xi in xi_grid:
         xi = float(xi)
+        f = functools.partial(level_diff, xi=xi)
         w = bracket_halfwidth
         found = False
         for _ in range(max_expand + 1):
             lo, hi = center - w, center + w
-            f_lo, f_hi = level_diff(lo, xi), level_diff(hi, xi)
-            if f_lo == 0.0:
-                root, found = lo, True
-                break
-            if f_hi == 0.0:
-                root, found = hi, True
-                break
-            if (f_lo < 0) != (f_hi < 0):
-                root = brentq(lambda e: level_diff(e, xi), lo, hi, xtol=1e-12)
+            f_lo, f_hi = f(lo), f(hi)
+            if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
+                root, gap = _root_in_bracket(f, lo, hi, f_lo, f_hi)
                 found = True
                 break
             w *= 2.0
         if found:
-            out.append(TrackedCrossing(xi, float(root), True, abs(level_diff(root, xi))))
+            out.append(TrackedCrossing(xi, float(root), True, gap))
             center = float(root)
         else:
             out.append(TrackedCrossing(xi, None, False, min(abs(f_lo), abs(f_hi))))

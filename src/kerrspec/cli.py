@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
+    COUPLING_KINDS,
     DEFAULT_TOL_DEG,
     CrossingEvent,
     LevelPair,
@@ -119,23 +120,40 @@ class RunConfig:
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _number(section: dict, key: str, default, where: str):
-    value = section.get(key, default)
+def _as_number(value, what: str):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be a number")
+        raise ConfigError(f"{what} must be a number")
     return value
+
+
+def _as_count(value, what: str) -> int:
+    """A non-negative integer; an integral float such as 40.0 is accepted."""
+    _as_number(value, what)
+    if value < 0 or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be a non-negative integer")
+    return int(value)
+
+
+def _number(section: dict, key: str, default, where: str):
+    return _as_number(section.get(key, default), f"{where}.{key}")
+
+
+def _integer(section: dict, key: str, default, where: str) -> int:
+    return _as_count(section.get(key, default), f"{where}.{key}")
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and strictly validate a JSON run configuration."""
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -178,10 +196,12 @@ def load_config(path: str | Path) -> RunConfig:
 
     num = raw.get("numeric", {})
     _check_keys(num, {"n_max", "n_probe", "tol_conv", "tol_deg"}, "numeric")
-    n_max = int(_number(num, "n_max", DEFAULT_N_MAX, "numeric"))
-    n_probe = int(_number(num, "n_probe", DEFAULT_N_PROBE, "numeric"))
+    n_max = _integer(num, "n_max", DEFAULT_N_MAX, "numeric")
+    n_probe = _integer(num, "n_probe", DEFAULT_N_PROBE, "numeric")
     if "n_probe" not in num and n_max != DEFAULT_N_MAX:
         n_probe = n_max + max(50, n_max // 8)
+    if n_probe <= n_max:
+        raise ConfigError(f"numeric.n_probe={n_probe} must exceed n_max={n_max}")
     tol_conv = float(_number(num, "tol_conv", DEFAULT_TOL_CONV, "numeric"))
     tol_deg = float(_number(num, "tol_deg", DEFAULT_TOL_DEG, "numeric"))
 
@@ -213,16 +233,19 @@ def load_config(path: str | Path) -> RunConfig:
 
     out = raw.get("output", {})
     _check_keys(out, {"directory", "formats", "basename"}, "output")
-    formats = tuple(out.get("formats", ["csv"]))
-    if not formats or any(f not in ("csv", "svg") for f in formats):
+    formats = out.get("formats", ["csv"])
+    if not (isinstance(formats, list) and formats and all(f in ("csv", "svg") for f in formats)):
         raise ConfigError("output.formats must be a non-empty subset of ['csv', 'svg']")
+    for key in ("directory", "basename"):
+        if key in out and not isinstance(out[key], str):
+            raise ConfigError(f"output.{key} must be a string")
 
     window = None
     if "window" in raw:
         w = raw["window"]
         if not (isinstance(w, list) and len(w) == 2):
             raise ConfigError("window must be a [low, high] pair")
-        window = (float(w[0]), float(w[1]))
+        window = (_as_number(w[0], "window[0]"), _as_number(w[1], "window[1]"))
 
     style = SvgStyle()
     if "svg" in raw:
@@ -230,20 +253,20 @@ def load_config(path: str | Path) -> RunConfig:
         _check_keys(
             sv, {"width", "height", "margin", "max_levels", "y_min", "y_max", "separatrices"}, "svg"
         )
-        seps = tuple(sv.get("separatrices", []))
+        seps = sv.get("separatrices", [])
+        if not isinstance(seps, list):
+            raise ConfigError("svg.separatrices must be a list")
         for s in seps:
             if s not in SeparatrixModel._KINDS:
                 raise ConfigError(f"unknown separatrix kind {s!r}")
         style = SvgStyle(
-            width=int(_number(sv, "width", 960, "svg")),
-            height=int(_number(sv, "height", 640, "svg")),
-            margin=int(_number(sv, "margin", 70, "svg")),
-            max_levels=(
-                int(_number(sv, "max_levels", 0, "svg")) if "max_levels" in sv else None
-            ),
+            width=_integer(sv, "width", 960, "svg"),
+            height=_integer(sv, "height", 640, "svg"),
+            margin=_integer(sv, "margin", 70, "svg"),
+            max_levels=_integer(sv, "max_levels", 0, "svg") if "max_levels" in sv else None,
             y_min=float(_number(sv, "y_min", 0.0, "svg")) if "y_min" in sv else None,
             y_max=float(_number(sv, "y_max", 0.0, "svg")) if "y_max" in sv else None,
-            separatrices=seps,
+            separatrices=tuple(seps),
         )
 
     kwargs: dict = {}
@@ -252,25 +275,28 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"section {section!r} only applies to the {owner} command")
     if "esqpt" in raw:
         _check_keys(raw["esqpt"], {"v_max"}, "esqpt")
-        kwargs["v_max"] = int(_number(raw["esqpt"], "v_max", 12, "esqpt"))
+        kwargs["v_max"] = _integer(raw["esqpt"], "v_max", 12, "esqpt")
     if "casimir" in raw:
         _check_keys(raw["casimir"], {"N"}, "casimir")
-        kwargs["casimir_N"] = int(_number(raw["casimir"], "N", 50, "casimir"))
+        kwargs["casimir_N"] = _integer(raw["casimir"], "N", 50, "casimir")
     if "track" in raw:
         t = raw["track"]
         _check_keys(t, {"coupling", "eta0", "pair"}, "track")
         pair = t.get("pair", [0, 0, 1, 0])
         if not (isinstance(pair, list) and len(pair) == 4):
             raise ConfigError("track.pair must be [residue_a, index_a, residue_b, index_b]")
+        coupling = t.get("coupling", "P2")
+        if not isinstance(coupling, str) or coupling not in COUPLING_KINDS:
+            raise ConfigError(f"track.coupling must be one of {sorted(COUPLING_KINDS)}")
         kwargs.update(
-            track_coupling=t.get("coupling", "P2"),
-            track_eta0=int(_number(t, "eta0", 0, "track")),
-            track_pair=tuple(int(x) for x in pair),
+            track_coupling=coupling,
+            track_eta0=_integer(t, "eta0", 0, "track"),
+            track_pair=tuple(_as_count(x, "track.pair entry") for x in pair),
         )
     if "crossings" in raw:
         _check_keys(raw["crossings"], {"max_levels"}, "crossings")
-        kwargs["crossings_max_levels"] = int(
-            _number(raw["crossings"], "max_levels", 12, "crossings")
+        kwargs["crossings_max_levels"] = _integer(
+            raw["crossings"], "max_levels", 12, "crossings"
         )
 
     if command in ("sweep", "crossings", "esqpt", "track") and grid is None:
@@ -287,7 +313,7 @@ def load_config(path: str | Path) -> RunConfig:
         normalize=normalize,
         coloring=coloring,
         out_dir=out.get("directory", "."),
-        formats=formats,
+        formats=tuple(formats),
         basename=out.get("basename"),
         window=window,
         svg_style=style,
@@ -524,7 +550,7 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
 
     if cfg.command == "track":
         assert cfg.grid is not None
-        expect = {"P2": "xi", "P3": "xi3", "P4": "xi4", "nP2": "xi2p"}[cfg.track_coupling]
+        expect = COUPLING_KINDS[cfg.track_coupling]
         if cfg.grid.varying != expect:
             raise ConfigError(
                 f"track grid must vary {expect!r} for coupling {cfg.track_coupling!r}"
@@ -597,10 +623,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument(
         "--threads", type=int, default=0, help="worker threads for sweeps (0 = auto)"
-    )
-    parser.add_argument(
-        "--seedless", action="store_true", default=True,
-        help="reserved; no randomness is used anywhere",
     )
     args = parser.parse_args(argv)
     try:

@@ -10,12 +10,13 @@ identical for any evaluation order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .eigensolve import DEFAULT_N_MAX, DEFAULT_N_PROBE, DEFAULT_TOL_CONV, eigen
+from .eigensolve import DEFAULT_N_MAX, DEFAULT_N_PROBE, DEFAULT_TOL_CONV, eigen, eigenvalue
 from .fock import COUPLING_FIELDS, FockSpace, HamiltonianSpec, assemble, standard_hamiltonian
 from .sectors import MOD_ALL, detect_modulus, split
 
@@ -26,6 +27,7 @@ __all__ = [
     "refine_near",
     "plan_modulus",
     "sector_levels_at",
+    "spec_levels",
 ]
 
 _NORMALIZE_MODES = ("absolute", "excitation")
@@ -78,21 +80,26 @@ def plan_modulus(plan: SweepPlan) -> int | str:
     return MOD_ALL if g == 0 else g
 
 
-def sector_levels_at(
-    plan: SweepPlan, value: float, k: int | str, residues: tuple[int, ...] | None = None
-) -> dict[int, np.ndarray]:
-    """Absolute sector eigenvalues of the plan's Hamiltonian at one point.
+def spec_levels(
+    spec: HamiltonianSpec, n_max: int, k: int | str, levels: Sequence[tuple[int, int]]
+) -> tuple[float, ...]:
+    """Absolute energies of the named (residue, index) levels of one Hamiltonian.
 
-    ``residues`` restricts the diagonalization to the named sectors (used by
-    crossing refinement, which re-evaluates two blocks many times).
+    Each level is a single-level solve of its sector block, so asking for
+    two levels costs far less than diagonalizing the two blocks.
     """
-    poly = standard_hamiltonian(plan.spec_at(value))
-    decomp = split(assemble(poly, FockSpace(plan.n_max)), k)
-    out = {}
-    for s in decomp.sectors:
-        if residues is None or s.residue in residues:
-            out[s.residue] = eigen(s.block).eigenvalues
-    return out
+    decomp = split(assemble(standard_hamiltonian(spec), FockSpace(n_max)), k)
+    return tuple(eigenvalue(decomp.sector(r).block, i) for r, i in levels)
+
+
+def sector_levels_at(
+    plan: SweepPlan, value: float, k: int | str, levels: Sequence[tuple[int, int]]
+) -> tuple[float, ...]:
+    """Absolute energies of the named (residue, index) levels at one grid parameter.
+
+    Crossing refinement evaluates its level pair here many times.
+    """
+    return spec_levels(plan.spec_at(value), plan.n_max, k, levels)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,66 @@ class TestConfigValidation:
         assert main(["--config", str(tmp_path / "missing.json")]) == 4
 
 
+def track_config(out_dir: str, **track) -> dict:
+    return {
+        "schema_version": 1,
+        "command": "track",
+        "numeric": {"n_max": 60, "n_probe": 90},
+        "grid": {"varying": "xi", "start": 0.1, "stop": 0.2, "step": 0.1},
+        "track": {"coupling": "P2", "eta0": 2, "pair": [0, 0, 1, 0], **track},
+        "output": {"directory": out_dir},
+    }
+
+
+def with_numeric(out_dir: str, **numeric) -> dict:
+    return sweep_config(out_dir, numeric=numeric)
+
+
+class TestMalformedConfigExitTwo:
+    """Every malformed configuration is a configuration error: exit 2, no traceback."""
+
+    CASES = {
+        "unknown coupling": lambda d: track_config(d, coupling="P9"),
+        "coupling not a string": lambda d: track_config(d, coupling=["P2"]),
+        "pair entry not an integer": lambda d: track_config(d, pair=[0, "a", 1, 0]),
+        "window entry not a number": lambda d: sweep_config(d, window=["a", 1]),
+        "hamiltonian not an object": lambda d: sweep_config(d, hamiltonian=[]),
+        "numeric not an object": lambda d: sweep_config(d, numeric="fast"),
+        "grid not an object": lambda d: sweep_config(d, grid=[0, 1]),
+        "output not an object": lambda d: sweep_config(d, output=None),
+        "svg not an object": lambda d: sweep_config(d, svg=3),
+        "higher_order not an object": lambda d: sweep_config(
+            d, hamiltonian={"eta": 0.0, "higher_order": [1.0]}
+        ),
+        "fractional n_max": lambda d: with_numeric(d, n_max=40.7, n_probe=60),
+        "negative n_max": lambda d: with_numeric(d, n_max=-3, n_probe=60),
+        "negative n_probe": lambda d: with_numeric(d, n_max=30, n_probe=-3),
+        "n_probe not above n_max": lambda d: with_numeric(d, n_max=30, n_probe=30),
+        "formats not a list": lambda d: sweep_config(d, output={"directory": d, "formats": 5}),
+        "directory not a string": lambda d: sweep_config(d, output={"directory": 5}),
+        "separatrices not a list": lambda d: sweep_config(d, svg={"separatrices": None}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_two_without_traceback(self, case, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CASES[case](str(tmp_path / "out")))
+        assert main(["--config", str(cfg), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, with_numeric(str(tmp_path), n_max=30.0, n_probe=45)))
+        assert cfg.n_max == 30 and isinstance(cfg.n_max, int)
+
+    def test_seedless_flag_removed(self, tmp_path):
+        cfg = write_config(tmp_path, sweep_config(str(tmp_path)))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "--seedless"])
+        assert exc.value.code == 2
+
+
 class TestCsv:
     def test_grid_csv_layout_and_roundtrip(self, tmp_path):
         plan = SweepPlan(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kerrspec.eigensolve import converged_spectrum, eigen
+from kerrspec.eigensolve import converged_spectrum, eigen, eigenvalue
 from kerrspec.fock import (
     BandedSymMatrix,
     FockSpace,
@@ -149,3 +149,36 @@ class TestConvergedSpectrum:
             block_vals = eigen(split(m, k).sector(r).block).eigenvalues
             mine = np.sort(cs.energies[cs.residues == r])
             np.testing.assert_array_equal(mine, np.sort(block_vals))
+
+
+class TestSingleLevel:
+    @staticmethod
+    def blocks():
+        def sector(spec, n_max, residue):
+            poly = standard_hamiltonian(spec)
+            return split(assemble(poly, FockSpace(n_max)), detect_modulus(poly)).sector(residue).block
+
+        yield "diagonal", assemble(standard_hamiltonian(HamiltonianSpec(eta=4)), FockSpace(60))
+        yield "stored zero band", BandedSymMatrix(4, 1, (np.array([3.0, -1.0, 2.0, -1.0]), np.zeros(3)))
+        yield "tridiagonal P2 sector", sector(HamiltonianSpec(eta=3.3, xi=1.0), 300, 1)
+        yield "band 2 P2+P4 sector", sector(HamiltonianSpec(eta=2.0, xi=1.0, xi4=0.2), 300, 0)
+        yield "band 4 unsplit P4", assemble(
+            standard_hamiltonian(HamiltonianSpec(eta=1.5, xi4=0.3)), FockSpace(200)
+        )
+
+    def test_matches_full_spectrum(self):
+        widths = set()
+        for name, block in self.blocks():
+            widths.add(block.bandwidth)
+            full = eigen(block).eigenvalues
+            for i in list(range(min(25, block.dim))) + [block.dim - 1]:
+                e = eigenvalue(block, i)
+                assert abs(e - full[i]) <= 1e-12 * max(1.0, abs(full[i])), (name, i)
+        assert widths == {0, 1, 2, 4}
+
+    def test_index_out_of_range(self):
+        m = BandedSymMatrix(2, 1, (np.zeros(2), np.array([1.0])))
+        with pytest.raises(IndexError):
+            eigenvalue(m, 2)
+        with pytest.raises(IndexError):
+            eigenvalue(m, -1)

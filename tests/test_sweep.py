@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kerrspec.classify
 from kerrspec.classify import detect_crossings, kerr_exact_levels
 from kerrspec.fock import HamiltonianSpec
 from kerrspec.sectors import MOD_ALL
@@ -139,3 +140,68 @@ class TestRefineNear:
         grid = run_sweep(small_plan())
         with pytest.raises(ValueError):
             refine_near(grid, [], 1)
+
+
+# Events found on the two small_plan grids with max_levels=6 by the earlier
+# refinement (bisection to |dE| < 1e-9 for true crossings, golden section to
+# a 1e-12 bracket for avoided ones): (kind, level pair, parameter).
+PINNED_EVENTS = {
+    "full": [
+        ("true_crossing", (0, 0, 1, 0), 9.313225746154785e-10),
+        ("true_crossing", (0, 0, 1, 0), 2.0000000037252903),
+        ("avoided_crossing", (0, 1, 0, 0), 0.4127032992008582),
+        ("true_crossing", (0, 1, 1, 1), 2.0000000004656613),
+        ("avoided_crossing", (1, 1, 1, 0), 2.210930461141962),
+    ],
+    "window": [
+        ("avoided_crossing", (0, 3, 0, 2), 4.992259887763699),
+        ("avoided_crossing", (1, 2, 1, 1), 4.804216080634197),
+    ],
+}
+PINNED_GRIDS = {"full": None, "window": tuple(4.5 + 0.1 * i for i in range(11))}
+
+
+def pinned_plan(name):
+    grid = PINNED_GRIDS[name]
+    return small_plan() if grid is None else small_plan(grid=grid)
+
+
+class TestCrossingRefinement:
+    @pytest.mark.parametrize("name", sorted(PINNED_EVENTS))
+    def test_events_match_earlier_refinement(self, name):
+        events = detect_crossings(run_sweep(pinned_plan(name)), max_levels=6)
+        found = sorted((e.kind, e.level_pair, e.param_value) for e in events)
+        pinned = sorted(PINNED_EVENTS[name])
+        assert [(k, p) for k, p, _ in found] == [(k, p) for k, p, _ in pinned]
+        for (_, _, got), (_, _, want) in zip(found, pinned):
+            assert abs(got - want) <= 1e-7
+
+    def test_node_crossing_reported_once_at_the_node(self):
+        # at eta = 2 the (0,0)-(1,0) grid difference is roundoff, and a
+        # fresh solve there has the other sign; refinement must start from
+        # the grid's values or Brent sees no sign change
+        grid = run_sweep(small_plan())
+        g = int(np.flatnonzero(grid.params == 2.0)[0])
+        node_diff = grid.curves[0][g, 0] - grid.curves[1][g, 0]
+        assert node_diff != 0.0 and abs(node_diff) < 1e-12
+        events = detect_crossings(grid, max_levels=6)
+        at_node = [e for e in events if e.level_pair == (0, 0, 1, 0) and abs(e.param_value - 2) < 0.1]
+        assert len(at_node) == 1
+        assert abs(at_node[0].param_value - 2.0) <= 1e-12
+
+    def test_at_most_eight_solves_per_refined_event(self, monkeypatch):
+        original = kerrspec.classify.sector_levels_at
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kerrspec.classify, "sector_levels_at", counting)
+        refined = 0
+        for name in PINNED_EVENTS:
+            grid = run_sweep(pinned_plan(name))
+            events = detect_crossings(grid, max_levels=6)
+            refined += sum(not (e.min_gap == 0.0 and e.param_value in grid.params) for e in events)
+        assert refined == 7
+        assert 0 < len(calls) <= 8 * refined
