@@ -128,8 +128,15 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
 
 
 def _as_number(value, what: str):
+    """A finite JSON number; NaN and Infinity parse but are never valid input."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{what} must be a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{what} must be finite")
     return value
 
 
@@ -351,29 +358,78 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _grid_rows(grid: SpectrumGrid, coloring: str, max_levels: int | None = None):
-    for g, param in enumerate(grid.params):
-        for r in grid.residues:
-            absolute = grid.absolute(r)
-            excitation = grid.excitation(r)
-            flags = grid.converged[r]
-            stop = absolute.shape[1] if max_levels is None else min(max_levels, absolute.shape[1])
-            for lvl in range(stop):
-                yield (
-                    param,
-                    r,
-                    lvl,
-                    absolute[g, lvl],
-                    excitation[g, lvl],
-                    flags[g, lvl],
-                    _color_class(coloring, r, grid.modulus),
-                )
-
-
 _GRID_HEADER = [
     "param", "sector_residue", "level_index", "energy",
     "excitation_energy", "converged", "color_class",
 ]
+
+
+def _level_stop(grid: SpectrumGrid, residue: int, max_levels: int | None) -> int:
+    """Levels of one sector that are emitted: all, or the first ``max_levels``."""
+    n = grid.n_levels(residue)
+    return n if max_levels is None else min(max_levels, n)
+
+
+def _write_grid_csv(
+    path: Path, grid: SpectrumGrid, coloring: str, max_levels: int | None
+) -> None:
+    """Grid rows in (param, sector, level) order, written one grid point at a time.
+
+    Everything that does not change along the grid (level fields, color
+    class, flag strings, absolute and excitation arrays) is prepared once per
+    sector; energies are formatted from Python floats with ``.12g``, exactly
+    as :func:`_fmt` formats each value.
+    """
+    sectors = []
+    for r in grid.residues:
+        n = _level_stop(grid, r, max_levels)
+        sectors.append((
+            [f"{r},{lvl}," for lvl in range(n)],
+            grid.absolute(r)[:, :n],
+            grid.excitation(r)[:, :n],
+            np.where(grid.converged[r][:, :n], "1", "0"),
+            f",{_color_class(coloring, r, grid.modulus)}\n",
+        ))
+    with path.open("w") as fh:
+        fh.write(",".join(_GRID_HEADER) + "\n")
+        for g, param in enumerate(grid.params.tolist()):
+            p = f"{param:.12g},"
+            for heads, absolute, excitation, flags, tail in sectors:
+                fh.write("".join([
+                    f"{p}{head}{e:.12g},{x:.12g},{f}{tail}"
+                    for head, e, x, f in zip(
+                        heads, absolute[g].tolist(), excitation[g].tolist(), flags[g].tolist()
+                    )
+                ]))
+
+
+# record type -> (CSV header, row of one record)
+_TABLES = {
+    CrossingEvent: (
+        ["kind", "param_value", "residue_a", "index_a", "residue_b", "index_b", "min_gap"],
+        lambda e: (e.kind, e.param_value, *e.level_pair, e.min_gap),
+    ),
+    SeparatrixPoint: (
+        ["v", "method", "xi_c", "E_c", "rel_dev_sq"],
+        lambda e: (e.v, e.method, e.xi_c, e.E_c, e.rel_dev),
+    ),
+    CasimirLevel: (
+        ["v", "pi_prime", "casimir_value"],
+        lambda e: (e.v, e.pi_prime, e.value),
+    ),
+    TrackedCrossing: (
+        ["coupling_value", "eta_star", "found", "gap"],
+        lambda e: (e.coupling_value, e.eta_star, 1 if e.found else 0, e.gap),
+    ),
+}
+
+
+def _write_table(path: str | Path, kind: type, records) -> Path:
+    """A table of ``kind`` records; its header is written even when it is empty."""
+    path = Path(path)
+    header, row = _TABLES[kind]
+    _write_rows(path, header, map(row, records))
+    return path
 
 
 def emit_csv(
@@ -383,10 +439,14 @@ def emit_csv(
     max_levels: int | None = None,
     param: float = 0.0,
 ) -> Path:
-    """Write an analysis result as deterministic CSV; dispatches on type."""
+    """Write an analysis result as deterministic CSV; dispatches on type.
+
+    An empty list carries no record type and is written with the spectrum
+    header; the CLI writes its record tables through their own header.
+    """
     path = Path(path)
     if isinstance(result, SpectrumGrid):
-        _write_rows(path, _GRID_HEADER, _grid_rows(result, coloring, max_levels))
+        _write_grid_csv(path, result, coloring, max_levels)
     elif isinstance(result, ConvergedSpectrum):
         rows = (
             (param, int(r), i, e, x, c, _color_class(coloring, int(r), result.modulus))
@@ -397,26 +457,10 @@ def emit_csv(
         _write_rows(path, _GRID_HEADER, rows)
     elif isinstance(result, list) and not result:
         _write_rows(path, _GRID_HEADER, ())
-    elif isinstance(result, list) and all(isinstance(e, CrossingEvent) for e in result):
-        rows = (
-            (e.kind, e.param_value, *e.level_pair, e.min_gap) for e in result
-        )
-        _write_rows(
-            path,
-            ["kind", "param_value", "residue_a", "index_a", "residue_b", "index_b", "min_gap"],
-            rows,
-        )
-    elif isinstance(result, list) and all(isinstance(e, SeparatrixPoint) for e in result):
-        rows = ((e.v, e.method, e.xi_c, e.E_c, e.rel_dev) for e in result)
-        _write_rows(path, ["v", "method", "xi_c", "E_c", "rel_dev_sq"], rows)
-    elif isinstance(result, list) and all(isinstance(e, CasimirLevel) for e in result):
-        rows = ((e.v, e.pi_prime, e.value) for e in result)
-        _write_rows(path, ["v", "pi_prime", "casimir_value"], rows)
-    elif isinstance(result, list) and all(isinstance(e, TrackedCrossing) for e in result):
-        rows = (
-            (e.coupling_value, e.eta_star, 1 if e.found else 0, e.gap) for e in result
-        )
-        _write_rows(path, ["coupling_value", "eta_star", "found", "gap"], rows)
+    elif isinstance(result, list) and (
+        kind := next((k for k in _TABLES if all(isinstance(e, k) for e in result)), None)
+    ):
+        _write_table(path, kind, result)
     else:
         raise TypeError(f"no CSV writer for {type(result).__name__}")
     return path
@@ -444,26 +488,33 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     x = grid.params
     x_lo, x_hi = float(x[0]), float(x[-1])
 
-    curves = []
+    blocks = []  # (color, the sector's plotted level curves as columns)
     for r in grid.residues:
-        data = grid.curves[r]
-        stop = data.shape[1] if style.max_levels is None else min(style.max_levels, data.shape[1])
         color = _PALETTES[coloring][_color_class(coloring, r, grid.modulus)]
-        for lvl in range(stop):
-            curves.append((color, data[:, lvl]))
-    if not curves:
+        stop = _level_stop(grid, r, style.max_levels)
+        if stop:
+            blocks.append((color, grid.curves[r][:, :stop]))
+    if not blocks:
         raise ValueError("nothing to plot")
 
-    y_lo = style.y_min if style.y_min is not None else min(float(c[1].min()) for c in curves)
-    y_hi = style.y_max if style.y_max is not None else max(float(c[1].max()) for c in curves)
+    y_lo = style.y_min if style.y_min is not None else min(float(b.min()) for _, b in blocks)
+    y_hi = style.y_max if style.y_max is not None else max(float(b.max()) for _, b in blocks)
     if y_hi <= y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
 
-    def sx(v: float) -> float:
+    # sx/sy take scalars (ticks) and whole arrays (polylines); element-wise
+    # IEEE operations round as the scalar expressions do, so a coordinate
+    # prints the same either way
+    def sx(v):
         return m + (v - x_lo) / (x_hi - x_lo) * (w - 2 * m)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return h - m - (v - y_lo) / (y_hi - y_lo) * (h - 2 * m)
+
+    x_fields = [f"{px:.2f}," for px in sx(x).tolist()]
+
+    def points(ys) -> str:
+        return " ".join([px + f"{py:.2f}" for px, py in zip(x_fields, ys)])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -491,21 +542,22 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
 
     clip = f'<clipPath id="frame"><rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}"/></clipPath>'
     parts.append(clip)
-    for color, ys in curves:
-        pts = " ".join(f"{sx(float(px)):.2f},{sy(float(py)):.2f}" for px, py in zip(x, ys))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.2" clip-path="url(#frame)"/>'
-        )
+    for color, block in blocks:
+        for ys in sy(block).T.tolist():
+            parts.append(
+                f'<polyline points="{points(ys)}" fill="none" stroke="{color}" '
+                f'stroke-width="1.2" clip-path="url(#frame)"/>'
+            )
     for kind in style.separatrices:
         model = SeparatrixModel(kind)
         if grid.plan.varying == "eta":
             ys = model.evaluate(eta=x, xi=grid.plan.fixed.xi)
         else:
             ys = model.evaluate(eta=grid.plan.fixed.eta, xi=x)
-        pts = " ".join(f"{sx(float(px)):.2f},{sy(float(py)):.2f}" for px, py in zip(x, ys))
+        # a model that does not depend on the varying parameter is a flat line
+        ys = np.broadcast_to(ys, x.shape)
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="black" '
+            f'<polyline points="{points(sy(ys).tolist())}" fill="none" stroke="black" '
             f'stroke-width="1.4" stroke-dasharray="8 5" clip-path="url(#frame)"/>'
         )
     parts.append("</svg>")
@@ -526,6 +578,20 @@ def _build_plan(cfg: RunConfig) -> SweepPlan:
     )
 
 
+def _require_converged(flags: list[np.ndarray], cfg: RunConfig) -> None:
+    """Refuse a result whose emitted levels are all unconverged.
+
+    Such a result is truncation artefact only, as for a spectrum that is not
+    bounded below; an empty result (nothing in the window) is not refused.
+    """
+    total = sum(f.size for f in flags)
+    if total and not any(f.any() for f in flags):
+        raise EigenSolverError(
+            f"none of the {total} emitted levels converged between n_max={cfg.n_max} "
+            f"and n_probe={cfg.n_probe} (is the spectrum bounded below?)"
+        )
+
+
 def _dispatch(cfg: RunConfig) -> list[Path]:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -536,6 +602,7 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
         spectrum = converged_spectrum(
             cfg.hamiltonian, cfg.n_max, cfg.n_probe, cfg.tol_conv, cfg.window
         )
+        _require_converged([spectrum.converged], cfg)
         written.append(
             emit_csv(
                 spectrum, out_dir / f"{base}.csv", cfg.coloring, param=cfg.hamiltonian.eta
@@ -545,7 +612,7 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
 
     if cfg.command == "casimir":
         levels = casimir_spectrum(U2Rep(cfg.casimir_N))
-        written.append(emit_csv(levels, out_dir / f"{base}.csv"))
+        written.append(_write_table(out_dir / f"{base}.csv", CasimirLevel, levels))
         return written
 
     if cfg.command == "track":
@@ -562,16 +629,21 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
             cfg.track_eta0,
             n_max=cfg.n_max,
         )
-        written.append(emit_csv(points, out_dir / f"{base}.csv"))
+        written.append(_write_table(out_dir / f"{base}.csv", TrackedCrossing, points))
         return written
 
     plan = _build_plan(cfg)
     grid = run_sweep(plan, threads=cfg.threads)
 
     if cfg.command == "sweep":
+        max_levels = cfg.svg_style.max_levels
+        _require_converged(
+            [grid.converged[r][:, : _level_stop(grid, r, max_levels)] for r in grid.residues],
+            cfg,
+        )
         if "csv" in cfg.formats:
             written.append(
-                emit_csv(grid, out_dir / f"{base}.csv", cfg.coloring, cfg.svg_style.max_levels)
+                emit_csv(grid, out_dir / f"{base}.csv", cfg.coloring, max_levels)
             )
         if "svg" in cfg.formats:
             written.append(emit_svg(grid, cfg.svg_style, out_dir / f"{base}.svg", cfg.coloring))
@@ -579,7 +651,7 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
 
     if cfg.command == "crossings":
         events = detect_crossings(grid, max_levels=cfg.crossings_max_levels)
-        written.append(emit_csv(events, out_dir / f"{base}.csv"))
+        written.append(_write_table(out_dir / f"{base}.csv", CrossingEvent, events))
         return written
 
     if cfg.command == "esqpt":
@@ -591,7 +663,7 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
                 if est is not None:
                     estimates.append(est)
         points = separatrix_from_estimates(estimates)
-        written.append(emit_csv(points, out_dir / f"{base}.csv"))
+        written.append(_write_table(out_dir / f"{base}.csv", SeparatrixPoint, points))
         return written
 
     raise ConfigError(f"unhandled command {cfg.command!r}")

@@ -1,19 +1,32 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kerrspec.cli import (
+    COLORINGS,
+    COMMANDS,
     ConfigError,
     SvgStyle,
+    _PALETTES,
+    _color_class,
+    _nice_ticks,
     emit_csv,
     emit_svg,
     load_config,
     main,
     run,
 )
-from kerrspec.esqpt import SeparatrixPoint
+from kerrspec.esqpt import SeparatrixModel, SeparatrixPoint
 from kerrspec.fock import HamiltonianSpec
+from kerrspec.sectors import MOD_ALL
 from kerrspec.sweep import SweepPlan, run_sweep
 
 
@@ -333,3 +346,330 @@ class TestCommands:
         assert lines[0] == "v,method,xi_c,E_c,rel_dev_sq"
         methods = {ln.split(",")[1] for ln in lines[1:]}
         assert methods == {"max_rate", "linear_extrapolation", "difference_bound"}
+
+    def test_crossings_without_events_keeps_its_header(self, tmp_path):
+        payload = {
+            "schema_version": 1,
+            "command": "crossings",
+            "hamiltonian": {"eta": 0.0, "xi": 0.05},
+            "numeric": {"n_max": 30, "n_probe": 45},
+            "grid": {"varying": "eta", "start": 0.5, "stop": 0.7, "step": 0.1},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "crossings.csv").read_text().splitlines() == [
+            "kind,param_value,residue_a,index_a,residue_b,index_b,min_gap"
+        ]
+
+
+UNBOUND_SPECTRUM = {
+    "schema_version": 1,
+    "command": "spectrum",
+    "hamiltonian": {"xi4": 2.0},
+    "numeric": {"n_max": 120, "n_probe": 160},
+}
+
+
+class TestNoConvergedLevels:
+    """A spectrum or sweep with no converged emitted level is a numeric failure."""
+
+    def _main(self, tmp_path, payload, capsys):
+        cfg = write_config(tmp_path, payload)
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_unbound_spectrum_exits_three(self, tmp_path, capsys):
+        code, err = self._main(tmp_path, UNBOUND_SPECTRUM, capsys)
+        assert code == 3
+        assert err.startswith("numeric failure: ") and "121 emitted levels" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+    def test_unbound_sweep_exits_three(self, tmp_path, capsys):
+        payload = {
+            **UNBOUND_SPECTRUM,
+            "command": "sweep",
+            "hamiltonian": {},
+            "grid": {"varying": "xi4", "start": 1.0, "stop": 2.0, "step": 0.5},
+            "coloring": "mod4",
+            "output": {"formats": ["csv", "svg"]},
+        }
+        code, err = self._main(tmp_path, payload, capsys)
+        assert code == 3
+        assert err.startswith("numeric failure: ") and "363 emitted levels" in err
+        assert "Traceback" not in err
+        assert not any((tmp_path / "out").glob("sweep.*"))
+
+    def test_converged_levels_still_exit_zero(self, tmp_path, capsys):
+        bound = {**UNBOUND_SPECTRUM, "hamiltonian": {"xi4": 0.0, "xi": 1.0}}
+        assert self._main(tmp_path, bound, capsys)[0] == 0
+        assert self._main(tmp_path, sweep_config(str(tmp_path)), capsys)[0] == 0
+
+    def test_empty_window_is_not_a_failure(self, tmp_path, capsys):
+        payload = {
+            **UNBOUND_SPECTRUM,
+            "hamiltonian": {"eta": 4.0},
+            "numeric": {"n_max": 20, "n_probe": 30},
+            "window": [0.5, 1.5],
+        }
+        assert self._main(tmp_path, payload, capsys)[0] == 0
+        assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1
+
+
+def _oracle_csv(grid, coloring, max_levels):
+    """The grid CSV formatted one value at a time, as the writer once did."""
+    lines = [
+        "param,sector_residue,level_index,energy,excitation_energy,converged,color_class"
+    ]
+    for g, param in enumerate(grid.params):
+        for r in grid.residues:
+            absolute, excitation = grid.absolute(r), grid.excitation(r)
+            stop = absolute.shape[1] if max_levels is None else min(max_levels, absolute.shape[1])
+            for lvl in range(stop):
+                lines.append(",".join([
+                    format(float(param), ".12g"),
+                    str(r),
+                    str(lvl),
+                    format(float(absolute[g, lvl]), ".12g"),
+                    format(float(excitation[g, lvl]), ".12g"),
+                    "1" if grid.converged[r][g, lvl] else "0",
+                    _color_class(coloring, r, grid.modulus),
+                ]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _oracle_svg(grid, style, coloring):
+    """The SVG with every polyline point scaled and formatted on its own."""
+    w, h, m = style.width, style.height, style.margin
+    x = grid.params
+    x_lo, x_hi = float(x[0]), float(x[-1])
+    curves = []
+    for r in grid.residues:
+        data = grid.curves[r]
+        stop = data.shape[1] if style.max_levels is None else min(style.max_levels, data.shape[1])
+        color = _PALETTES[coloring][_color_class(coloring, r, grid.modulus)]
+        curves.extend((color, data[:, lvl]) for lvl in range(stop))
+    y_lo = style.y_min if style.y_min is not None else min(float(c.min()) for _, c in curves)
+    y_hi = style.y_max if style.y_max is not None else max(float(c.max()) for _, c in curves)
+
+    def sx(v):
+        return m + (v - x_lo) / (x_hi - x_lo) * (w - 2 * m)
+
+    def sy(v):
+        return h - m - (v - y_lo) / (y_hi - y_lo) * (h - 2 * m)
+
+    def polyline(ys, look):
+        pts = " ".join(f"{sx(float(px)):.2f},{sy(float(py)):.2f}" for px, py in zip(x, ys))
+        return f'<polyline points="{pts}" fill="none" {look} clip-path="url(#frame)"/>'
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" stroke="black"/>',
+        f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>',
+    ]
+    for t in _nice_ticks(x_lo, x_hi):
+        px = sx(t)
+        parts.append(
+            f'<line x1="{px:.2f}" y1="{h - m}" x2="{px:.2f}" y2="{h - m + 6}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{px:.2f}" y="{h - m + 22}" font-size="13" text-anchor="middle">{t:.6g}</text>'
+        )
+    for t in _nice_ticks(y_lo, y_hi):
+        py = sy(t)
+        parts.append(f'<line x1="{m - 6}" y1="{py:.2f}" x2="{m}" y2="{py:.2f}" stroke="black"/>')
+        parts.append(
+            f'<text x="{m - 10}" y="{py + 4:.2f}" font-size="13" text-anchor="end">{t:.6g}</text>'
+        )
+    parts.append(
+        f'<clipPath id="frame"><rect x="{m}" y="{m}" width="{w - 2 * m}" '
+        f'height="{h - 2 * m}"/></clipPath>'
+    )
+    parts.extend(polyline(ys, f'stroke="{color}" stroke-width="1.2"') for color, ys in curves)
+    for kind in style.separatrices:
+        model = SeparatrixModel(kind)
+        if grid.plan.varying == "eta":
+            ys = model.evaluate(eta=x, xi=grid.plan.fixed.xi)
+        else:
+            ys = model.evaluate(eta=grid.plan.fixed.eta, xi=x)
+        parts.append(polyline(ys, 'stroke="black" stroke-width="1.4" stroke-dasharray="8 5"'))
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode()
+
+
+BOTH_SEPARATRICES = ("combined", "combined_prime")
+
+# name -> (sweep plan, coloring, max_levels, SVG style)
+ORACLE_CASES = {
+    "parity excitation, y range set": (
+        dict(varying="eta", grid=np.arange(0.0, 3.01, 0.1), fixed=HamiltonianSpec(xi=1.0)),
+        "parity", None, SvgStyle(y_min=0.0, y_max=12.0, separatrices=BOTH_SEPARATRICES),
+    ),
+    "parity absolute, y range unset": (
+        dict(
+            varying="eta", grid=np.arange(-1.0, 2.01, 0.15), fixed=HamiltonianSpec(xi=0.7),
+            normalize="absolute",
+        ),
+        "parity", None, SvgStyle(separatrices=BOTH_SEPARATRICES),
+    ),
+    "max_levels below the block size": (
+        dict(varying="xi", grid=np.arange(0.0, 2.01, 0.125), fixed=HamiltonianSpec(eta=1.3)),
+        "mod2x2", 4, SvgStyle(max_levels=4, y_max=20.0, separatrices=BOTH_SEPARATRICES),
+    ),
+    "max_levels above the block size": (
+        dict(varying="eta", grid=np.arange(0.0, 2.01, 0.25), fixed=HamiltonianSpec(xi=2.0)),
+        "parity", 500, SvgStyle(max_levels=500, width=700, height=500, margin=40),
+    ),
+    "mod4 coloring": (
+        dict(varying="xi4", grid=np.arange(0.0, 0.41, 0.05), fixed=HamiltonianSpec(eta=0.5)),
+        "mod4", None, SvgStyle(y_min=-1.0),
+    ),
+    "MOD_ALL diagonal sweep": (
+        dict(varying="eta", grid=np.arange(0.0, 4.01, 0.2), normalize="absolute"),
+        "parity", 1, SvgStyle(max_levels=1, separatrices=BOTH_SEPARATRICES),
+    ),
+}
+
+
+class TestWriterOracle:
+    """The array writers produce the bytes of per-value formatting."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_csv_and_svg_bytes(self, case, tmp_path):
+        plan_kwargs, coloring, max_levels, style = ORACLE_CASES[case]
+        grid = run_sweep(SweepPlan(n_max=36, n_probe=50, **plan_kwargs))
+        if case == "MOD_ALL diagonal sweep":
+            assert grid.modulus == MOD_ALL
+        csv = emit_csv(grid, tmp_path / "grid.csv", coloring, max_levels)
+        assert csv.read_bytes() == _oracle_csv(grid, coloring, max_levels)
+        svg = emit_svg(grid, style, tmp_path / "grid.svg", coloring)
+        assert svg.read_bytes() == _oracle_svg(grid, style, coloring)
+
+    def test_flat_separatrix_overlay(self, tmp_path):
+        # "kerr" does not depend on xi: the overlay is a horizontal line
+        plan = SweepPlan(varying="xi", grid=(0.0, 0.5, 1.0), fixed=HamiltonianSpec(eta=2.0),
+                         n_max=10, n_probe=20)
+        style = SvgStyle(max_levels=1, separatrices=("kerr",))
+        text = emit_svg(run_sweep(plan), style, tmp_path / "k.svg").read_text()
+        dashed = [ln for ln in text.splitlines() if "stroke-dasharray" in ln]
+        pts = dashed[0].split('points="')[1].split('"')[0].split()
+        assert len(pts) == 3 and len({p.split(",")[1] for p in pts}) == 1
+
+
+# Fields of a small valid config and what a mutation may put there; None in
+# a draw deletes the field.  Grid and basis values stay small so that every
+# example runs in milliseconds.
+_NUMBERS = st.one_of(
+    st.floats(-4.0, 4.0), st.integers(-3, 5), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "n_max"]), st.integers(0, 3), max_size=1),
+)
+_FIELDS = {
+    ("schema_version",): st.sampled_from([1, 2, "1"]),
+    ("command",): st.sampled_from(COMMANDS + ("warp",)),
+    ("hamiltonian",): _JUNK,
+    ("hamiltonian", "eta"): _NUMBERS,
+    ("hamiltonian", "xi"): _NUMBERS,
+    ("hamiltonian", "xi3"): _NUMBERS,
+    ("hamiltonian", "xi4"): st.one_of(_NUMBERS, st.just(2.0)),
+    ("hamiltonian", "kappa"): _NUMBERS,
+    ("numeric",): _JUNK,
+    ("numeric", "n_max"): st.one_of(st.integers(-2, 40), st.sampled_from([12.5, "20"])),
+    ("numeric", "n_probe"): st.one_of(st.integers(-2, 60), st.none()),
+    ("numeric", "tol_conv"): st.one_of(_NUMBERS, st.just(1e-300), st.none()),
+    ("grid",): _JUNK,
+    ("grid", "varying"): st.sampled_from(["eta", "xi", "xi3", "xi4", "xi2p", "K", None]),
+    ("grid", "start"): st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.nan, math.inf, "0", None]),
+    ("grid", "stop"): st.sampled_from([0.0, 1.0, 2.0, 1.7, math.nan, -math.inf, None]),
+    ("grid", "step"): st.sampled_from([0.5, 0.25, 1.0, 0.3, 0.0, -0.5, math.inf, None]),
+    ("normalize",): st.sampled_from(["absolute", "excitation", "log", None]),
+    ("coloring",): st.sampled_from(COLORINGS + ("rainbow", None)),
+    ("window",): st.one_of(st.lists(_NUMBERS, max_size=3), _JUNK),
+    ("output", "formats"): st.one_of(
+        st.lists(st.sampled_from(["csv", "svg", "pdf"]), max_size=3), _JUNK
+    ),
+    ("svg",): _JUNK,
+    ("svg", "max_levels"): st.one_of(st.integers(-1, 8), st.none()),
+    ("svg", "y_min"): st.one_of(_NUMBERS, st.none()),
+    ("svg", "y_max"): st.one_of(_NUMBERS, st.none()),
+    ("svg", "width"): st.one_of(st.integers(-10, 2000), st.none()),
+    ("svg", "separatrices"): st.one_of(
+        st.lists(st.sampled_from(SeparatrixModel._KINDS + ("bogus",)), max_size=3), _JUNK
+    ),
+}
+
+
+def _fuzz_base(command: str) -> dict:
+    cfg = sweep_config(".", output={"formats": ["csv", "svg"]}, svg={"separatrices": ["combined"]})
+    cfg["numeric"] = {"n_max": 20, "n_probe": 30}
+    cfg["command"] = command
+    if command == "spectrum":
+        del cfg["grid"]
+    return cfg
+
+
+def _mutate(cfg: dict, path: tuple, value) -> None:
+    section = cfg
+    for key in path[:-1]:
+        if not isinstance(section.get(key), dict):
+            section[key] = {}
+        section = section[key]
+    if value is None:
+        section.pop(path[-1], None)
+    else:
+        section[path[-1]] = value
+
+
+_MUTATIONS = st.sampled_from(sorted(_FIELDS)).flatmap(
+    lambda path: st.tuples(st.just(path), _FIELDS[path])
+)
+
+
+class TestExitCodeFuzz:
+    @settings(
+        max_examples=300, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        command=st.sampled_from(["sweep", "spectrum"]),
+        mutations=st.lists(_MUTATIONS, min_size=1, max_size=2),
+    )
+    def test_mutated_configs_exit_cleanly(self, command, mutations):
+        cfg = _fuzz_base(command)
+        for path, value in mutations:
+            _mutate(cfg, path, value)
+        numeric = cfg.setdefault("numeric", {})
+        if isinstance(numeric, dict):
+            numeric.setdefault("n_max", 20)  # the default basis is far above this test's budget
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            argv = ["--config", str(path), "--threads", "1", "--out", str(Path(tmp) / "out")]
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("grid", "start"), math.inf),
+            (("grid", "stop"), -math.inf),
+            (("hamiltonian", "eta"), math.nan),
+            (("svg", "y_min"), -math.inf),
+            (("window",), [0.0, math.inf]),
+            (("hamiltonian", "xi"), 10**400),
+        ],
+    )
+    def test_non_finite_numbers_exit_two(self, path, value, tmp_path, capsys):
+        cfg = _fuzz_base("sweep")
+        _mutate(cfg, path, value)
+        config = write_config(tmp_path, cfg)
+        assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
