@@ -63,6 +63,10 @@ _PALETTES = {
 }
 
 
+# Largest grid a configuration may ask for; every point is a full eigensolve.
+MAX_GRID_POINTS = 1_000_000
+
+
 class ConfigError(ValueError):
     """The run configuration is malformed or self-inconsistent."""
 
@@ -74,8 +78,15 @@ class GridConfig:
     stop: float
     step: float
 
+    def steps(self) -> int:
+        """Steps from start to stop, rounded; refuses grids above MAX_GRID_POINTS points."""
+        span = (self.stop - self.start) / self.step
+        if span >= MAX_GRID_POINTS - 0.5:  # also an infinite span
+            raise ConfigError(f"grid asks for more than {MAX_GRID_POINTS} points")
+        return round(max(span, -1.0))
+
     def values(self) -> tuple[float, ...]:
-        n = round((self.stop - self.start) / self.step)
+        n = self.steps()
         if n < 1 or abs(self.start + n * self.step - self.stop) > 1e-9 * max(
             1.0, abs(self.stop)
         ):
@@ -230,6 +241,7 @@ def load_config(path: str | Path) -> RunConfig:
             _number(g, "stop", None, "grid"),
             step,
         )
+        grid.steps()  # an oversized grid is refused before any value is built
 
     normalize = raw.get("normalize", "excitation")
     if normalize not in ("absolute", "excitation"):
@@ -266,11 +278,14 @@ def load_config(path: str | Path) -> RunConfig:
         for s in seps:
             if s not in SeparatrixModel._KINDS:
                 raise ConfigError(f"unknown separatrix kind {s!r}")
+        max_levels = _integer(sv, "max_levels", 1, "svg") if "max_levels" in sv else None
+        if max_levels == 0:
+            raise ConfigError("svg.max_levels must be at least 1")
         style = SvgStyle(
             width=_integer(sv, "width", 960, "svg"),
             height=_integer(sv, "height", 640, "svg"),
             margin=_integer(sv, "margin", 70, "svg"),
-            max_levels=_integer(sv, "max_levels", 0, "svg") if "max_levels" in sv else None,
+            max_levels=max_levels,
             y_min=float(_number(sv, "y_min", 0.0, "svg")) if "y_min" in sv else None,
             y_max=float(_number(sv, "y_max", 0.0, "svg")) if "y_max" in sv else None,
             separatrices=tuple(seps),
@@ -550,10 +565,11 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
             )
     for kind in style.separatrices:
         model = SeparatrixModel(kind)
-        if grid.plan.varying == "eta":
-            ys = model.evaluate(eta=x, xi=grid.plan.fixed.xi)
-        else:
-            ys = model.evaluate(eta=grid.plan.fixed.eta, xi=x)
+        # the models depend on eta and xi only; other swept couplings stay fixed
+        params = {"eta": grid.plan.fixed.eta, "xi": grid.plan.fixed.xi}
+        if grid.plan.varying in params:
+            params[grid.plan.varying] = x
+        ys = model.evaluate(**params)
         # a model that does not depend on the varying parameter is a flat line
         ys = np.broadcast_to(ys, x.shape)
         parts.append(

@@ -1,9 +1,11 @@
 """Spectra of banded symmetric matrices with certified truncation convergence.
 
 Dense/banded LAPACK drivers do the factorization work; diagonal matrices are
-read off exactly.  Truncation convergence is certified by re-diagonalizing at
-a larger probe basis and comparing level by level, instead of assuming a
-given n_max is large enough.
+read off exactly.  Truncation convergence is certified against a larger probe
+basis level by level, instead of assuming a given n_max is large enough: a
+level is converged when it moves by at most tol * max(1, |E|) between the two
+bases.  For tridiagonal sector blocks that test is decided by Sturm counts on
+the probe block (:func:`certify`), without diagonalizing it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .fock import BandedSymMatrix, FockSpace, HamiltonianSpec, assemble, standard_hamiltonian
-from .sectors import SectorDecomposition, detect_modulus, split
+from .sectors import detect_modulus, split
 
 __all__ = [
     "EigenSolverError",
@@ -22,6 +24,8 @@ __all__ = [
     "ConvergedSpectrum",
     "eigen",
     "eigenvalue",
+    "certify",
+    "sturm_certifiable",
     "converged_spectrum",
     "DEFAULT_N_MAX",
     "DEFAULT_N_PROBE",
@@ -133,6 +137,100 @@ def eigenvalue(matrix: BandedSymMatrix, index: int) -> float:
     return float(w[0])
 
 
+def sturm_certifiable(matrix: BandedSymMatrix) -> bool:
+    """Whether :func:`certify` counts on this probe block instead of solving it.
+
+    True for tridiagonal blocks with a nonzero off-diagonal.  Diagonal blocks
+    are read off exactly, and wider bands have no reliable unpivoted LDL^T
+    inertia, so those two keep their probe spectrum.
+    """
+    return not _is_diagonal(matrix) and not any(np.any(d) for d in matrix.diagonals[2:])
+
+
+def _level_flags(vals: np.ndarray, probe_vals: np.ndarray, tol: float) -> np.ndarray:
+    """|E_main - E_probe| <= tol * max(1, |E_main|), level by level."""
+    return np.abs(vals - probe_vals[: len(vals)]) <= tol * np.maximum(1.0, np.abs(vals))
+
+
+def _sturm_counts(
+    blocks: list[BandedSymMatrix], shifts: list[np.ndarray]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Eigenvalues of each tridiagonal block below each of its shifts.
+
+    One Sturm sequence per (block, shift), the pivots of LDL^T of T - x,
+
+        d_k = (a_k - x) - e_{k-1}^2 / d_{k-1},
+
+    run for all of them at once, row by row; the count is the number of
+    negative pivots.  A zero pivot is left to IEEE arithmetic (e^2 / 0 is
+    infinite and the next pivot finite again), as LAPACK ``dlaneg`` does.
+    Shorter blocks are padded in front with decoupled +inf rows, and absent
+    shifts are -inf; neither ever gives a negative pivot.  Returns the counts
+    and, per block, whether some sequence met 0/0 (a zero pivot at a zero
+    off-diagonal), which leaves its counts meaningless.
+    """
+    rows = max(b.dim for b in blocks)
+    width = max(len(x) for x in shifts)
+    a = np.full((rows, len(blocks), 1), np.inf)
+    e2 = np.zeros((rows, len(blocks), 1))
+    x = np.full((len(blocks), width), -np.inf)
+    for j, (block, shift) in enumerate(zip(blocks, shifts)):
+        top = rows - block.dim
+        a[top:, j, 0] = block.diagonal
+        e2[top + 1 :, j, 0] = block.diagonals[1] ** 2
+        x[j, : len(shift)] = shift
+    d = np.ones_like(x)
+    t = np.empty_like(x)
+    negative = np.empty(x.shape, dtype=bool)
+    count = np.zeros(x.shape, dtype=np.int32)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(rows):
+            np.divide(e2[k], d, out=t)
+            np.subtract(a[k], x, out=d)
+            np.subtract(d, t, out=d)
+            np.less(d, 0.0, out=negative)
+            np.add(count, negative, out=count)
+    failed = np.isnan(d).any(axis=1)
+    return [count[j, : len(shift)] for j, shift in enumerate(shifts)], failed
+
+
+def certify(
+    main: list[np.ndarray], probe: list[BandedSymMatrix | np.ndarray], tol: float
+) -> list[np.ndarray]:
+    """Truncation-convergence flags of sector levels against the probe basis.
+
+    ``main[j]`` holds the ascending eigenvalues of one sector block at n_max;
+    ``probe[j]`` is the same sector's block at the probe basis, or its
+    ascending eigenvalues when they are already known.  Level i is converged
+    when |E_main[i] - E_probe[i]| <= tol * max(1, |E_main[i]|).
+
+    The n_max block is the leading principal submatrix of the probe block
+    (assembly is exact and normal-ordered), so Cauchy interlacing gives
+    E_probe[i] <= E_main[i], and the test holds exactly when fewer than i + 1
+    probe eigenvalues lie below E_main[i] - tol * max(1, |E_main[i]|).  For
+    :func:`sturm_certifiable` blocks that count is a Sturm sequence, batched
+    over every level of every block; other blocks, and blocks whose sequence
+    meets 0/0, are compared against their probe spectrum.
+    """
+    flags: list[np.ndarray | None] = [None] * len(main)
+    batch = []
+    for j, (vals, p) in enumerate(zip(main, probe)):
+        if isinstance(p, BandedSymMatrix) and sturm_certifiable(p):
+            batch.append(j)
+        else:
+            probe_vals = p if isinstance(p, np.ndarray) else eigen(p).eigenvalues
+            flags[j] = _level_flags(vals, probe_vals, tol)
+    if batch:
+        shifts = [main[j] - tol * np.maximum(1.0, np.abs(main[j])) for j in batch]
+        counts, failed = _sturm_counts([probe[j] for j in batch], shifts)
+        for j, count, bad in zip(batch, counts, failed):
+            if bad:
+                flags[j] = _level_flags(main[j], eigen(probe[j]).eigenvalues, tol)
+            else:
+                flags[j] = count <= np.arange(len(count))
+    return flags
+
+
 @dataclass(frozen=True)
 class ConvergedSpectrum:
     """Sector-tagged levels with per-level truncation-convergence flags.
@@ -186,10 +284,6 @@ class ConvergedSpectrum:
         )
 
 
-def _sector_eigenvalues(decomp: SectorDecomposition) -> dict[int, np.ndarray]:
-    return {s.residue: eigen(s.block).eigenvalues for s in decomp.sectors}
-
-
 def converged_spectrum(
     spec: HamiltonianSpec,
     n_max: int = DEFAULT_N_MAX,
@@ -197,32 +291,24 @@ def converged_spectrum(
     tol_conv: float = DEFAULT_TOL_CONV,
     window: tuple[float, float] | None = None,
 ) -> ConvergedSpectrum:
-    """Diagonalize at n_max and at a larger probe basis; flag converged levels.
+    """Diagonalize at n_max and flag the levels converged against a larger probe basis.
 
     A level is converged when |E(n_max) - E(n_probe)| <= tol_conv * max(1, |E|),
-    compared sector by sector in sorted order.  ``window`` restricts the
-    returned levels to an excitation-energy range.
+    compared sector by sector in sorted order; :func:`certify` decides this
+    by Sturm counts on the probe blocks, without diagonalizing them.
+    ``window`` restricts the returned levels to an excitation-energy range.
     """
     if n_probe <= n_max:
         raise ValueError(f"n_probe={n_probe} must exceed n_max={n_max}")
     poly = standard_hamiltonian(spec)
     k = detect_modulus(poly)
-    main = split(assemble(poly, FockSpace(n_max)), k)
-    probe = split(assemble(poly, FockSpace(n_probe)), k)
-    main_vals = _sector_eigenvalues(main)
-    probe_vals = _sector_eigenvalues(probe)
+    main = split(assemble(poly, FockSpace(n_max)), k).sectors
+    probe = {s.residue: s.block for s in split(assemble(poly, FockSpace(n_probe)), k).sectors}
+    vals = [eigen(s.block).eigenvalues for s in main]
+    flags = certify(vals, [probe[s.residue] for s in main], tol_conv)
 
-    energies, residues, flags = [], [], []
-    for r, vals in main_vals.items():
-        pv = probe_vals[r]
-        m = len(vals)
-        diff = np.abs(vals - pv[:m])
-        ok = diff <= tol_conv * np.maximum(1.0, np.abs(vals))
-        energies.append(vals)
-        residues.append(np.full(m, r, dtype=int))
-        flags.append(ok)
-    energies = np.concatenate(energies)
-    residues = np.concatenate(residues)
+    energies = np.concatenate(vals)
+    residues = np.concatenate([np.full(len(v), s.residue, dtype=int) for s, v in zip(main, vals)])
     flags = np.concatenate(flags)
 
     order = np.lexsort((residues, energies))

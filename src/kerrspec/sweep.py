@@ -2,9 +2,10 @@
 
 Each grid point is an independent unit of work: expand the parameter record,
 assemble, split into the sweep's common symmetry sectors, diagonalize, and
-certify truncation convergence against the probe basis.  Points may be
-evaluated concurrently; results are merged by grid index, so the output is
-identical for any evaluation order.
+certify truncation convergence against the probe basis.  Certification runs
+on chunks of consecutive points, one batched Sturm count per chunk; chunks
+may be evaluated concurrently, and results are merged by grid index, so the
+output is identical for any evaluation order.
 """
 
 from __future__ import annotations
@@ -13,10 +14,19 @@ import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
-from .eigensolve import DEFAULT_N_MAX, DEFAULT_N_PROBE, DEFAULT_TOL_CONV, eigen, eigenvalue
+from .eigensolve import (
+    DEFAULT_N_MAX,
+    DEFAULT_N_PROBE,
+    DEFAULT_TOL_CONV,
+    certify,
+    eigen,
+    eigenvalue,
+    sturm_certifiable,
+)
 from .fock import COUPLING_FIELDS, FockSpace, HamiltonianSpec, assemble, standard_hamiltonian
 from .sectors import MOD_ALL, detect_modulus, split
 
@@ -31,6 +41,9 @@ __all__ = [
 ]
 
 _NORMALIZE_MODES = ("absolute", "excitation")
+
+# Consecutive grid points whose probe blocks share one batched Sturm count.
+CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -148,28 +161,38 @@ class SpectrumGrid:
         return self.curves[residue] + self.ground_energy[:, None]
 
 
-def _evaluate_point(plan: SweepPlan, value: float, k: int | str):
-    """One grid point: absolute sector levels plus probe-certified flags."""
-    poly = standard_hamiltonian(plan.spec_at(value))
-    main = split(assemble(poly, FockSpace(plan.n_max)), k)
-    probe = split(assemble(poly, FockSpace(plan.n_probe)), k)
-    levels, flags = {}, {}
-    probe_vals = {s.residue: eigen(s.block).eigenvalues for s in probe.sectors}
-    for s in main.sectors:
-        vals = eigen(s.block).eigenvalues
-        pv = probe_vals[s.residue][: len(vals)]
-        flags[s.residue] = np.abs(vals - pv) <= plan.tol_conv * np.maximum(
-            1.0, np.abs(vals)
-        )
-        levels[s.residue] = vals
-    return levels, flags
+def _evaluate_chunk(plan: SweepPlan, values: np.ndarray, k: int | str):
+    """Consecutive grid points: absolute sector levels plus probe-certified flags.
+
+    Each point's main blocks are solved right after their split, and probe
+    blocks that :func:`certify` cannot count on right after theirs, so every
+    solve follows the split it belongs to (``perfbench/spans.py`` attributes
+    solves to bases by split order).
+    """
+    points, main, probe = [], [], []
+    for value in values:
+        poly = standard_hamiltonian(plan.spec_at(value))
+        split_main = split(assemble(poly, FockSpace(plan.n_max)), k)
+        levels = {s.residue: eigen(s.block).eigenvalues for s in split_main.sectors}
+        blocks = {
+            s.residue: s.block if sturm_certifiable(s.block) else eigen(s.block).eigenvalues
+            for s in split(assemble(poly, FockSpace(plan.n_probe)), k).sectors
+        }
+        points.append(levels)
+        main.extend(levels.values())
+        probe.extend(blocks[r] for r in levels)
+    flags = iter(certify(main, probe, plan.tol_conv))
+    return [(levels, {r: next(flags) for r in levels}) for levels in points]
 
 
 def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     """Evaluate the plan over its whole grid.
 
-    ``threads`` > 1 (or 0 for auto) evaluates grid points concurrently;
-    the merge is by grid index, so the result does not depend on scheduling.
+    A level is flagged converged when |E(n_max) - E(n_probe)| <= tol_conv *
+    max(1, |E|), as in :func:`converged_spectrum`; the flags come from
+    :func:`certify`, one batched Sturm count per ``CHUNK`` grid points.
+    ``threads`` > 1 (or 0 for auto) evaluates chunks concurrently; the merge
+    is by grid index, so the result does not depend on scheduling.
     """
     k = plan_modulus(plan)
     return _sweep_values(plan, k, np.asarray(plan.grid, dtype=float), threads)
@@ -188,16 +211,17 @@ def _sweep_values(
     curves = {r: np.zeros((npts, dims[r])) for r in residues}
     flags = {r: np.zeros((npts, dims[r]), dtype=bool) for r in residues}
 
-    def work(i: int):
-        return i, _evaluate_point(plan, values[i], k)
+    def work(start: int):
+        return _evaluate_chunk(plan, values[start : start + CHUNK], k)
 
+    starts = range(0, npts, CHUNK)
     if threads == 1:
-        results = [work(i) for i in range(npts)]
+        chunks = [work(i) for i in starts]
     else:
         workers = threads if threads > 0 else None
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(npts)))
-    for i, (levels, ok) in results:
+            chunks = list(pool.map(work, starts))
+    for i, (levels, ok) in enumerate(chain.from_iterable(chunks)):
         for r in residues:
             curves[r][i] = levels[r]
             flags[r][i] = ok[r]

@@ -14,6 +14,7 @@ from kerrspec.cli import (
     COLORINGS,
     COMMANDS,
     ConfigError,
+    GridConfig,
     SvgStyle,
     _PALETTES,
     _color_class,
@@ -130,6 +131,9 @@ class TestMalformedConfigExitTwo:
         "formats not a list": lambda d: sweep_config(d, output={"directory": d, "formats": 5}),
         "directory not a string": lambda d: sweep_config(d, output={"directory": 5}),
         "separatrices not a list": lambda d: sweep_config(d, svg={"separatrices": None}),
+        "svg.max_levels zero": lambda d: sweep_config(
+            d, output={"directory": d, "formats": ["csv", "svg"]}, svg={"max_levels": 0}
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -144,6 +148,23 @@ class TestMalformedConfigExitTwo:
     def test_integral_float_counts_accepted(self, tmp_path):
         cfg = load_config(write_config(tmp_path, with_numeric(str(tmp_path), n_max=30.0, n_probe=45)))
         assert cfg.n_max == 30 and isinstance(cfg.n_max, int)
+
+    def test_oversized_grid_refused_before_it_is_built(self, tmp_path, capsys):
+        # 10^9 + 1 points over [0, 1]: refused by its count, not by building it
+        payload = sweep_config(str(tmp_path / "out"))
+        payload["grid"]["step"] = 1e-9
+        cfg = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match="more than"):
+            load_config(cfg)
+        assert main(["--config", str(cfg), "--threads", "1"]) == 2
+        assert "more than" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="more than"):
+            GridConfig("eta", 0.0, 1.0, 1e-300).values()
+        with pytest.raises(ConfigError, match="more than"):  # (stop - start) overflows
+            GridConfig("eta", -1e308, 1e308, 1.0).values()
+        with pytest.raises(ConfigError, match="evenly"):
+            GridConfig("eta", 1e308, -1e308, 1.0).values()
 
     def test_seedless_flag_removed(self, tmp_path):
         cfg = write_config(tmp_path, sweep_config(str(tmp_path)))
@@ -556,6 +577,16 @@ class TestWriterOracle:
         dashed = [ln for ln in text.splitlines() if "stroke-dasharray" in ln]
         pts = dashed[0].split('points="')[1].split('"')[0].split()
         assert len(pts) == 3 and len({p.split(",")[1] for p in pts}) == 1
+
+    def test_separatrix_overlay_of_an_other_coupling_sweep(self, tmp_path):
+        # a xi4 sweep at fixed xi = 3 draws "squeeze" flat at xi^2 = 9, not at xi4^2
+        plan = SweepPlan(varying="xi4", grid=(0.0, 0.05, 0.1), fixed=HamiltonianSpec(xi=3.0),
+                         n_max=20, n_probe=30)
+        style = SvgStyle(max_levels=1, y_min=0.0, y_max=20.0, separatrices=("squeeze",))
+        text = emit_svg(run_sweep(plan), style, tmp_path / "s.svg").read_text()
+        dashed = [ln for ln in text.splitlines() if "stroke-dasharray" in ln]
+        pts = dashed[0].split('points="')[1].split('"')[0].split()
+        assert [p.split(",")[1] for p in pts] == ["345.00"] * 3  # 640 - 70 - 9 / 20 * 500
 
 
 # Fields of a small valid config and what a mutation may put there; None in

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kerrspec.eigensolve import converged_spectrum, eigen, eigenvalue
+from kerrspec.eigensolve import (
+    _sturm_counts,
+    certify,
+    converged_spectrum,
+    eigen,
+    eigenvalue,
+    sturm_certifiable,
+)
 from kerrspec.fock import (
     BandedSymMatrix,
     FockSpace,
@@ -10,7 +17,7 @@ from kerrspec.fock import (
     assemble,
     standard_hamiltonian,
 )
-from kerrspec.sectors import detect_modulus, split
+from kerrspec.sectors import MOD_ALL, detect_modulus, split
 
 
 def count_below(dense: np.ndarray, x: float) -> int:
@@ -182,3 +189,84 @@ class TestSingleLevel:
             eigenvalue(m, 2)
         with pytest.raises(IndexError):
             eigenvalue(m, -1)
+
+
+def probe_flags(vals, probe_block, tol):
+    """Reference certificate: diagonalize the probe block and compare level by level."""
+    probe_vals = eigen(probe_block).eigenvalues[: len(vals)]
+    return np.abs(vals - probe_vals) <= tol * np.maximum(1.0, np.abs(vals))
+
+
+class TestCertify:
+    """Sturm-count flags equal the flags of the probe diagonalization they replace."""
+
+    CASES = {
+        # name: (spec, n_max, n_probe, whether the probe blocks are Sturm-counted)
+        "P2 eta=0 xi=1": (HamiltonianSpec(eta=0.0, xi=1.0), 120, 160, True),
+        "P2 eta=3.3 xi=5": (HamiltonianSpec(eta=3.3, xi=5.0), 200, 250, True),
+        "P2 eta=-2 xi=0.4": (HamiltonianSpec(eta=-2.0, xi=0.4), 80, 110, True),
+        "P2 eta=0 xi=20": (HamiltonianSpec(eta=0.0, xi=20.0), 400, 450, True),
+        "P2 small basis, many fail": (HamiltonianSpec(eta=1.0, xi=2.0), 24, 40, True),
+        "xi2p alone": (HamiltonianSpec(xi2p=0.2), 100, 140, True),
+        "xi3 alone": (HamiltonianSpec(eta=1.0, xi3=0.5), 120, 160, True),
+        "xi4 alone": (HamiltonianSpec(eta=0.5, xi4=0.1), 120, 160, True),
+        "xi + xi4, band 2": (HamiltonianSpec(eta=2.0, xi=1.0, xi4=0.05), 100, 140, False),
+        "MOD_ALL": (HamiltonianSpec(eta=4.0), 60, 80, False),
+    }
+
+    @staticmethod
+    def sectors(spec, n_max, n_probe):
+        poly = standard_hamiltonian(spec)
+        k = detect_modulus(poly)
+        main = split(assemble(poly, FockSpace(n_max)), k).sectors
+        probe = {s.residue: s.block for s in split(assemble(poly, FockSpace(n_probe)), k).sectors}
+        return k, [eigen(s.block).eigenvalues for s in main], [probe[s.residue] for s in main]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flags_equal_probe_diagonalization(self, case):
+        spec, n_max, n_probe, counted = self.CASES[case]
+        k, vals, probe = self.sectors(spec, n_max, n_probe)
+        assert all(sturm_certifiable(b) == counted for b in probe)
+        tol = 1e-8
+        flags = certify(vals, probe, tol)
+        for v, b, f in zip(vals, probe, flags):
+            np.testing.assert_array_equal(f, probe_flags(v, b, tol))
+        every = np.concatenate(flags)
+        if case == "P2 small basis, many fail":
+            assert every.sum() > 0 and (~every).sum() >= 10
+        if case == "MOD_ALL":
+            assert k == MOD_ALL
+        if case == "xi2p alone":
+            assert probe[0].diagonals[1][0] == 0.0  # <2|a^dag^2 n|0> vanishes
+
+    def test_precomputed_probe_spectrum(self):
+        _, vals, probe = self.sectors(HamiltonianSpec(eta=1.0, xi=3.0), 60, 90)
+        spectra = [eigen(b).eigenvalues for b in probe]
+        for f, g in zip(certify(vals, spectra, 1e-8), certify(vals, probe, 1e-8)):
+            np.testing.assert_array_equal(f, g)
+
+    def test_zero_pivot_at_zero_off_diagonal_falls_back(self):
+        # n_max block diag(3, 4, 10): level 1 gets the shift 4 - 0.25 * 4 = 3, so
+        # the first probe pivot is 3 - 3 = 0 at a zero off-diagonal (0/0); two
+        # eigenvalues of the coupled probe tail lie below 3, so level 1 fails
+        probe = BandedSymMatrix(
+            7, 1, (np.array([3.0, 4.0, 10.0, 10.0, 10.0, 10.0, 10.0]), np.array([0, 0, 8.0, 8, 8, 8]))
+        )
+        vals = np.array([3.0, 4.0, 10.0])
+        _, failed = _sturm_counts([probe], [vals - 0.25 * vals])
+        assert failed.tolist() == [True]
+        # a sound block certified in the same batch keeps its own counts
+        _, p2_vals, p2_probe = self.sectors(HamiltonianSpec(eta=0.0, xi=2.0), 40, 60)
+        flags = certify([vals, *p2_vals], [probe, *p2_probe], 0.25)
+        assert flags[0].tolist() == [False, False, False]
+        np.testing.assert_array_equal(flags[0], probe_flags(vals, probe, 0.25))
+        for v, b, f in zip(p2_vals, p2_probe, flags[1:]):
+            np.testing.assert_array_equal(f, probe_flags(v, b, 0.25))
+
+    def test_converged_spectrum_uses_the_same_flags(self):
+        spec = HamiltonianSpec(eta=1.0, xi=2.0)
+        cs = converged_spectrum(spec, 24, 40, 1e-8)
+        assert 0 < cs.n_converged < cs.n_levels
+        _, vals, probe = self.sectors(spec, 24, 40)
+        for r, (v, b) in enumerate(zip(vals, probe)):
+            np.testing.assert_array_equal(cs.converged[cs.residues == r], probe_flags(v, b, 1e-8))

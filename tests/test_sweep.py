@@ -3,9 +3,10 @@ import pytest
 
 import kerrspec.classify
 from kerrspec.classify import detect_crossings, kerr_exact_levels
+from kerrspec.eigensolve import converged_spectrum
 from kerrspec.fock import HamiltonianSpec
 from kerrspec.sectors import MOD_ALL
-from kerrspec.sweep import SweepPlan, plan_modulus, refine_near, run_sweep
+from kerrspec.sweep import CHUNK, SweepPlan, plan_modulus, refine_near, run_sweep
 
 
 def small_plan(**overrides):
@@ -92,6 +93,24 @@ class TestRunSweep:
             np.testing.assert_array_equal(serial.curves[r], threaded.curves[r])
             np.testing.assert_array_equal(serial.converged[r], threaded.converged[r])
         np.testing.assert_array_equal(serial.ground_energy, threaded.ground_energy)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_chunked_sweep_matches_pointwise_spectra(self, threads):
+        # 37 points: two full chunks and a short one
+        plan = small_plan(
+            varying="xi", grid=tuple(0.1 * (i + 1) for i in range(37)),
+            fixed=HamiltonianSpec(eta=1.0), n_max=30, n_probe=46, normalize="absolute",
+        )
+        assert len(plan.grid) % CHUNK != 0
+        grid = run_sweep(plan, threads=threads)
+        unconverged = 0
+        for i, value in enumerate(plan.grid):
+            cs = converged_spectrum(plan.spec_at(value), plan.n_max, plan.n_probe, plan.tol_conv)
+            for r in grid.residues:
+                np.testing.assert_array_equal(grid.curves[r][i], cs.energies[cs.residues == r])
+                np.testing.assert_array_equal(grid.converged[r][i], cs.converged[cs.residues == r])
+            unconverged += int((~cs.converged).sum())
+        assert unconverged > 0
 
     def test_convergence_flags_present(self):
         grid = run_sweep(small_plan(n_max=30, n_probe=45))
