@@ -19,14 +19,7 @@ from .classify import (
     kerr_exact_levels,
     track_crossing_location,
 )
-from .eigensolve import (
-    ConvergedSpectrum,
-    EigenResult,
-    EigenSolverError,
-    converged_spectrum,
-    eigen,
-    eigenvalue,
-)
+from .eigensolve import EigenResult, EigenSolverError, eigen, eigenvalue
 from .esqpt import (
     CriticalPointEstimate,
     GapCurve,
@@ -54,7 +47,7 @@ from .fock import (
     standard_hamiltonian,
 )
 from .sectors import MOD_ALL, SectorDecomposition, SymmetryViolation, detect_modulus, split
-from .sweep import SpectrumGrid, SweepPlan, refine_near, run_sweep
+from .sweep import ConvergedSpectrum, SpectrumGrid, SweepPlan, converged_spectrum, run_sweep
 from .u2 import (
     RepClassification,
     U2Rep,

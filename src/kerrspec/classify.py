@@ -19,10 +19,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .eigensolve import ConvergedSpectrum, DEFAULT_N_MAX
-from .fock import HamiltonianSpec, standard_hamiltonian
+from .eigensolve import DEFAULT_N_MAX
+from .fock import COUPLING_KINDS, HamiltonianSpec, standard_hamiltonian
 from .sectors import detect_modulus
-from .sweep import SpectrumGrid, SweepPlan, sector_levels_at, spec_levels
+from .sweep import ConvergedSpectrum, SpectrumGrid, SweepPlan, sector_levels_at, spec_levels
 
 # perfbench/spans.py traces the library by wrapping these names in each
 # caller's namespace, this module included; they stay bound here.
@@ -52,8 +52,6 @@ DEFAULT_TOL_DEG = 1e-6
 
 # Bracket width, in the swept parameter, at which a crossing root is accepted.
 ROOT_XTOL = 1e-12
-
-COUPLING_KINDS = {"P2": "xi", "P3": "xi3", "P4": "xi4", "nP2": "xi2p"}
 
 
 class UnconvergedCrossingWarning(UserWarning):

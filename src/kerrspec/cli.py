@@ -19,22 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
-    COUPLING_KINDS,
-    DEFAULT_TOL_DEG,
     CrossingEvent,
     LevelPair,
     TrackedCrossing,
     detect_crossings,
     track_crossing_location,
 )
-from .eigensolve import (
-    DEFAULT_N_MAX,
-    DEFAULT_N_PROBE,
-    DEFAULT_TOL_CONV,
-    ConvergedSpectrum,
-    EigenSolverError,
-    converged_spectrum,
-)
+from .eigensolve import DEFAULT_N_MAX, DEFAULT_N_PROBE, DEFAULT_TOL_CONV, EigenSolverError
 from .esqpt import (
     SeparatrixModel,
     SeparatrixPoint,
@@ -44,9 +35,22 @@ from .esqpt import (
     xi_c_linear_extrapolation,
     xi_c_max_rate,
 )
-from .fock import HamiltonianSpec, HigherOrderCorrections
-from .sectors import MOD_ALL
-from .sweep import SpectrumGrid, SweepPlan, run_sweep
+from .fock import (
+    COUPLING_FIELDS,
+    COUPLING_KINDS,
+    HamiltonianSpec,
+    HigherOrderCorrections,
+    standard_hamiltonian,
+)
+from .sectors import MOD_ALL, detect_modulus
+from .sweep import (
+    NORMALIZE_MODES,
+    ConvergedSpectrum,
+    SpectrumGrid,
+    SweepPlan,
+    converged_spectrum,
+    run_sweep,
+)
 from .u2 import CasimirLevel, U2Rep, casimir_spectrum
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run", "emit_csv", "emit_svg", "main"]
@@ -65,6 +69,9 @@ _PALETTES = {
 
 # Largest grid a configuration may ask for; every point is a full eigensolve.
 MAX_GRID_POINTS = 1_000_000
+
+# track.coupling when none is given: the first kind, the two-photon drive.
+_DEFAULT_COUPLING = next(iter(COUPLING_KINDS))
 
 
 class ConfigError(ValueError):
@@ -112,7 +119,6 @@ class RunConfig:
     n_max: int = DEFAULT_N_MAX
     n_probe: int = DEFAULT_N_PROBE
     tol_conv: float = DEFAULT_TOL_CONV
-    tol_deg: float = DEFAULT_TOL_DEG
     grid: GridConfig | None = None
     normalize: str = "excitation"
     coloring: str = "parity"
@@ -123,7 +129,7 @@ class RunConfig:
     svg_style: SvgStyle = field(default_factory=SvgStyle)
     v_max: int = 12
     casimir_N: int = 50
-    track_coupling: str = "P2"
+    track_coupling: str = _DEFAULT_COUPLING
     track_eta0: int = 0
     track_pair: tuple[int, int, int, int] = (0, 0, 1, 0)
     crossings_max_levels: int = 12
@@ -191,7 +197,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"command must be one of {COMMANDS}")
 
     ham = raw.get("hamiltonian", {})
-    _check_keys(ham, {"eta", "xi", "xi3", "xi4", "xi2p", "higher_order"}, "hamiltonian")
+    _check_keys(ham, {*COUPLING_FIELDS, "higher_order"}, "hamiltonian")
     higher = None
     if "higher_order" in ham:
         ho = ham["higher_order"]
@@ -204,16 +210,11 @@ def load_config(path: str | Path) -> RunConfig:
             **{k: _number(ho, k, 0.0, "higher_order") for k in ho}
         )
     spec = HamiltonianSpec(
-        eta=_number(ham, "eta", 0.0, "hamiltonian"),
-        xi=_number(ham, "xi", 0.0, "hamiltonian"),
-        xi3=_number(ham, "xi3", 0.0, "hamiltonian"),
-        xi4=_number(ham, "xi4", 0.0, "hamiltonian"),
-        xi2p=_number(ham, "xi2p", 0.0, "hamiltonian"),
-        higher=higher,
+        **{f: _number(ham, f, 0.0, "hamiltonian") for f in COUPLING_FIELDS}, higher=higher
     )
 
     num = raw.get("numeric", {})
-    _check_keys(num, {"n_max", "n_probe", "tol_conv", "tol_deg"}, "numeric")
+    _check_keys(num, {"n_max", "n_probe", "tol_conv"}, "numeric")
     n_max = _integer(num, "n_max", DEFAULT_N_MAX, "numeric")
     n_probe = _integer(num, "n_probe", DEFAULT_N_PROBE, "numeric")
     if "n_probe" not in num and n_max != DEFAULT_N_MAX:
@@ -221,7 +222,8 @@ def load_config(path: str | Path) -> RunConfig:
     if n_probe <= n_max:
         raise ConfigError(f"numeric.n_probe={n_probe} must exceed n_max={n_max}")
     tol_conv = float(_number(num, "tol_conv", DEFAULT_TOL_CONV, "numeric"))
-    tol_deg = float(_number(num, "tol_deg", DEFAULT_TOL_DEG, "numeric"))
+    if tol_conv < 0:
+        raise ConfigError("numeric.tol_conv must not be negative")
 
     grid = None
     if "grid" in raw:
@@ -230,7 +232,7 @@ def load_config(path: str | Path) -> RunConfig:
         for key in ("varying", "start", "stop", "step"):
             if key not in g:
                 raise ConfigError(f"grid.{key} is required")
-        if g["varying"] not in ("eta", "xi", "xi3", "xi4", "xi2p"):
+        if g["varying"] not in COUPLING_FIELDS:
             raise ConfigError(f"grid.varying {g['varying']!r} is not a parameter")
         step = _number(g, "step", None, "grid")
         if step <= 0:
@@ -244,8 +246,8 @@ def load_config(path: str | Path) -> RunConfig:
         grid.steps()  # an oversized grid is refused before any value is built
 
     normalize = raw.get("normalize", "excitation")
-    if normalize not in ("absolute", "excitation"):
-        raise ConfigError("normalize must be 'absolute' or 'excitation'")
+    if normalize not in NORMALIZE_MODES:
+        raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}")
     coloring = raw.get("coloring", "parity")
     if coloring not in COLORINGS:
         raise ConfigError(f"coloring must be one of {COLORINGS}")
@@ -265,6 +267,8 @@ def load_config(path: str | Path) -> RunConfig:
         if not (isinstance(w, list) and len(w) == 2):
             raise ConfigError("window must be a [low, high] pair")
         window = (_as_number(w[0], "window[0]"), _as_number(w[1], "window[1]"))
+        if window[0] > window[1]:
+            raise ConfigError("window must be a [low, high] pair with low <= high")
 
     style = SvgStyle()
     if "svg" in raw:
@@ -301,13 +305,15 @@ def load_config(path: str | Path) -> RunConfig:
     if "casimir" in raw:
         _check_keys(raw["casimir"], {"N"}, "casimir")
         kwargs["casimir_N"] = _integer(raw["casimir"], "N", 50, "casimir")
+        if kwargs["casimir_N"] < 1:
+            raise ConfigError("casimir.N must be at least 1")
     if "track" in raw:
         t = raw["track"]
         _check_keys(t, {"coupling", "eta0", "pair"}, "track")
         pair = t.get("pair", [0, 0, 1, 0])
         if not (isinstance(pair, list) and len(pair) == 4):
             raise ConfigError("track.pair must be [residue_a, index_a, residue_b, index_b]")
-        coupling = t.get("coupling", "P2")
+        coupling = t.get("coupling", _DEFAULT_COUPLING)
         if not isinstance(coupling, str) or coupling not in COUPLING_KINDS:
             raise ConfigError(f"track.coupling must be one of {sorted(COUPLING_KINDS)}")
         kwargs.update(
@@ -324,13 +330,12 @@ def load_config(path: str | Path) -> RunConfig:
     if command in ("sweep", "crossings", "esqpt", "track") and grid is None:
         raise ConfigError(f"the {command} command requires a grid section")
 
-    return RunConfig(
+    cfg = RunConfig(
         command=command,
         hamiltonian=spec,
         n_max=n_max,
         n_probe=n_probe,
         tol_conv=tol_conv,
-        tol_deg=tol_deg,
         grid=grid,
         normalize=normalize,
         coloring=coloring,
@@ -341,6 +346,17 @@ def load_config(path: str | Path) -> RunConfig:
         svg_style=style,
         **kwargs,
     )
+    if command == "track":
+        # the coupling conserves n mod k; sector r holds the states r, r + k, ... <= n_max
+        field_name = COUPLING_KINDS[cfg.track_coupling]
+        k = detect_modulus(standard_hamiltonian(HamiltonianSpec(**{field_name: 1.0})))
+        for r, i in (cfg.track_pair[:2], cfg.track_pair[2:]):
+            if r >= k or i >= len(range(r, n_max + 1, k)):
+                raise ConfigError(
+                    f"track.pair level ({r}, {i}) is not among the {cfg.track_coupling} "
+                    f"sector levels at n_max={n_max}"
+                )
+    return cfg
 
 
 def _color_class(coloring: str, residue: int, modulus) -> str:

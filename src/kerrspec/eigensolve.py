@@ -1,11 +1,11 @@
-"""Spectra of banded symmetric matrices with certified truncation convergence.
+"""Spectra of banded symmetric blocks and their truncation certificate.
 
 Dense/banded LAPACK drivers do the factorization work; diagonal matrices are
-read off exactly.  Truncation convergence is certified against a larger probe
-basis level by level, instead of assuming a given n_max is large enough: a
-level is converged when it moves by at most tol * max(1, |E|) between the two
-bases.  For tridiagonal sector blocks that test is decided by Sturm counts on
-the probe block (:func:`certify`), without diagonalizing it.
+read off exactly.  :func:`certify` decides, level by level, whether a block's
+eigenvalues at n_max agree with those of the same sector at a larger probe
+basis to tol * max(1, |E|); for tridiagonal probe blocks it decides by Sturm
+counts, without diagonalizing them.  Turning a Hamiltonian into certified
+sector levels is :mod:`kerrspec.sweep`'s job.
 """
 
 from __future__ import annotations
@@ -15,18 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fock import BandedSymMatrix, FockSpace, HamiltonianSpec, assemble, standard_hamiltonian
-from .sectors import detect_modulus, split
+from .fock import BandedSymMatrix
 
 __all__ = [
     "EigenSolverError",
     "EigenResult",
-    "ConvergedSpectrum",
     "eigen",
     "eigenvalue",
     "certify",
     "sturm_certifiable",
-    "converged_spectrum",
     "DEFAULT_N_MAX",
     "DEFAULT_N_PROBE",
     "DEFAULT_TOL_CONV",
@@ -51,7 +48,6 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     residual_bound: float
-    sector_residue: int | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.eigenvalues, dtype=float)
@@ -69,11 +65,7 @@ def _is_diagonal(matrix: BandedSymMatrix) -> bool:
     )
 
 
-def eigen(
-    matrix: BandedSymMatrix,
-    want_vectors: bool = False,
-    sector_residue: int | None = None,
-) -> EigenResult:
+def eigen(matrix: BandedSymMatrix, want_vectors: bool = False) -> EigenResult:
     """Full spectrum of a banded real symmetric matrix.
 
     Diagonal matrices return their sorted diagonal exactly (stable argsort,
@@ -87,7 +79,7 @@ def eigen(
         if want_vectors:
             v = np.zeros((matrix.dim, matrix.dim))
             v[order, np.arange(matrix.dim)] = 1.0
-        return EigenResult(w, v, residual_bound=0.0, sector_residue=sector_residue)
+        return EigenResult(w, v, residual_bound=0.0)
 
     ab = matrix.band_lower()
     try:
@@ -107,7 +99,7 @@ def eigen(
     else:
         scale = float(np.max(np.abs(w))) if len(w) else 0.0
         bound = matrix.dim * _EPS * scale
-    return EigenResult(w, v, residual_bound=bound, sector_residue=sector_residue)
+    return EigenResult(w, v, residual_bound=bound)
 
 
 def eigenvalue(matrix: BandedSymMatrix, index: int) -> float:
@@ -229,99 +221,3 @@ def certify(
             else:
                 flags[j] = count <= np.arange(len(count))
     return flags
-
-
-@dataclass(frozen=True)
-class ConvergedSpectrum:
-    """Sector-tagged levels with per-level truncation-convergence flags.
-
-    ``n_converged`` counts the leading run of converged levels; only those
-    are exposed by default through :meth:`converged_levels`.
-    """
-
-    energies: np.ndarray
-    excitations: np.ndarray
-    residues: np.ndarray
-    converged: np.ndarray
-    ground_energy: float
-    n_max_used: int
-    n_probe: int
-    tol_conv: float
-    modulus: int | str = 1
-
-    def __post_init__(self) -> None:
-        for name in ("energies", "excitations", "residues", "converged"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.energies)
-
-    @property
-    def n_converged(self) -> int:
-        bad = np.flatnonzero(~self.converged)
-        return int(bad[0]) if len(bad) else len(self.converged)
-
-    @property
-    def levels(self) -> list[tuple[float, int]]:
-        return [(float(e), int(r)) for e, r in zip(self.energies, self.residues)]
-
-    def converged_levels(self) -> "ConvergedSpectrum":
-        """Leading run of levels certified against the probe truncation."""
-        n = self.n_converged
-        return ConvergedSpectrum(
-            self.energies[:n],
-            self.excitations[:n],
-            self.residues[:n],
-            self.converged[:n],
-            self.ground_energy,
-            self.n_max_used,
-            self.n_probe,
-            self.tol_conv,
-            self.modulus,
-        )
-
-
-def converged_spectrum(
-    spec: HamiltonianSpec,
-    n_max: int = DEFAULT_N_MAX,
-    n_probe: int = DEFAULT_N_PROBE,
-    tol_conv: float = DEFAULT_TOL_CONV,
-    window: tuple[float, float] | None = None,
-) -> ConvergedSpectrum:
-    """Diagonalize at n_max and flag the levels converged against a larger probe basis.
-
-    A level is converged when |E(n_max) - E(n_probe)| <= tol_conv * max(1, |E|),
-    compared sector by sector in sorted order; :func:`certify` decides this
-    by Sturm counts on the probe blocks, without diagonalizing them.
-    ``window`` restricts the returned levels to an excitation-energy range.
-    """
-    if n_probe <= n_max:
-        raise ValueError(f"n_probe={n_probe} must exceed n_max={n_max}")
-    poly = standard_hamiltonian(spec)
-    k = detect_modulus(poly)
-    main = split(assemble(poly, FockSpace(n_max)), k).sectors
-    probe = {s.residue: s.block for s in split(assemble(poly, FockSpace(n_probe)), k).sectors}
-    vals = [eigen(s.block).eigenvalues for s in main]
-    flags = certify(vals, [probe[s.residue] for s in main], tol_conv)
-
-    energies = np.concatenate(vals)
-    residues = np.concatenate([np.full(len(v), s.residue, dtype=int) for s, v in zip(main, vals)])
-    flags = np.concatenate(flags)
-
-    order = np.lexsort((residues, energies))
-    energies, residues, flags = energies[order], residues[order], flags[order]
-    ground = float(energies[0])
-    excitations = energies - ground
-
-    if window is not None:
-        lo, hi = window
-        keep = (excitations >= lo) & (excitations <= hi)
-        energies, excitations = energies[keep], excitations[keep]
-        residues, flags = residues[keep], flags[keep]
-
-    return ConvergedSpectrum(
-        energies, excitations, residues, flags, ground, n_max, n_probe, tol_conv, k
-    )

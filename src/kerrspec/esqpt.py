@@ -164,23 +164,15 @@ def xi_c_linear_extrapolation(curve: GapCurve) -> CriticalPointEstimate | None:
 
 
 def xi_c_difference_bound(
-    curve: GapCurve,
-    energies: tuple[np.ndarray, np.ndarray] | None = None,
-    fraction: float = DIFF_BOUND_FRACTION,
+    curve: GapCurve, fraction: float = DIFF_BOUND_FRACTION
 ) -> CriticalPointEstimate | None:
     """First coupling where gap <= fraction * (pair mean energy), persistently.
 
     The condition must hold from the reported point to the end of the grid,
     which suppresses spurious early triggers; the crossing is interpolated
-    linearly between the bracketing samples.  ``energies`` may supply the
-    (even, odd) level curves explicitly; by default the pair data stored on
-    the curve is used.
+    linearly between the bracketing samples.
     """
-    if energies is not None:
-        semi = 0.5 * (np.asarray(energies[0], float) + np.asarray(energies[1], float))
-    else:
-        semi = curve.mean_energy
-    h = curve.gap - fraction * semi
+    h = curve.gap - fraction * curve.mean_energy
     ok = h <= 0.0
     if not ok[-1]:
         return None
@@ -193,7 +185,7 @@ def xi_c_difference_bound(
         x0, x1 = curve.xi[idx - 1], curve.xi[idx]
         h0, h1 = h[idx - 1], h[idx]
         xi_c = float(x0 + h0 * (x1 - x0) / (h0 - h1)) if h0 != h1 else float(x1)
-    e_c = float(np.interp(xi_c, curve.xi, semi))
+    e_c = float(np.interp(xi_c, curve.xi, curve.mean_energy))
     return CriticalPointEstimate(curve.v, "difference_bound", xi_c, e_c)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "ladder_poly",
     "pairing_poly",
     "COUPLING_FIELDS",
+    "COUPLING_KINDS",
 ]
 
 
@@ -235,6 +236,9 @@ class HamiltonianSpec:
 
 # HamiltonianSpec fields that act as sweepable coupling strengths.
 COUPLING_FIELDS = ("eta", "xi", "xi3", "xi4", "xi2p")
+
+# Crossing-tracking perturbations P2, P3, P4, nP2 -> the field each one scales.
+COUPLING_KINDS = {"P2": "xi", "P3": "xi3", "P4": "xi4", "nP2": "xi2p"}
 
 
 def standard_hamiltonian(spec: HamiltonianSpec) -> OperatorPoly:

@@ -1,17 +1,17 @@
-"""Sector-resolved spectra over 1-D parameter grids.
+"""Certified sector-resolved spectra, at one parameter point or over a 1-D grid.
 
-Each grid point is an independent unit of work: expand the parameter record,
-assemble, split into the sweep's common symmetry sectors, diagonalize, and
-certify truncation convergence against the probe basis.  Certification runs
-on chunks of consecutive points, one batched Sturm count per chunk; chunks
-may be evaluated concurrently, and results are merged by grid index, so the
-output is identical for any evaluation order.
+This is the one place a Hamiltonian becomes sector levels: expand the
+parameter record, assemble, split into symmetry sectors, diagonalize, and
+certify truncation convergence against the probe basis.  A sweep runs that
+on chunks of consecutive grid points, one batched Sturm count per chunk;
+chunks may be evaluated concurrently, and results are merged by grid index,
+so the output is identical for any evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -27,20 +27,31 @@ from .eigensolve import (
     eigenvalue,
     sturm_certifiable,
 )
-from .fock import COUPLING_FIELDS, FockSpace, HamiltonianSpec, assemble, standard_hamiltonian
+from .fock import (
+    COUPLING_FIELDS,
+    BandedSymMatrix,
+    FockSpace,
+    HamiltonianSpec,
+    OperatorPoly,
+    assemble,
+    standard_hamiltonian,
+)
 from .sectors import MOD_ALL, detect_modulus, split
 
 __all__ = [
+    "NORMALIZE_MODES",
+    "ConvergedSpectrum",
     "SweepPlan",
     "SpectrumGrid",
+    "converged_spectrum",
     "run_sweep",
-    "refine_near",
     "plan_modulus",
+    "sector_blocks",
     "sector_levels_at",
     "spec_levels",
 ]
 
-_NORMALIZE_MODES = ("absolute", "excitation")
+NORMALIZE_MODES = ("absolute", "excitation")
 
 # Consecutive grid points whose probe blocks share one batched Sturm count.
 CHUNK = 16
@@ -68,8 +79,8 @@ class SweepPlan:
             raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if self.normalize not in _NORMALIZE_MODES:
-            raise ValueError(f"normalize must be one of {_NORMALIZE_MODES}")
+        if self.normalize not in NORMALIZE_MODES:
+            raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
         if self.n_probe <= self.n_max:
             raise ValueError("n_probe must exceed n_max")
         object.__setattr__(self, "grid", grid)
@@ -93,6 +104,11 @@ def plan_modulus(plan: SweepPlan) -> int | str:
     return MOD_ALL if g == 0 else g
 
 
+def sector_blocks(poly: OperatorPoly, n: int, k: int | str) -> dict[int, BandedSymMatrix]:
+    """Sector blocks of a Hermitian polynomial on the basis |0>..|n>, by residue mod k."""
+    return {s.residue: s.block for s in split(assemble(poly, FockSpace(n)), k).sectors}
+
+
 def spec_levels(
     spec: HamiltonianSpec, n_max: int, k: int | str, levels: Sequence[tuple[int, int]]
 ) -> tuple[float, ...]:
@@ -101,8 +117,8 @@ def spec_levels(
     Each level is a single-level solve of its sector block, so asking for
     two levels costs far less than diagonalizing the two blocks.
     """
-    decomp = split(assemble(standard_hamiltonian(spec), FockSpace(n_max)), k)
-    return tuple(eigenvalue(decomp.sector(r).block, i) for r, i in levels)
+    blocks = sector_blocks(standard_hamiltonian(spec), n_max, k)
+    return tuple(eigenvalue(blocks[r], i) for r, i in levels)
 
 
 def sector_levels_at(
@@ -161,27 +177,28 @@ class SpectrumGrid:
         return self.curves[residue] + self.ground_energy[:, None]
 
 
-def _evaluate_chunk(plan: SweepPlan, values: np.ndarray, k: int | str):
-    """Consecutive grid points: absolute sector levels plus probe-certified flags.
+def _certified_levels(
+    polys: Iterable[OperatorPoly], n_max: int, n_probe: int, k: int | str, tol: float
+):
+    """Absolute sector levels of each polynomial plus probe-certified flags.
 
-    Each point's main blocks are solved right after their split, and probe
-    blocks that :func:`certify` cannot count on right after theirs, so every
-    solve follows the split it belongs to (``perfbench/spans.py`` attributes
-    solves to bases by split order).
+    Each polynomial's main blocks are solved right after their split, and
+    probe blocks that :func:`certify` cannot count on right after theirs, so
+    every solve follows the split it belongs to (``perfbench/spans.py``
+    attributes solves to bases by split order); one :func:`certify` call then
+    flags the levels of all of them.
     """
     points, main, probe = [], [], []
-    for value in values:
-        poly = standard_hamiltonian(plan.spec_at(value))
-        split_main = split(assemble(poly, FockSpace(plan.n_max)), k)
-        levels = {s.residue: eigen(s.block).eigenvalues for s in split_main.sectors}
+    for poly in polys:
+        levels = {r: eigen(b).eigenvalues for r, b in sector_blocks(poly, n_max, k).items()}
         blocks = {
-            s.residue: s.block if sturm_certifiable(s.block) else eigen(s.block).eigenvalues
-            for s in split(assemble(poly, FockSpace(plan.n_probe)), k).sectors
+            r: b if sturm_certifiable(b) else eigen(b).eigenvalues
+            for r, b in sector_blocks(poly, n_probe, k).items()
         }
         points.append(levels)
         main.extend(levels.values())
         probe.extend(blocks[r] for r in levels)
-    flags = iter(certify(main, probe, plan.tol_conv))
+    flags = iter(certify(main, probe, tol))
     return [(levels, {r: next(flags) for r in levels}) for levels in points]
 
 
@@ -195,12 +212,7 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     is by grid index, so the result does not depend on scheduling.
     """
     k = plan_modulus(plan)
-    return _sweep_values(plan, k, np.asarray(plan.grid, dtype=float), threads)
-
-
-def _sweep_values(
-    plan: SweepPlan, k: int | str, values: np.ndarray, threads: int
-) -> SpectrumGrid:
+    values = np.asarray(plan.grid, dtype=float)
     npts = len(values)
     if k == MOD_ALL:
         residues = tuple(range(plan.n_max + 1))
@@ -212,7 +224,8 @@ def _sweep_values(
     flags = {r: np.zeros((npts, dims[r]), dtype=bool) for r in residues}
 
     def work(start: int):
-        return _evaluate_chunk(plan, values[start : start + CHUNK], k)
+        polys = (standard_hamiltonian(plan.spec_at(v)) for v in values[start : start + CHUNK])
+        return _certified_levels(polys, plan.n_max, plan.n_probe, k, plan.tol_conv)
 
     starts = range(0, npts, CHUNK)
     if threads == 1:
@@ -232,36 +245,97 @@ def _sweep_values(
     if plan.normalize == "excitation":
         for r in residues:
             curves[r] = curves[r] - ground[:, None]
-    return SpectrumGrid(plan, k, values.copy(), curves, flags, ground)
+    return SpectrumGrid(plan, k, values, curves, flags, ground)
 
 
-def refine_near(grid: SpectrumGrid, events, factor: int) -> SpectrumGrid:
-    """Insert factor - 1 points inside each event's bracketing grid interval.
+@dataclass(frozen=True)
+class ConvergedSpectrum:
+    """Sector-tagged levels with per-level truncation-convergence flags.
 
-    Only the inserted points are computed; existing columns are reused and
-    the result is merged in ascending parameter order.  ``events`` need only
-    carry a ``param_value`` attribute.
+    ``n_converged`` counts the leading run of converged levels; only those
+    are exposed by default through :meth:`converged_levels`.
     """
-    if factor < 2:
-        raise ValueError("refinement factor must be >= 2")
-    params = grid.params
-    new_values: list[float] = []
-    for ev in events:
-        t = float(ev.param_value)
-        idx = int(np.clip(np.searchsorted(params, t, side="right") - 1, 0, len(params) - 2))
-        lo, hi = params[idx], params[idx + 1]
-        inner = lo + (hi - lo) * np.arange(1, factor) / factor
-        new_values.extend(float(x) for x in inner)
-    new_values = sorted(set(new_values) - set(params.tolist()))
-    if not new_values:
-        return grid
 
-    extra = _sweep_values(grid.plan, grid.modulus, np.asarray(new_values), threads=1)
-    merged = np.concatenate([params, extra.params])
-    order = np.argsort(merged, kind="stable")
-    curves, flags = {}, {}
-    for r in grid.residues:
-        curves[r] = np.concatenate([grid.curves[r], extra.curves[r]])[order]
-        flags[r] = np.concatenate([grid.converged[r], extra.converged[r]])[order]
-    ground = np.concatenate([grid.ground_energy, extra.ground_energy])[order]
-    return SpectrumGrid(grid.plan, grid.modulus, merged[order], curves, flags, ground)
+    energies: np.ndarray
+    excitations: np.ndarray
+    residues: np.ndarray
+    converged: np.ndarray
+    ground_energy: float
+    n_max_used: int
+    n_probe: int
+    tol_conv: float
+    modulus: int | str = 1
+
+    def __post_init__(self) -> None:
+        for name in ("energies", "excitations", "residues", "converged"):
+            arr = np.asarray(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.energies)
+
+    @property
+    def n_converged(self) -> int:
+        bad = np.flatnonzero(~self.converged)
+        return int(bad[0]) if len(bad) else len(self.converged)
+
+    @property
+    def levels(self) -> list[tuple[float, int]]:
+        return [(float(e), int(r)) for e, r in zip(self.energies, self.residues)]
+
+    def converged_levels(self) -> "ConvergedSpectrum":
+        """Leading run of levels certified against the probe truncation."""
+        n = self.n_converged
+        return ConvergedSpectrum(
+            self.energies[:n],
+            self.excitations[:n],
+            self.residues[:n],
+            self.converged[:n],
+            self.ground_energy,
+            self.n_max_used,
+            self.n_probe,
+            self.tol_conv,
+            self.modulus,
+        )
+
+
+def converged_spectrum(
+    spec: HamiltonianSpec,
+    n_max: int = DEFAULT_N_MAX,
+    n_probe: int = DEFAULT_N_PROBE,
+    tol_conv: float = DEFAULT_TOL_CONV,
+    window: tuple[float, float] | None = None,
+) -> ConvergedSpectrum:
+    """Diagonalize at n_max and flag the levels converged against a larger probe basis.
+
+    A level is converged when |E(n_max) - E(n_probe)| <= tol_conv * max(1, |E|),
+    compared sector by sector in sorted order.  The point runs the same code
+    as one grid point of :func:`run_sweep`, so both give the same levels and
+    flags.  ``window`` restricts the returned levels to an excitation-energy range.
+    """
+    if n_probe <= n_max:
+        raise ValueError(f"n_probe={n_probe} must exceed n_max={n_max}")
+    poly = standard_hamiltonian(spec)
+    k = detect_modulus(poly)
+    [(levels, ok)] = _certified_levels([poly], n_max, n_probe, k, tol_conv)
+
+    energies = np.concatenate(list(levels.values()))
+    residues = np.concatenate([np.full(len(v), r, dtype=int) for r, v in levels.items()])
+    flags = np.concatenate(list(ok.values()))
+
+    order = np.lexsort((residues, energies))
+    energies, residues, flags = energies[order], residues[order], flags[order]
+    ground = float(energies[0])
+    excitations = energies - ground
+
+    if window is not None:
+        lo, hi = window
+        keep = (excitations >= lo) & (excitations <= hi)
+        energies, excitations = energies[keep], excitations[keep]
+        residues, flags = residues[keep], flags[keep]
+
+    return ConvergedSpectrum(
+        energies, excitations, residues, flags, ground, n_max, n_probe, tol_conv, k
+    )

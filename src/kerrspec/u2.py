@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigensolve import eigen
-from .fock import BandedSymMatrix, FockSpace, HamiltonianSpec, assemble, pairing_poly
-from .sectors import split
+from .fock import BandedSymMatrix, HamiltonianSpec, pairing_poly
+from .sweep import converged_spectrum, sector_blocks
 
 __all__ = [
     "U2Rep",
@@ -249,10 +249,10 @@ def classify_pairing_sp2(n_max: int) -> RepClassification:
     and is not asserted here.
     """
     N = n_max
-    decomp = split(assemble(pairing_poly(2, -1.0), FockSpace(N)), 2)
+    blocks = sector_blocks(pairing_poly(2, -1.0), N, 2)
     branches = {}
     for parity, residue in ((+1, 0), (-1, 1)):
-        block = decomp.sector(residue).block
+        block = blocks[residue]
         vals = eigen(block).eigenvalues
         j = _doubled_j(N, parity)
         if Fraction(2) * j + 1 != block.dim:
@@ -296,9 +296,6 @@ def contraction_check(spec: HamiltonianSpec, N: int, n_levels: int) -> float:
 
     compact = eigen(u2_hamiltonian(spec.eta, spec.xi, N)).eigenvalues
     compact_exc = compact[:n_levels] - compact[0]
-
-    from .eigensolve import converged_spectrum
-
     ref = converged_spectrum(spec, n_max=N, n_probe=N + 100, tol_conv=1e-10)
     if not np.all(ref.converged[:n_levels]):
         raise ValueError(f"Fock reference not converged for {n_levels} levels at N={N}")

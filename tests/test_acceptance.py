@@ -16,7 +16,8 @@ from kerrspec.classify import (
     track_crossing_location,
 )
 from kerrspec.cli import emit_csv
-from kerrspec.eigensolve import converged_spectrum, eigen
+from kerrspec import converged_spectrum
+from kerrspec.eigensolve import eigen
 from kerrspec.esqpt import gap_curves, separatrix_from_estimates, xi_c_max_rate
 from kerrspec.fock import (
     FockSpace,

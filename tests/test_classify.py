@@ -13,7 +13,7 @@ from kerrspec.classify import (
     kerr_exact_levels,
     track_crossing_location,
 )
-from kerrspec.eigensolve import converged_spectrum
+from kerrspec import converged_spectrum
 from kerrspec.fock import HamiltonianSpec
 from kerrspec.sweep import SweepPlan, run_sweep
 

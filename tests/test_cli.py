@@ -108,6 +108,14 @@ def with_numeric(out_dir: str, **numeric) -> dict:
     return sweep_config(out_dir, numeric=numeric)
 
 
+def track_at_n_max_40(out_dir: str, **track) -> dict:
+    cfg = track_config(out_dir, **track)
+    cfg["numeric"] = {"n_max": 40, "n_probe": 60}
+    if track.get("coupling") == "P3":
+        cfg["grid"]["varying"] = "xi3"
+    return cfg
+
+
 class TestMalformedConfigExitTwo:
     """Every malformed configuration is a configuration error: exit 2, no traceback."""
 
@@ -134,6 +142,23 @@ class TestMalformedConfigExitTwo:
         "svg.max_levels zero": lambda d: sweep_config(
             d, output={"directory": d, "formats": ["csv", "svg"]}, svg={"max_levels": 0}
         ),
+        "pair residue outside the sectors": lambda d: track_at_n_max_40(d, pair=[5, 0, 1, 0]),
+        "pair level beyond its block": lambda d: track_at_n_max_40(d, pair=[0, 99, 1, 0]),
+        "P3 pair level beyond its block": lambda d: track_at_n_max_40(
+            d, coupling="P3", pair=[2, 13, 1, 0]
+        ),
+        "default pair beyond a one-state basis": lambda d: {
+            **track_config(d), "numeric": {"n_max": 0, "n_probe": 20}, "track": {}
+        },
+        "casimir N zero": lambda d: {
+            "schema_version": 1, "command": "casimir", "casimir": {"N": 0},
+            "output": {"directory": d},
+        },
+        "negative tol_conv": lambda d: with_numeric(d, n_max=30, n_probe=45, tol_conv=-1e-8),
+        "reversed window": lambda d: sweep_config(d, command="spectrum", window=[5, 1]),
+        "tol_deg is no longer a key": lambda d: with_numeric(
+            d, n_max=30, n_probe=45, tol_deg=1e-6
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -144,6 +169,12 @@ class TestMalformedConfigExitTwo:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_last_level_of_each_track_sector_accepted(self, tmp_path):
+        # n_max 40 under P3: sectors 0, 1, 2 hold 14, 13 and 13 states
+        cfg = load_config(write_config(tmp_path, track_at_n_max_40(
+            str(tmp_path), coupling="P3", pair=[2, 12, 0, 13])))
+        assert cfg.track_pair == (2, 12, 0, 13)
 
     def test_integral_float_counts_accepted(self, tmp_path):
         cfg = load_config(write_config(tmp_path, with_numeric(str(tmp_path), n_max=30.0, n_probe=45)))
@@ -631,6 +662,11 @@ _FIELDS = {
     ("svg", "separatrices"): st.one_of(
         st.lists(st.sampled_from(SeparatrixModel._KINDS + ("bogus",)), max_size=3), _JUNK
     ),
+    ("track",): _JUNK,
+    ("track", "coupling"): st.sampled_from(["P2", "P3", "P4", "nP2", "P9", None]),
+    ("track", "eta0"): st.one_of(st.integers(-1, 6), st.none()),
+    ("track", "pair"): st.lists(st.sampled_from([0, 1, 2, 5, 10, 11, 99]), min_size=4, max_size=4),
+    ("casimir", "N"): st.one_of(st.integers(-1, 12), _JUNK),
 }
 
 
@@ -638,8 +674,13 @@ def _fuzz_base(command: str) -> dict:
     cfg = sweep_config(".", output={"formats": ["csv", "svg"]}, svg={"separatrices": ["combined"]})
     cfg["numeric"] = {"n_max": 20, "n_probe": 30}
     cfg["command"] = command
-    if command == "spectrum":
+    if command in ("spectrum", "casimir"):
         del cfg["grid"]
+    if command == "track":
+        cfg["grid"] = {"varying": "xi", "start": 0.5, "stop": 2.0, "step": 0.5}
+        cfg["track"] = {"coupling": "P2", "eta0": 2, "pair": [0, 0, 1, 0]}
+    if command == "casimir":
+        cfg["casimir"] = {"N": 12}
     return cfg
 
 
@@ -666,7 +707,7 @@ class TestExitCodeFuzz:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        command=st.sampled_from(["sweep", "spectrum"]),
+        command=st.sampled_from(["sweep", "spectrum", "track", "casimir"]),
         mutations=st.lists(_MUTATIONS, min_size=1, max_size=2),
     )
     def test_mutated_configs_exit_cleanly(self, command, mutations):

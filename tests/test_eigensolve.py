@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kerrspec import converged_spectrum
 from kerrspec.eigensolve import (
     _sturm_counts,
     certify,
-    converged_spectrum,
     eigen,
     eigenvalue,
     sturm_certifiable,

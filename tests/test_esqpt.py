@@ -138,14 +138,6 @@ class TestDifferenceBound:
         est = xi_c_difference_bound(GapCurve(1, xi, gap, semi), fraction=0.005)
         assert est.xi_c > xi[3]
 
-    def test_explicit_energy_curves_accepted(self, curves):
-        c = curves[1]
-        even = c.mean_energy - c.gap / 2
-        odd = c.mean_energy + c.gap / 2
-        est_default = xi_c_difference_bound(c)
-        est_explicit = xi_c_difference_bound(c, energies=(even, odd))
-        assert est_explicit.xi_c == pytest.approx(est_default.xi_c, rel=1e-12)
-
     def test_monotone_in_v(self, curves):
         xs = [xi_c_difference_bound(c).xi_c for c in curves[1:]]
         assert all(b > a for a, b in zip(xs, xs[1:]))
@@ -238,7 +230,7 @@ class TestDegeneracyCountGrowth:
         counts = []
         for xi in (1.0, 4.0, 8.0):
             plan_spec = HamiltonianSpec(eta=5.0, xi=xi)
-            from kerrspec.eigensolve import converged_spectrum
+            from kerrspec import converged_spectrum
 
             cs = converged_spectrum(plan_spec, 300, 360)
             groups = degeneracy_groups(cs, tol_deg=1e-6)

@@ -3,10 +3,10 @@ import pytest
 
 import kerrspec.classify
 from kerrspec.classify import detect_crossings, kerr_exact_levels
-from kerrspec.eigensolve import converged_spectrum
+from kerrspec import converged_spectrum
 from kerrspec.fock import HamiltonianSpec
 from kerrspec.sectors import MOD_ALL
-from kerrspec.sweep import CHUNK, SweepPlan, plan_modulus, refine_near, run_sweep
+from kerrspec.sweep import CHUNK, SweepPlan, plan_modulus, run_sweep
 
 
 def small_plan(**overrides):
@@ -115,50 +115,6 @@ class TestRunSweep:
     def test_convergence_flags_present(self):
         grid = run_sweep(small_plan(n_max=30, n_probe=45))
         assert all(grid.converged[r].shape == grid.curves[r].shape for r in grid.residues)
-
-
-class TestRefineNear:
-    def test_no_events_returns_same_grid(self):
-        grid = run_sweep(small_plan())
-        assert refine_near(grid, [], 10) is grid
-
-    def test_factor_ten_inserts_nine_points(self):
-        grid = run_sweep(small_plan())
-        events = detect_crossings(grid, max_levels=2)
-        event = next(e for e in events if e.kind == "avoided_crossing")
-        refined = refine_near(grid, [event], 10)
-        assert len(refined.params) == len(grid.params) + 9
-        assert np.all(np.diff(refined.params) > 0)
-
-    def test_refined_points_match_direct_evaluation(self):
-        grid = run_sweep(small_plan())
-        events = detect_crossings(grid, max_levels=2)
-        refined = refine_near(grid, events[:1], 4)
-        new_mask = ~np.isin(refined.params, grid.params)
-        direct = run_sweep(small_plan(grid=tuple(refined.params)))
-        for r in refined.residues:
-            np.testing.assert_array_equal(
-                refined.curves[r][new_mask], direct.curves[r][new_mask]
-            )
-
-    def test_refined_min_gap_not_larger(self):
-        plan = small_plan(grid=tuple(4.5 + 0.1 * i for i in range(11)))
-        grid = run_sweep(plan)
-        events = detect_crossings(grid, max_levels=3)
-        avoided = [e for e in events if e.kind == "avoided_crossing"]
-        if not avoided:
-            pytest.skip("no avoided crossing on this window")
-        e = avoided[0]
-        ra, ia, rb, ib = e.level_pair
-        refined = refine_near(grid, [e], 10)
-        coarse_min = np.min(np.abs(grid.curves[ra][:, ia] - grid.curves[rb][:, ib]))
-        fine_min = np.min(np.abs(refined.curves[ra][:, ia] - refined.curves[rb][:, ib]))
-        assert fine_min <= coarse_min + 1e-15
-
-    def test_bad_factor_rejected(self):
-        grid = run_sweep(small_plan())
-        with pytest.raises(ValueError):
-            refine_near(grid, [], 1)
 
 
 # Events found on the two small_plan grids with max_levels=6 by the earlier
