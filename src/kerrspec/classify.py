@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .eigensolve import DEFAULT_N_MAX
 from .fock import COUPLING_KINDS, HamiltonianSpec, standard_hamiltonian
@@ -221,6 +220,9 @@ def _root_in_bracket(f, lo: float, hi: float, f_lo: float, f_hi: float):
     on a grid node has an end value that is pure roundoff, and a fresh solve
     there may carry the other sign.
     """
+    # imported on first use: scipy.optimize adds ~0.3 s to every start-up
+    from scipy.optimize import brentq
+
     known = {lo: f_lo, hi: f_hi}
 
     def g(t: float) -> float:
@@ -313,6 +315,9 @@ def detect_crossings(
             interior = np.arange(1, len(g) - 1)
             mins = interior[(g[interior] < g[interior - 1]) & (g[interior] <= g[interior + 1])]
             for m in mins:
+                # imported on first use: scipy.optimize adds ~0.3 s to every start-up
+                from scipy.optimize import minimize_scalar
+
                 fn = _pair_gap(grid.plan, grid.modulus, r, i + 1, r, i)
                 best = minimize_scalar(
                     fn,

@@ -70,6 +70,9 @@ _PALETTES = {
 # Largest grid a configuration may ask for; every point is a full eigensolve.
 MAX_GRID_POINTS = 1_000_000
 
+# Largest casimir.N: its two tridiagonal blocks take about 1 s to solve there.
+MAX_CASIMIR_N = 10_000
+
 # track.coupling when none is given: the first kind, the two-photon drive.
 _DEFAULT_COUPLING = next(iter(COUPLING_KINDS))
 
@@ -305,8 +308,8 @@ def load_config(path: str | Path) -> RunConfig:
     if "casimir" in raw:
         _check_keys(raw["casimir"], {"N"}, "casimir")
         kwargs["casimir_N"] = _integer(raw["casimir"], "N", 50, "casimir")
-        if kwargs["casimir_N"] < 1:
-            raise ConfigError("casimir.N must be at least 1")
+        if not 1 <= kwargs["casimir_N"] <= MAX_CASIMIR_N:
+            raise ConfigError(f"casimir.N must be in 1..{MAX_CASIMIR_N}")
     if "track" in raw:
         t = raw["track"]
         _check_keys(t, {"coupling", "eta0", "pair"}, "track")
@@ -347,6 +350,14 @@ def load_config(path: str | Path) -> RunConfig:
         **kwargs,
     )
     if command == "track":
+        # track_crossing_location builds its Hamiltonian from eta and the coupling alone
+        if spec != HamiltonianSpec():
+            ignored = [f for f in COUPLING_FIELDS if getattr(spec, f)]
+            ignored += ["higher_order"] if spec.higher is not None else []
+            raise ConfigError(
+                f"the track command ignores hamiltonian {ignored}: it builds its "
+                "Hamiltonian from track.eta0 and the grid's coupling alone"
+            )
         # the coupling conserves n mod k; sector r holds the states r, r + k, ... <= n_max
         field_name = COUPLING_KINDS[cfg.track_coupling]
         k = detect_modulus(standard_hamiltonian(HamiltonianSpec(**{field_name: 1.0})))
@@ -625,6 +636,13 @@ def _require_converged(flags: list[np.ndarray], cfg: RunConfig) -> None:
 
 
 def _dispatch(cfg: RunConfig) -> list[Path]:
+    if cfg.command == "track":
+        assert cfg.grid is not None
+        expect = COUPLING_KINDS[cfg.track_coupling]
+        if cfg.grid.varying != expect:
+            raise ConfigError(
+                f"track grid must vary {expect!r} for coupling {cfg.track_coupling!r}"
+            )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.basename or cfg.command
@@ -648,12 +666,6 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
         return written
 
     if cfg.command == "track":
-        assert cfg.grid is not None
-        expect = COUPLING_KINDS[cfg.track_coupling]
-        if cfg.grid.varying != expect:
-            raise ConfigError(
-                f"track grid must vary {expect!r} for coupling {cfg.track_coupling!r}"
-            )
         points = track_crossing_location(
             LevelPair(*cfg.track_pair),
             cfg.track_coupling,

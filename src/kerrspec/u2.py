@@ -114,17 +114,29 @@ def so2_generator(rep: U2Rep) -> np.ndarray:
     return g
 
 
+def _casimir_diagonals(rep: U2Rep) -> tuple[np.ndarray, np.ndarray]:
+    """Casimir entries <n|C2|n> = 2n(N - n) + N and <n+2|C2|n>, n = 0..N."""
+    N = rep.N
+    n = np.arange(rep.dim, dtype=float)
+    return 2.0 * n * (N - n) + N, _pair_amplitude(np.arange(N - 1), N)
+
+
 def casimir_matrix(rep: U2Rep) -> np.ndarray:
     """Quadratic so(2) Casimir (a^dag s + s^dag a)^2 from its boson expansion."""
-    N = rep.N
-    c = np.zeros((rep.dim, rep.dim))
-    n = np.arange(rep.dim, dtype=float)
-    c[np.arange(rep.dim), np.arange(rep.dim)] = 2.0 * n * (N - n) + N
-    m = np.arange(N - 1)
-    amp = _pair_amplitude(m, N)
+    diag, amp = _casimir_diagonals(rep)
+    c = np.diag(diag)
+    m = np.arange(rep.N - 1)
     c[m + 2, m] = amp
     c[m, m + 2] = amp
     return c
+
+
+def _casimir_blocks(rep: U2Rep) -> tuple[BandedSymMatrix, BandedSymMatrix]:
+    """The Casimir on even and on odd n: it couples n to n + 2 only, so each is tridiagonal."""
+    diag, amp = _casimir_diagonals(rep)
+    return tuple(
+        BandedSymMatrix(len(diag[p::2]), 1, (diag[p::2], amp[p::2])) for p in (0, 1)
+    )
 
 
 def pairing_prime_matrix(rep: U2Rep) -> np.ndarray:
@@ -158,12 +170,12 @@ def casimir_spectrum(rep: U2Rep, tol: float = 1e-6) -> list[CasimirLevel]:
     """Casimir eigenvalues labeled (v, pi_prime), checked against (N - 2v)^2.
 
     Values are doubly degenerate in the branch sign, except sigma = 0 for
-    even N.
+    even N.  The two parity blocks are solved as tridiagonal matrices, in
+    O(N) memory.
     """
     N = rep.N
-    vals = np.linalg.eigvalsh(casimir_matrix(rep))
-    order = np.argsort(vals)[::-1]  # largest first: v = 0 pair leads
-    vals = vals[order]
+    vals = np.concatenate([eigen(block).eigenvalues for block in _casimir_blocks(rep)])
+    vals = np.sort(vals)[::-1]  # largest first: v = 0 pair leads
     out: list[CasimirLevel] = []
     pos = 0
     for v in range(N // 2 + 1):

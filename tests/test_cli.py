@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kerrspec.cli import (
     COLORINGS,
     COMMANDS,
+    MAX_CASIMIR_N,
     ConfigError,
     GridConfig,
     SvgStyle,
@@ -154,6 +155,16 @@ class TestMalformedConfigExitTwo:
             "schema_version": 1, "command": "casimir", "casimir": {"N": 0},
             "output": {"directory": d},
         },
+        "casimir N above the cap": lambda d: {
+            "schema_version": 1, "command": "casimir", "casimir": {"N": MAX_CASIMIR_N + 1},
+            "output": {"directory": d},
+        },
+        "track ignores eta and xi3": lambda d: {
+            **track_config(d), "hamiltonian": {"eta": 3, "xi3": 0.7}
+        },
+        "track ignores higher_order": lambda d: {
+            **track_config(d), "hamiltonian": {"higher_order": {"kerr3": 0.2}}
+        },
         "negative tol_conv": lambda d: with_numeric(d, n_max=30, n_probe=45, tol_conv=-1e-8),
         "reversed window": lambda d: sweep_config(d, command="spectrum", window=[5, 1]),
         "tol_deg is no longer a key": lambda d: with_numeric(
@@ -169,6 +180,33 @@ class TestMalformedConfigExitTwo:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_track_error_names_the_ignored_fields(self, tmp_path, capsys):
+        for ham, named in (
+            ({"eta": 3, "xi3": 0.7}, "['eta', 'xi3']"),
+            ({"higher_order": {"kerr3": 0.2}}, "['higher_order']"),
+        ):
+            cfg = write_config(tmp_path, {**track_config(str(tmp_path)), "hamiltonian": ham})
+            assert main(["--config", str(cfg)]) == 2
+            assert named in capsys.readouterr().err
+
+    def test_track_accepts_a_default_hamiltonian(self, tmp_path):
+        payload = {**track_config(str(tmp_path)), "hamiltonian": {"eta": 0.0, "xi": 0.0}}
+        assert load_config(write_config(tmp_path, payload)).hamiltonian == HamiltonianSpec()
+
+    def test_track_grid_checked_before_the_output_directory_is_made(self, tmp_path, capsys):
+        out = tmp_path / "not-yet"
+        payload = track_config(str(out), coupling="P3", pair=[1, 0, 2, 0])  # grid varies xi
+        assert main(["--config", str(write_config(tmp_path, payload))]) == 2
+        assert "track grid must vary 'xi3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_casimir_N_accepted(self, tmp_path):
+        payload = {
+            "schema_version": 1, "command": "casimir", "casimir": {"N": MAX_CASIMIR_N},
+            "output": {"directory": str(tmp_path)},
+        }
+        assert load_config(write_config(tmp_path, payload)).casimir_N == MAX_CASIMIR_N
 
     def test_last_level_of_each_track_sector_accepted(self, tmp_path):
         # n_max 40 under P3: sectors 0, 1, 2 hold 14, 13 and 13 states
@@ -677,6 +715,7 @@ def _fuzz_base(command: str) -> dict:
     if command in ("spectrum", "casimir"):
         del cfg["grid"]
     if command == "track":
+        del cfg["hamiltonian"]  # track refuses a hamiltonian section it would ignore
         cfg["grid"] = {"varying": "xi", "start": 0.5, "stop": 2.0, "step": 0.5}
         cfg["track"] = {"coupling": "P2", "eta0": 2, "pair": [0, 0, 1, 0]}
     if command == "casimir":

@@ -16,6 +16,7 @@ from kerrspec.u2 import (
     u2_generators,
     u2_hamiltonian,
 )
+from kerrspec.u2 import _casimir_blocks
 
 
 class TestSo2Generator:
@@ -60,6 +61,21 @@ class TestCasimir:
         for level in casimir_spectrum(U2Rep(N)):
             expected = N**2 - 4 * N * level.v * (1 - level.v / N)
             assert level.value == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 50, 51, 300])
+    def test_parity_blocks_match_the_dense_spectrum(self, N):
+        rep = U2Rep(N)
+        dense = np.sort(np.linalg.eigvalsh(casimir_matrix(rep)))[::-1]
+        values = [level.value for level in casimir_spectrum(rep)]
+        np.testing.assert_allclose(values, dense, rtol=0, atol=1e-12 * N * N)
+
+    def test_parity_blocks_are_the_matrix_split_by_parity(self):
+        rep = U2Rep(9)
+        even, odd = _casimir_blocks(rep)
+        dense = casimir_matrix(rep)
+        np.testing.assert_array_equal(even.to_dense(), dense[0::2, 0::2])
+        np.testing.assert_array_equal(odd.to_dense(), dense[1::2, 1::2])
+        assert not np.any(dense[0::2, 1::2])
 
     def test_casimir_commutes_with_generator(self):
         rep = U2Rep(50)
