@@ -19,7 +19,7 @@ from .classify import (
     kerr_exact_levels,
     track_crossing_location,
 )
-from .eigensolve import EigenResult, EigenSolverError, eigen, eigenvalue
+from .eigensolve import EigenSolverError, eigen, eigenvalue
 from .esqpt import (
     CriticalPointEstimate,
     GapCurve,

@@ -636,6 +636,8 @@ def _require_converged(flags: list[np.ndarray], cfg: RunConfig) -> None:
 
 
 def _dispatch(cfg: RunConfig) -> list[Path]:
+    if cfg.threads < 0:
+        raise ConfigError(f"threads must be >= 0, got {cfg.threads}")
     if cfg.command == "track":
         assert cfg.grid is not None
         expect = COUPLING_KINDS[cfg.track_coupling]
@@ -738,7 +740,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument(
-        "--threads", type=int, default=0, help="worker threads for sweeps (0 = auto)"
+        "--threads", type=int, default=0, help="sweep worker threads, 0 = one per core"
     )
     args = parser.parse_args(argv)
     try:

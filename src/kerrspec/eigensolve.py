@@ -10,8 +10,6 @@ sector levels is :mod:`kerrspec.sweep`'s job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -19,7 +17,6 @@ from .fock import BandedSymMatrix
 
 __all__ = [
     "EigenSolverError",
-    "EigenResult",
     "eigen",
     "eigenvalue",
     "certify",
@@ -33,30 +30,9 @@ DEFAULT_N_MAX = 800
 DEFAULT_N_PROBE = 900
 DEFAULT_TOL_CONV = 1e-8
 
-# IEEE double machine epsilon; LAPACK backward error is a small multiple.
-_EPS = np.finfo(float).eps
-
 
 class EigenSolverError(RuntimeError):
     """The eigensolver failed to converge; never silently truncated."""
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues (ascending) and optional orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    residual_bound: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.eigenvalues, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", w)
-        if self.eigenvectors is not None:
-            v = np.asarray(self.eigenvectors, dtype=float)
-            v.flags.writeable = False
-            object.__setattr__(self, "eigenvectors", v)
 
 
 def _is_diagonal(matrix: BandedSymMatrix) -> bool:
@@ -65,41 +41,24 @@ def _is_diagonal(matrix: BandedSymMatrix) -> bool:
     )
 
 
-def eigen(matrix: BandedSymMatrix, want_vectors: bool = False) -> EigenResult:
-    """Full spectrum of a banded real symmetric matrix.
+def eigen(matrix: BandedSymMatrix) -> np.ndarray:
+    """Ascending eigenvalues of a banded real symmetric matrix, read-only.
 
-    Diagonal matrices return their sorted diagonal exactly (stable argsort,
-    basis-state eigenvectors).  Otherwise the banded LAPACK driver is used;
-    a LAPACK convergence failure raises EigenSolverError.
+    Diagonal matrices return their diagonal, stably sorted, exactly.
+    Otherwise the banded LAPACK driver is used; a LAPACK convergence failure
+    raises EigenSolverError.
     """
     if _is_diagonal(matrix):
-        order = np.argsort(matrix.diagonal, kind="stable")
-        w = matrix.diagonal[order]
-        v = None
-        if want_vectors:
-            v = np.zeros((matrix.dim, matrix.dim))
-            v[order, np.arange(matrix.dim)] = 1.0
-        return EigenResult(w, v, residual_bound=0.0)
-
-    ab = matrix.band_lower()
-    try:
-        if want_vectors:
-            w, v = scipy.linalg.eig_banded(ab, lower=True, check_finite=False)
-        else:
-            w = scipy.linalg.eig_banded(
-                ab, lower=True, eigvals_only=True, check_finite=False
-            )
-            v = None
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"banded eigensolver failed: {exc}") from exc
-
-    if v is not None:
-        resid = matrix.matvec(v) - v * w[None, :]
-        bound = float(np.max(np.sqrt(np.sum(resid**2, axis=0))))
+        w = np.sort(matrix.diagonal, kind="stable")
     else:
-        scale = float(np.max(np.abs(w))) if len(w) else 0.0
-        bound = matrix.dim * _EPS * scale
-    return EigenResult(w, v, residual_bound=bound)
+        try:
+            w = scipy.linalg.eig_banded(
+                matrix.band_lower(), lower=True, eigvals_only=True, check_finite=False
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise EigenSolverError(f"banded eigensolver failed: {exc}") from exc
+    w.flags.writeable = False
+    return w
 
 
 def eigenvalue(matrix: BandedSymMatrix, index: int) -> float:
@@ -108,8 +67,8 @@ def eigenvalue(matrix: BandedSymMatrix, index: int) -> float:
     Diagonal matrices read their sorted diagonal.  Otherwise the banded
     LAPACK driver computes only the selected eigenvalue, by bisection to
     absolute accuracy 2 * safmin on the reduced tridiagonal form; it agrees
-    with ``eigen(matrix).eigenvalues[index]`` to the backward error of the
-    full solve, at a fraction of its cost.
+    with ``eigen(matrix)[index]`` to the backward error of the full solve,
+    at a fraction of its cost.
     """
     if not 0 <= index < matrix.dim:
         raise IndexError(f"level {index} outside a {matrix.dim}-state block")
@@ -210,14 +169,14 @@ def certify(
         if isinstance(p, BandedSymMatrix) and sturm_certifiable(p):
             batch.append(j)
         else:
-            probe_vals = p if isinstance(p, np.ndarray) else eigen(p).eigenvalues
+            probe_vals = p if isinstance(p, np.ndarray) else eigen(p)
             flags[j] = _level_flags(vals, probe_vals, tol)
     if batch:
         shifts = [main[j] - tol * np.maximum(1.0, np.abs(main[j])) for j in batch]
         counts, failed = _sturm_counts([probe[j] for j in batch], shifts)
         for j, count, bad in zip(batch, counts, failed):
             if bad:
-                flags[j] = _level_flags(main[j], eigen(probe[j]).eigenvalues, tol)
+                flags[j] = _level_flags(main[j], eigen(probe[j]), tol)
             else:
                 flags[j] = count <= np.arange(len(count))
     return flags

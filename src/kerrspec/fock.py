@@ -339,23 +339,6 @@ class BandedSymMatrix:
             ab[d, : len(diag)] = diag
         return ab
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector (or matrix-matrix on columns) product."""
-        v = np.asarray(v, dtype=float)
-        out = self.diagonals[0][:, None] * v if v.ndim == 2 else self.diagonals[0] * v
-        for d in range(1, self.bandwidth + 1):
-            diag = self.diagonals[d]
-            if len(diag) == 0:
-                continue
-            m = len(diag)
-            if v.ndim == 2:
-                out[d:] += diag[:, None] * v[:m]
-                out[:m] += diag[:, None] * v[d:]
-            else:
-                out[d:] += diag * v[:m]
-                out[:m] += diag * v[d:]
-        return out
-
 
 def assemble(poly: OperatorPoly, space: FockSpace) -> BandedSymMatrix:
     """Assemble a Hermitian polynomial into its exact banded symmetric matrix.

@@ -53,74 +53,45 @@ def detect_modulus(poly: OperatorPoly) -> int | str:
 
 @dataclass(frozen=True)
 class Sector:
-    """One symmetry block: Fock states with n = residue (mod k)."""
+    """One symmetry block: Fock states with n = residue (mod k), in order."""
 
     residue: int
-    indices: np.ndarray
     block: BandedSymMatrix
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=int).copy()
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def dim(self) -> int:
-        return self.block.dim
 
 
 @dataclass(frozen=True)
 class SectorDecomposition:
-    """Full matrix split into mod-k blocks; index maps partition 0..n_max."""
+    """Full matrix split into mod-k blocks, in residue order."""
 
     k: int | str
     sectors: tuple[Sector, ...]
-
-    def sector(self, residue: int) -> Sector:
-        for s in self.sectors:
-            if s.residue == residue:
-                return s
-        raise KeyError(f"no sector with residue {residue}")
 
 
 def split(matrix: BandedSymMatrix, k: int | str) -> SectorDecomposition:
     """Split a banded symmetric matrix into its mod-k sector blocks.
 
-    Raises SymmetryViolation if any stored entry sits on a diagonal whose
-    offset is not a multiple of k (or off the main diagonal for MOD_ALL).
+    ``MOD_ALL`` splits with stride ``matrix.dim``: every basis state is its
+    own one-state sector.  Raises SymmetryViolation if any stored entry sits
+    on a diagonal whose offset is not a multiple of the stride.
     """
-    if k == MOD_ALL:
-        _check_zero_offsets(matrix, range(1, matrix.bandwidth + 1))
-        sectors = tuple(
-            Sector(
-                residue=n,
-                indices=np.array([n]),
-                block=BandedSymMatrix(1, 0, (matrix.diagonal[n : n + 1].copy(),)),
-            )
-            for n in range(matrix.dim)
-        )
-        return SectorDecomposition(MOD_ALL, sectors)
-
-    if not isinstance(k, int) or k < 1:
+    stride = matrix.dim if k == MOD_ALL else k
+    if not isinstance(stride, int) or stride < 1:
         raise ValueError(f"modulus must be a positive integer or MOD_ALL, got {k!r}")
     _check_zero_offsets(
-        matrix, (d for d in range(1, matrix.bandwidth + 1) if d % k != 0)
+        matrix, (d for d in range(1, matrix.bandwidth + 1) if d % stride != 0)
     )
-    local_b = matrix.bandwidth // k
+    local_b = matrix.bandwidth // stride
     sectors = []
-    for r in range(min(k, matrix.dim)):
-        indices = np.arange(r, matrix.dim, k)
-        dim_r = len(indices)
+    for r in range(min(stride, matrix.dim)):
+        dim_r = len(range(r, matrix.dim, stride))
         local_diags = []
         for dd in range(local_b + 1):
             want = max(dim_r - dd, 0)
-            if dd * k > matrix.bandwidth or want == 0:
+            if dd * stride > matrix.bandwidth or want == 0:
                 local_diags.append(np.zeros(want))
             else:
-                local_diags.append(matrix.diagonals[dd * k][r::k][:want].copy())
-        sectors.append(
-            Sector(residue=r, indices=indices, block=BandedSymMatrix(dim_r, local_b, tuple(local_diags)))
-        )
+                local_diags.append(matrix.diagonals[dd * stride][r::stride][:want])
+        sectors.append(Sector(r, BandedSymMatrix(dim_r, local_b, tuple(local_diags))))
     return SectorDecomposition(k, tuple(sectors))
 
 

@@ -11,6 +11,7 @@ so the output is identical for any evaluation order.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -190,9 +191,9 @@ def _certified_levels(
     """
     points, main, probe = [], [], []
     for poly in polys:
-        levels = {r: eigen(b).eigenvalues for r, b in sector_blocks(poly, n_max, k).items()}
+        levels = {r: eigen(b) for r, b in sector_blocks(poly, n_max, k).items()}
         blocks = {
-            r: b if sturm_certifiable(b) else eigen(b).eigenvalues
+            r: b if sturm_certifiable(b) else eigen(b)
             for r, b in sector_blocks(poly, n_probe, k).items()
         }
         points.append(levels)
@@ -208,18 +209,18 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     A level is flagged converged when |E(n_max) - E(n_probe)| <= tol_conv *
     max(1, |E|), as in :func:`converged_spectrum`; the flags come from
     :func:`certify`, one batched Sturm count per ``CHUNK`` grid points.
-    ``threads`` > 1 (or 0 for auto) evaluates chunks concurrently; the merge
-    is by grid index, so the result does not depend on scheduling.
+    ``threads`` workers evaluate chunks concurrently: 0 means one per core,
+    and larger counts are clamped to ``os.cpu_count()``.  The merge is by
+    grid index, so the result does not depend on scheduling.
     """
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
     k = plan_modulus(plan)
     values = np.asarray(plan.grid, dtype=float)
     npts = len(values)
-    if k == MOD_ALL:
-        residues = tuple(range(plan.n_max + 1))
-        dims = {r: 1 for r in residues}
-    else:
-        residues = tuple(range(min(k, plan.n_max + 1)))
-        dims = {r: len(range(r, plan.n_max + 1, k)) for r in residues}
+    stride = plan.n_max + 1 if k == MOD_ALL else k
+    residues = tuple(range(min(stride, plan.n_max + 1)))
+    dims = {r: len(range(r, plan.n_max + 1, stride)) for r in residues}
     curves = {r: np.zeros((npts, dims[r])) for r in residues}
     flags = {r: np.zeros((npts, dims[r]), dtype=bool) for r in residues}
 
@@ -228,10 +229,11 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
         return _certified_levels(polys, plan.n_max, plan.n_probe, k, plan.tol_conv)
 
     starts = range(0, npts, CHUNK)
-    if threads == 1:
+    cores = os.cpu_count() or 1
+    workers = min(threads, cores) if threads else cores
+    if workers == 1:
         chunks = [work(i) for i in starts]
     else:
-        workers = threads if threads > 0 else None
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(work, starts))
     for i, (levels, ok) in enumerate(chain.from_iterable(chunks)):
@@ -280,10 +282,6 @@ class ConvergedSpectrum:
     def n_converged(self) -> int:
         bad = np.flatnonzero(~self.converged)
         return int(bad[0]) if len(bad) else len(self.converged)
-
-    @property
-    def levels(self) -> list[tuple[float, int]]:
-        return [(float(e), int(r)) for e, r in zip(self.energies, self.residues)]
 
     def converged_levels(self) -> "ConvergedSpectrum":
         """Leading run of levels certified against the probe truncation."""

@@ -131,24 +131,27 @@ def casimir_matrix(rep: U2Rep) -> np.ndarray:
     return c
 
 
-def _casimir_blocks(rep: U2Rep) -> tuple[BandedSymMatrix, BandedSymMatrix]:
-    """The Casimir on even and on odd n: it couples n to n + 2 only, so each is tridiagonal."""
-    diag, amp = _casimir_diagonals(rep)
+def _parity_blocks(diag, off) -> tuple[BandedSymMatrix, BandedSymMatrix]:
+    """A matrix coupling n to n + 2 only, on even and on odd n: two tridiagonal blocks."""
     return tuple(
-        BandedSymMatrix(len(diag[p::2]), 1, (diag[p::2], amp[p::2])) for p in (0, 1)
+        BandedSymMatrix(len(diag[p::2]), 1, (diag[p::2], off[p::2])) for p in (0, 1)
     )
+
+
+def _pairing_diagonals(rep: U2Rep) -> tuple[np.ndarray, np.ndarray]:
+    """Pairing entries <n|P2'|n> = n(n - 1) + (N - n)(N - n - 1) and <n+2|P2'|n>."""
+    N = rep.N
+    n = np.arange(rep.dim, dtype=float)
+    return n * (n - 1.0) + (N - n) * (N - n - 1.0), -_pair_amplitude(np.arange(N - 1), N)
 
 
 def pairing_prime_matrix(rep: U2Rep) -> np.ndarray:
     """su(2) pairing operator from its four-term boson definition."""
-    N = rep.N
-    p = np.zeros((rep.dim, rep.dim))
-    n = np.arange(rep.dim, dtype=float)
-    p[np.arange(rep.dim), np.arange(rep.dim)] = n * (n - 1.0) + (N - n) * (N - n - 1.0)
-    m = np.arange(N - 1)
-    amp = _pair_amplitude(m, N)
-    p[m + 2, m] = -amp
-    p[m, m + 2] = -amp
+    diag, off = _pairing_diagonals(rep)
+    p = np.diag(diag)
+    m = np.arange(rep.N - 1)
+    p[m + 2, m] = off
+    p[m, m + 2] = off
     return p
 
 
@@ -174,7 +177,7 @@ def casimir_spectrum(rep: U2Rep, tol: float = 1e-6) -> list[CasimirLevel]:
     O(N) memory.
     """
     N = rep.N
-    vals = np.concatenate([eigen(block).eigenvalues for block in _casimir_blocks(rep)])
+    vals = np.concatenate([eigen(b) for b in _parity_blocks(*_casimir_diagonals(rep))])
     vals = np.sort(vals)[::-1]  # largest first: v = 0 pair leads
     out: list[CasimirLevel] = []
     pos = 0
@@ -196,15 +199,16 @@ def casimir_spectrum(rep: U2Rep, tol: float = 1e-6) -> list[CasimirLevel]:
 def pairing_prime_spectrum(rep: U2Rep) -> list[PairingLevel]:
     """Pairing eigenvalues 4Nv(1 - v/N) labeled by v, with branch doubling.
 
-    The operator is built both as N^2 - C2 and from its boson definition;
-    the two matrices must agree exactly.
+    The operator's band entries are built both as N^2 - C2 and from its
+    boson definition, and must agree exactly; its two parity blocks are then
+    solved as tridiagonal matrices, in O(N) memory.
     """
     N = rep.N
-    boson = pairing_prime_matrix(rep)
-    from_casimir = N * N * np.eye(rep.dim) - casimir_matrix(rep)
-    if not np.array_equal(boson, from_casimir):
+    diag, off = _pairing_diagonals(rep)
+    c_diag, c_off = _casimir_diagonals(rep)
+    if not (np.array_equal(diag, N * N - c_diag) and np.array_equal(off, -c_off)):
         raise ValueError("pairing operator: boson form and N^2 - C2 disagree")
-    vals = np.sort(np.linalg.eigvalsh(boson))  # ascending: v = 0 pair first
+    vals = np.sort(np.concatenate([eigen(b) for b in _parity_blocks(diag, off)]))
     out: list[PairingLevel] = []
     pos = 0
     for v in range(N // 2 + 1):
@@ -265,7 +269,7 @@ def classify_pairing_sp2(n_max: int) -> RepClassification:
     branches = {}
     for parity, residue in ((+1, 0), (-1, 1)):
         block = blocks[residue]
-        vals = eigen(block).eigenvalues
+        vals = eigen(block)
         j = _doubled_j(N, parity)
         if Fraction(2) * j + 1 != block.dim:
             raise ValueError(
@@ -306,7 +310,7 @@ def contraction_check(spec: HamiltonianSpec, N: int, n_levels: int) -> float:
     if not 0 < n_levels <= N:
         raise ValueError("need 0 < n_levels <= N")
 
-    compact = eigen(u2_hamiltonian(spec.eta, spec.xi, N)).eigenvalues
+    compact = eigen(u2_hamiltonian(spec.eta, spec.xi, N))
     compact_exc = compact[:n_levels] - compact[0]
     ref = converged_spectrum(spec, n_max=N, n_probe=N + 100, tol_conv=1e-10)
     if not np.all(ref.converged[:n_levels]):

@@ -276,7 +276,7 @@ def test_criterion_11_determinism_and_sector_sum(tmp_path):
         k = detect_modulus(poly)
         union = np.sort(
             np.concatenate(
-                [eigen(s.block).eigenvalues for s in split(matrix, k).sectors]
+                [eigen(s.block) for s in split(matrix, k).sectors]
             )
         )
         full = np.sort(np.linalg.eigvalsh(matrix.to_dense()))

@@ -235,6 +235,14 @@ class TestMalformedConfigExitTwo:
         with pytest.raises(ConfigError, match="evenly"):
             GridConfig("eta", 1e308, -1e308, 1.0).values()
 
+    def test_negative_threads_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep_config(str(tmp_path / "out")))
+        assert main(["--config", str(cfg), "--threads", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "threads" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_seedless_flag_removed(self, tmp_path):
         cfg = write_config(tmp_path, sweep_config(str(tmp_path)))
         with pytest.raises(SystemExit) as exc:

@@ -246,11 +246,6 @@ class TestBandedSymMatrix:
         assert m.element(0, 2) == m.element(2, 0) == -np.sqrt(2)
         assert m.element(0, 1) == 0.0
 
-    def test_matvec_matches_dense(self):
-        m = assemble(standard_hamiltonian(HamiltonianSpec(eta=2, xi=0.5)), FockSpace(20))
-        v = np.linspace(-1, 1, 21)
-        np.testing.assert_allclose(m.matvec(v), m.to_dense() @ v, rtol=1e-13, atol=1e-13)
-
     def test_immutable_storage(self):
         m = assemble(number_poly((0.0, 1.0)), FockSpace(3))
         with pytest.raises(ValueError):

@@ -33,18 +33,22 @@ class TestDetectModulus:
 
 class TestSplit:
     def test_parity_split_indices(self):
-        decomp = split(_ham(5, eta=1, xi=1), 2)
-        np.testing.assert_array_equal(decomp.sector(0).indices, [0, 2, 4])
-        np.testing.assert_array_equal(decomp.sector(1).indices, [1, 3, 5])
+        m = _ham(5, eta=1, xi=1)
+        dense = m.to_dense()
+        sectors = split(m, 2).sectors
+        assert [(s.residue, s.block.dim) for s in sectors] == [(0, 3), (1, 3)]
+        for s in sectors:
+            r = s.residue
+            np.testing.assert_array_equal(s.block.to_dense(), dense[r::2, r::2])
 
     def test_block_entries_match_parent(self):
         m = _ham(9, eta=2, xi=0.7)
         decomp = split(m, 2)
         dense = m.to_dense()
         for s in decomp.sectors:
-            np.testing.assert_array_equal(
-                s.block.to_dense(), dense[np.ix_(s.indices, s.indices)]
-            )
+            r = s.residue
+            np.testing.assert_array_equal(s.block.to_dense(), dense[r::2, r::2])
+            assert not any(np.shares_memory(b, d) for b in s.block.diagonals for d in m.diagonals)
 
     def test_k1_is_identity(self):
         m = _ham(8, eta=1, xi=0.5, xi3=0.2)
@@ -55,8 +59,8 @@ class TestSplit:
     def test_mod4_blocks_and_spectrum_union(self):
         m = _ham(11, eta=1, xi4=0.2)
         decomp = split(m, 4)
-        assert [s.dim for s in decomp.sectors] == [3, 3, 3, 3]
-        union = np.sort(np.concatenate([eigen(s.block).eigenvalues for s in decomp.sectors]))
+        assert [s.block.dim for s in decomp.sectors] == [3, 3, 3, 3]
+        union = np.sort(np.concatenate([eigen(s.block) for s in decomp.sectors]))
         full = np.sort(np.linalg.eigvalsh(m.to_dense()))
         np.testing.assert_allclose(union, full, rtol=1e-10, atol=1e-10)
 
@@ -70,6 +74,10 @@ class TestSplit:
         assert [s.residue for s in decomp.sectors] == list(range(7))
         values = np.array([s.block.diagonal[0] for s in decomp.sectors])
         np.testing.assert_array_equal(values, m.diagonal)
+        # MOD_ALL is the split with stride dim, block for block
+        for a, b in zip(decomp.sectors, split(m, m.dim).sectors, strict=True):
+            assert (a.residue, a.block.dim, a.block.bandwidth) == (b.residue, 1, b.block.bandwidth)
+            np.testing.assert_array_equal(a.block.diagonals, b.block.diagonals)
 
     def test_diagonal_split_rejects_offdiagonal(self):
         with pytest.raises(SymmetryViolation):
@@ -97,7 +105,7 @@ class TestSectorSpectraInvariants:
         m = assemble(poly, FockSpace(n_max))
         k = detect_modulus(poly)
         union = np.sort(
-            np.concatenate([eigen(s.block).eigenvalues for s in split(m, k).sectors])
+            np.concatenate([eigen(s.block) for s in split(m, k).sectors])
         )
         full = np.sort(np.linalg.eigvalsh(m.to_dense()))
         scale = np.max(np.abs(full))
@@ -110,15 +118,15 @@ class TestSectorSpectraInvariants:
         by2 = split(m, 2)
         even_from_4 = np.sort(
             np.concatenate(
-                [eigen(by4.sector(r).block).eigenvalues for r in (0, 2)]
+                [eigen(by4.sectors[r].block) for r in (0, 2)]
             )
         )
-        even = np.sort(eigen(by2.sector(0).block).eigenvalues)
+        even = np.sort(eigen(by2.sectors[0].block))
         np.testing.assert_allclose(even_from_4, even, rtol=1e-10, atol=1e-10)
         odd_from_4 = np.sort(
             np.concatenate(
-                [eigen(by4.sector(r).block).eigenvalues for r in (1, 3)]
+                [eigen(by4.sectors[r].block) for r in (1, 3)]
             )
         )
-        odd = np.sort(eigen(by2.sector(1).block).eigenvalues)
+        odd = np.sort(eigen(by2.sectors[1].block))
         np.testing.assert_allclose(odd_from_4, odd, rtol=1e-10, atol=1e-10)

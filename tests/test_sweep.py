@@ -1,7 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import kerrspec.classify
+import kerrspec.sweep
 from kerrspec.classify import detect_crossings, kerr_exact_levels
 from kerrspec import converged_spectrum
 from kerrspec.fock import HamiltonianSpec
@@ -111,6 +114,27 @@ class TestRunSweep:
                 np.testing.assert_array_equal(grid.converged[r][i], cs.converged[cs.residues == r])
             unconverged += int((~cs.converged).sum())
         assert unconverged > 0
+
+    def test_worker_count(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(kerrspec.sweep, "ThreadPoolExecutor", RecordingPool)
+        plan = small_plan(grid=tuple(0.1 * i for i in range(CHUNK + 1)))  # two chunks
+        serial = run_sweep(plan, threads=1)
+        # 0 means one worker per core, larger counts are clamped to the cores
+        for cores, threads, workers in ((3, 0, 3), (3, 2, 2), (3, 100_000, 3), (1, 0, None), (1, 8, None)):
+            monkeypatch.setattr(kerrspec.sweep.os, "cpu_count", lambda: cores)
+            grid = run_sweep(plan, threads=threads)
+            assert (pools.pop() if pools else None) == workers
+            np.testing.assert_array_equal(grid.curves[0], serial.curves[0])
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(plan, threads=-5)
+        assert pools == []
 
     def test_convergence_flags_present(self):
         grid = run_sweep(small_plan(n_max=30, n_probe=45))

@@ -16,7 +16,7 @@ from kerrspec.u2 import (
     u2_generators,
     u2_hamiltonian,
 )
-from kerrspec.u2 import _casimir_blocks
+from kerrspec.u2 import _casimir_diagonals, _parity_blocks
 
 
 class TestSo2Generator:
@@ -71,7 +71,7 @@ class TestCasimir:
 
     def test_parity_blocks_are_the_matrix_split_by_parity(self):
         rep = U2Rep(9)
-        even, odd = _casimir_blocks(rep)
+        even, odd = _parity_blocks(*_casimir_diagonals(rep))
         dense = casimir_matrix(rep)
         np.testing.assert_array_equal(even.to_dense(), dense[0::2, 0::2])
         np.testing.assert_array_equal(odd.to_dense(), dense[1::2, 1::2])
@@ -96,6 +96,13 @@ class TestPairingPrime:
         assert got == [(0, 0.0), (0, 0.0), (1, 12.0), (1, 12.0), (2, 16.0)] or got == [
             (0, -0.0), (0, 0.0), (1, 12.0), (1, 12.0), (2, 16.0)
         ]
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 50, 51, 300])
+    def test_parity_blocks_match_the_dense_spectrum(self, N):
+        rep = U2Rep(N)
+        dense = np.sort(np.linalg.eigvalsh(pairing_prime_matrix(rep)))
+        values = [level.value for level in pairing_prime_spectrum(rep)]
+        np.testing.assert_allclose(values, dense, rtol=0, atol=1e-12 * N * N)
 
     def test_two_constructions_identical(self):
         rep = U2Rep(37)
