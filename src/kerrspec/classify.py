@@ -64,8 +64,6 @@ class QuasiSpinLabel:
     j: Fraction
     m: Fraction
     parity: int
-    v: int | None = None
-    pi_prime: int | None = None
 
     def __post_init__(self) -> None:
         if abs(self.m) > self.j:
@@ -152,18 +150,15 @@ class DegeneracyGroup:
 
 
 def degeneracy_groups(
-    levels: ConvergedSpectrum | np.ndarray,
-    tol_deg: float = DEFAULT_TOL_DEG,
-    all_levels: bool = False,
+    levels: ConvergedSpectrum | np.ndarray, tol_deg: float = DEFAULT_TOL_DEG
 ) -> list[DegeneracyGroup]:
     """Cluster ascending levels into groups with gaps <= tol_deg * max(1, |E|).
 
-    Operates on the converged prefix of a ConvergedSpectrum unless
-    ``all_levels`` is set; a plain ascending array may be passed directly.
+    Operates on the converged prefix of a ConvergedSpectrum; a plain
+    ascending array may be passed directly.
     """
     if isinstance(levels, ConvergedSpectrum):
-        spectrum = levels if all_levels else levels.converged_levels()
-        energies = np.asarray(spectrum.energies, dtype=float)
+        energies = np.asarray(levels.converged_levels().energies, dtype=float)
     else:
         energies = np.asarray(levels, dtype=float)
     groups: list[DegeneracyGroup] = []
@@ -190,7 +185,6 @@ class CrossingEvent:
     param_value: float
     level_pair: tuple[int, int, int, int]  # residue_a, index_a, residue_b, index_b
     min_gap: float
-    labels: tuple[QuasiSpinLabel, QuasiSpinLabel] | None = None
 
     def __post_init__(self) -> None:
         ra, _, rb, _ = self.level_pair

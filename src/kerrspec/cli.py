@@ -2,9 +2,10 @@
 
 One process runs one command (spectrum, sweep, crossings, esqpt, casimir,
 track) described by a strictly validated JSON document.  CSV is the data
-contract: fixed column order, 12 significant digits, rows sorted by
-(parameter, sector, level), byte-identical across reruns; SVG output is a
-self-contained convenience rendering of the same curves.
+contract: fixed column order, 12 significant digits, sweep rows sorted by
+(parameter, sector, level) and spectrum rows by energy, byte-identical
+across reruns; SVG output is a self-contained convenience rendering of the
+same curves.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .eigensolve import DEFAULT_N_MAX, DEFAULT_N_PROBE, DEFAULT_TOL_CONV, EigenS
 from .esqpt import (
     SeparatrixModel,
     SeparatrixPoint,
+    check_gap_sweep,
     gap_curves,
     separatrix_from_estimates,
     xi_c_difference_bound,
@@ -42,13 +44,14 @@ from .fock import (
     HigherOrderCorrections,
     standard_hamiltonian,
 )
-from .sectors import MOD_ALL, detect_modulus
+from .sectors import detect_modulus
 from .sweep import (
     NORMALIZE_MODES,
     ConvergedSpectrum,
     SpectrumGrid,
     SweepPlan,
     converged_spectrum,
+    plan_modulus,
     run_sweep,
 )
 from .u2 import CasimirLevel, U2Rep, casimir_spectrum
@@ -57,7 +60,9 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "run", "emit_csv", "emit_s
 
 SCHEMA_VERSION = 1
 COMMANDS = ("spectrum", "sweep", "crossings", "esqpt", "casimir", "track")
-COLORINGS = ("parity", "mod3", "mod4", "mod2x2")
+# coloring -> the residue modulus it colors by; it needs a sector modulus that it divides
+_DIVISORS = {"parity": 2, "mod3": 3, "mod4": 4, "mod2x2": 2}
+COLORINGS = tuple(_DIVISORS)
 
 _PALETTES = {
     "parity": {"even": "#e66101", "odd": "#1f78b4"},
@@ -370,13 +375,15 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
-def _color_class(coloring: str, residue: int, modulus) -> str:
-    divisor = {"parity": 2, "mod2x2": 2, "mod3": 3, "mod4": 4}[coloring]
-    if modulus != MOD_ALL and (not isinstance(modulus, int) or modulus % divisor != 0):
-        raise ConfigError(
-            f"coloring {coloring!r} incompatible with sector modulus {modulus!r}"
-        )
-    r = residue % divisor
+def _check_coloring(coloring: str, modulus: int) -> None:
+    """A coloring by residue mod d needs sectors of a modulus that d divides (MOD_ALL is 0)."""
+    if modulus % _DIVISORS[coloring]:
+        raise ConfigError(f"coloring {coloring!r} incompatible with sector modulus {modulus}")
+
+
+def _color_class(coloring: str, residue: int, modulus: int) -> str:
+    _check_coloring(coloring, modulus)
+    r = residue % _DIVISORS[coloring]
     if coloring in ("parity", "mod2x2"):
         return "even" if r == 0 else "odd"
     return str(r)
@@ -481,10 +488,10 @@ def emit_csv(
     max_levels: int | None = None,
     param: float = 0.0,
 ) -> Path:
-    """Write an analysis result as deterministic CSV; dispatches on type.
+    """Write a sweep grid or a one-point spectrum as deterministic CSV.
 
-    An empty list carries no record type and is written with the spectrum
-    header; the CLI writes its record tables through their own header.
+    Tables of records (crossings, separatrix points, Casimir levels, tracked
+    crossings) are written by ``_write_table`` under their own header.
     """
     path = Path(path)
     if isinstance(result, SpectrumGrid):
@@ -497,12 +504,6 @@ def emit_csv(
             )
         )
         _write_rows(path, _GRID_HEADER, rows)
-    elif isinstance(result, list) and not result:
-        _write_rows(path, _GRID_HEADER, ())
-    elif isinstance(result, list) and (
-        kind := next((k for k in _TABLES if all(isinstance(e, k) for e in result)), None)
-    ):
-        _write_table(path, kind, result)
     else:
         raise TypeError(f"no CSV writer for {type(result).__name__}")
     return path
@@ -636,6 +637,7 @@ def _require_converged(flags: list[np.ndarray], cfg: RunConfig) -> None:
 
 
 def _dispatch(cfg: RunConfig) -> list[Path]:
+    # every configuration error is raised before the output directory is made
     if cfg.threads < 0:
         raise ConfigError(f"threads must be >= 0, got {cfg.threads}")
     if cfg.command == "track":
@@ -645,6 +647,17 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
             raise ConfigError(
                 f"track grid must vary {expect!r} for coupling {cfg.track_coupling!r}"
             )
+    if cfg.command == "spectrum":
+        _check_coloring(cfg.coloring, detect_modulus(standard_hamiltonian(cfg.hamiltonian)))
+    if cfg.command in ("sweep", "crossings", "esqpt"):
+        plan = _build_plan(cfg)
+    if cfg.command == "sweep":
+        _check_coloring(cfg.coloring, plan_modulus(plan))
+    if cfg.command == "esqpt":
+        try:
+            check_gap_sweep(plan, plan_modulus(plan), cfg.v_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.basename or cfg.command
@@ -678,7 +691,6 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
         written.append(_write_table(out_dir / f"{base}.csv", TrackedCrossing, points))
         return written
 
-    plan = _build_plan(cfg)
     grid = run_sweep(plan, threads=cfg.threads)
 
     if cfg.command == "sweep":

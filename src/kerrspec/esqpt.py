@@ -16,13 +16,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import DEFAULT_TOL_DEG
-from .sweep import SpectrumGrid
+from .sweep import SpectrumGrid, SweepPlan
 
 __all__ = [
     "GapCurve",
     "CriticalPointEstimate",
     "SeparatrixPoint",
     "SeparatrixModel",
+    "check_gap_sweep",
     "gap_curves",
     "xi_c_max_rate",
     "xi_c_linear_extrapolation",
@@ -81,22 +82,30 @@ class SeparatrixPoint(NamedTuple):
     rel_dev: float  # |E_c - xi_c^2| / xi_c^2
 
 
+def check_gap_sweep(plan: SweepPlan, modulus: int, v_max: int) -> None:
+    """Raise ValueError unless :func:`gap_curves` can pair v = 0..v_max on this sweep.
+
+    That needs an undetuned two-photon sweep with parity sectors (``modulus``
+    from ``plan_modulus``) and v_max below the (n_max + 1) // 2 odd levels.
+    """
+    if plan.varying != "xi":
+        raise ValueError("gap curves require a sweep in the two-photon coupling")
+    if plan.fixed.eta != 0.0:
+        raise ValueError("gap curves are defined for the undetuned Hamiltonian")
+    if modulus != 2:
+        raise ValueError(f"expected parity sectors, got modulus {modulus}")
+    if v_max >= (plan.n_max + 1) // 2:
+        raise ValueError(f"v_max={v_max} exceeds the {(plan.n_max + 1) // 2} odd levels")
+
+
 def gap_curves(grid: SpectrumGrid, v_max: int) -> list[GapCurve]:
     """Pair the v-th odd level with the v-th even level for v = 0..v_max.
 
-    Requires a two-photon coupling sweep of the undetuned Hamiltonian with
-    parity sectors; gaps are oriented positive and every participating level
-    must be converged over the whole grid.
+    The sweep must pass :func:`check_gap_sweep`; gaps are oriented positive
+    and every participating level must be converged over the whole grid.
     """
-    if grid.plan.varying != "xi":
-        raise ValueError("gap curves require a sweep in the two-photon coupling")
-    if grid.plan.fixed.eta != 0.0:
-        raise ValueError("gap curves are defined for the undetuned Hamiltonian")
-    if grid.modulus != 2:
-        raise ValueError(f"expected parity sectors, got modulus {grid.modulus!r}")
+    check_gap_sweep(grid.plan, grid.modulus, v_max)
     even, odd = grid.excitation(0), grid.excitation(1)
-    if v_max >= min(even.shape[1], odd.shape[1]):
-        raise ValueError("v_max exceeds available levels")
     curves = []
     for v in range(v_max + 1):
         bad = ~(grid.converged[0][:, v] & grid.converged[1][:, v])

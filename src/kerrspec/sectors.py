@@ -2,8 +2,9 @@
 
 A drive that changes the occupation only in steps of k conserves n mod k,
 so the Fock-basis matrix decomposes into k independent blocks.  Parity is
-the k = 2 case; purely diagonal Hamiltonians conserve n itself, flagged by
-the ``MOD_ALL`` sentinel (every basis state is its own sector).
+the k = 2 case; purely diagonal Hamiltonians conserve n itself, which is
+modulus ``MOD_ALL`` = 0 (n = r mod 0 means n = r: every basis state is its
+own sector).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ __all__ = [
     "split",
 ]
 
-# Sentinel modulus for diagonal Hamiltonians: each n is conserved separately.
-MOD_ALL = "all"
+# Modulus of a diagonal Hamiltonian: each n is conserved separately.
+MOD_ALL = 0
 
 # Assembly is exact, so any off-sector entry above this is a logic bug.
 VIOLATION_TOL = 1e-14
@@ -35,20 +36,16 @@ class SymmetryViolation(ValueError):
     """A matrix entry contradicts the claimed mod-k conservation."""
 
 
-def detect_modulus(poly: OperatorPoly) -> int | str:
+def detect_modulus(poly: OperatorPoly) -> int:
     """Conserved occupation modulus of a Hermitian polynomial.
 
     Returns the gcd of all occupation steps |p - q| over terms with nonzero
-    coefficient, ``MOD_ALL`` when every term is diagonal, and 1 when
+    coefficient: ``MOD_ALL`` (0) when every term is diagonal, and 1 when
     incompatible steps coexist.
     """
     if not poly.is_hermitian():
         raise ValueError("modulus detection expects a Hermitian polynomial")
-    g = 0
-    for t in poly.terms:
-        if t.coeff != 0.0:
-            g = math.gcd(g, abs(t.step))
-    return MOD_ALL if g == 0 else g
+    return math.gcd(*(abs(t.step) for t in poly.terms if t.coeff != 0.0))
 
 
 @dataclass(frozen=True)
@@ -63,20 +60,19 @@ class Sector:
 class SectorDecomposition:
     """Full matrix split into mod-k blocks, in residue order."""
 
-    k: int | str
     sectors: tuple[Sector, ...]
 
 
-def split(matrix: BandedSymMatrix, k: int | str) -> SectorDecomposition:
+def split(matrix: BandedSymMatrix, k: int) -> SectorDecomposition:
     """Split a banded symmetric matrix into its mod-k sector blocks.
 
-    ``MOD_ALL`` splits with stride ``matrix.dim``: every basis state is its
-    own one-state sector.  Raises SymmetryViolation if any stored entry sits
-    on a diagonal whose offset is not a multiple of the stride.
+    ``MOD_ALL`` (0) splits with stride ``matrix.dim``: every basis state is
+    its own one-state sector.  Raises SymmetryViolation if any stored entry
+    sits on a diagonal whose offset is not a multiple of the stride.
     """
-    stride = matrix.dim if k == MOD_ALL else k
-    if not isinstance(stride, int) or stride < 1:
-        raise ValueError(f"modulus must be a positive integer or MOD_ALL, got {k!r}")
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"modulus must be a non-negative integer, got {k!r}")
+    stride = k or matrix.dim
     _check_zero_offsets(
         matrix, (d for d in range(1, matrix.bandwidth + 1) if d % stride != 0)
     )
@@ -92,7 +88,7 @@ def split(matrix: BandedSymMatrix, k: int | str) -> SectorDecomposition:
             else:
                 local_diags.append(matrix.diagonals[dd * stride][r::stride][:want])
         sectors.append(Sector(r, BandedSymMatrix(dim_r, local_b, tuple(local_diags))))
-    return SectorDecomposition(k, tuple(sectors))
+    return SectorDecomposition(tuple(sectors))
 
 
 def _check_zero_offsets(matrix: BandedSymMatrix, offsets) -> None:

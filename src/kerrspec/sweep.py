@@ -37,7 +37,7 @@ from .fock import (
     assemble,
     standard_hamiltonian,
 )
-from .sectors import MOD_ALL, detect_modulus, split
+from .sectors import detect_modulus, split
 
 __all__ = [
     "NORMALIZE_MODES",
@@ -90,28 +90,25 @@ class SweepPlan:
         return replace(self.fixed, **{self.varying: float(value)})
 
 
-def plan_modulus(plan: SweepPlan) -> int | str:
+def plan_modulus(plan: SweepPlan) -> int:
     """Common sector structure over the whole grid.
 
     Points where some coupling vanishes may conserve more than the generic
     point (a diagonal matrix satisfies any modulus), so moduli are combined
-    by gcd with the MOD_ALL sentinel as identity.
+    by gcd, whose identity is ``MOD_ALL`` (0).
     """
-    g = 0
-    for value in plan.grid:
-        k = detect_modulus(standard_hamiltonian(plan.spec_at(value)))
-        if k != MOD_ALL:
-            g = math.gcd(g, k)
-    return MOD_ALL if g == 0 else g
+    return math.gcd(
+        *(detect_modulus(standard_hamiltonian(plan.spec_at(v))) for v in plan.grid)
+    )
 
 
-def sector_blocks(poly: OperatorPoly, n: int, k: int | str) -> dict[int, BandedSymMatrix]:
+def sector_blocks(poly: OperatorPoly, n: int, k: int) -> dict[int, BandedSymMatrix]:
     """Sector blocks of a Hermitian polynomial on the basis |0>..|n>, by residue mod k."""
     return {s.residue: s.block for s in split(assemble(poly, FockSpace(n)), k).sectors}
 
 
 def spec_levels(
-    spec: HamiltonianSpec, n_max: int, k: int | str, levels: Sequence[tuple[int, int]]
+    spec: HamiltonianSpec, n_max: int, k: int, levels: Sequence[tuple[int, int]]
 ) -> tuple[float, ...]:
     """Absolute energies of the named (residue, index) levels of one Hamiltonian.
 
@@ -123,7 +120,7 @@ def spec_levels(
 
 
 def sector_levels_at(
-    plan: SweepPlan, value: float, k: int | str, levels: Sequence[tuple[int, int]]
+    plan: SweepPlan, value: float, k: int, levels: Sequence[tuple[int, int]]
 ) -> tuple[float, ...]:
     """Absolute energies of the named (residue, index) levels at one grid parameter.
 
@@ -143,7 +140,7 @@ class SpectrumGrid:
     """
 
     plan: SweepPlan
-    modulus: int | str
+    modulus: int
     params: np.ndarray
     curves: dict[int, np.ndarray]
     converged: dict[int, np.ndarray]
@@ -179,7 +176,7 @@ class SpectrumGrid:
 
 
 def _certified_levels(
-    polys: Iterable[OperatorPoly], n_max: int, n_probe: int, k: int | str, tol: float
+    polys: Iterable[OperatorPoly], n_max: int, n_probe: int, k: int, tol: float
 ):
     """Absolute sector levels of each polynomial plus probe-certified flags.
 
@@ -217,18 +214,12 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
         raise ValueError(f"threads must be >= 0, got {threads}")
     k = plan_modulus(plan)
     values = np.asarray(plan.grid, dtype=float)
-    npts = len(values)
-    stride = plan.n_max + 1 if k == MOD_ALL else k
-    residues = tuple(range(min(stride, plan.n_max + 1)))
-    dims = {r: len(range(r, plan.n_max + 1, stride)) for r in residues}
-    curves = {r: np.zeros((npts, dims[r])) for r in residues}
-    flags = {r: np.zeros((npts, dims[r]), dtype=bool) for r in residues}
 
     def work(start: int):
         polys = (standard_hamiltonian(plan.spec_at(v)) for v in values[start : start + CHUNK])
         return _certified_levels(polys, plan.n_max, plan.n_probe, k, plan.tol_conv)
 
-    starts = range(0, npts, CHUNK)
+    starts = range(0, len(values), CHUNK)
     cores = os.cpu_count() or 1
     workers = min(threads, cores) if threads else cores
     if workers == 1:
@@ -236,14 +227,12 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(work, starts))
-    for i, (levels, ok) in enumerate(chain.from_iterable(chunks)):
-        for r in residues:
-            curves[r][i] = levels[r]
-            flags[r][i] = ok[r]
+    points = list(chain.from_iterable(chunks))
+    residues = tuple(points[0][0])
+    curves = {r: np.array([levels[r] for levels, _ in points]) for r in residues}
+    flags = {r: np.array([ok[r] for _, ok in points]) for r in residues}
 
-    ground = np.min(
-        np.stack([curves[r][:, 0] for r in residues], axis=1), axis=1
-    )
+    ground = np.min([curves[r][:, 0] for r in residues], axis=0)
     if plan.normalize == "excitation":
         for r in residues:
             curves[r] = curves[r] - ground[:, None]
@@ -263,10 +252,7 @@ class ConvergedSpectrum:
     residues: np.ndarray
     converged: np.ndarray
     ground_energy: float
-    n_max_used: int
-    n_probe: int
-    tol_conv: float
-    modulus: int | str = 1
+    modulus: int = 1
 
     def __post_init__(self) -> None:
         for name in ("energies", "excitations", "residues", "converged"):
@@ -292,9 +278,6 @@ class ConvergedSpectrum:
             self.residues[:n],
             self.converged[:n],
             self.ground_energy,
-            self.n_max_used,
-            self.n_probe,
-            self.tol_conv,
             self.modulus,
         )
 
@@ -334,6 +317,4 @@ def converged_spectrum(
         energies, excitations = energies[keep], excitations[keep]
         residues, flags = residues[keep], flags[keep]
 
-    return ConvergedSpectrum(
-        energies, excitations, residues, flags, ground, n_max, n_probe, tol_conv, k
-    )
+    return ConvergedSpectrum(energies, excitations, residues, flags, ground, k)

@@ -22,7 +22,6 @@ from .sweep import converged_spectrum, sector_blocks
 
 __all__ = [
     "U2Rep",
-    "So2Label",
     "CasimirLevel",
     "PairingBranchLevel",
     "ParityBranch",
@@ -56,31 +55,6 @@ class U2Rep:
     @property
     def j(self) -> Fraction:
         return Fraction(self.N, 2)
-
-
-@dataclass(frozen=True)
-class So2Label:
-    """so(2) quantum numbers of one state within [N]: sigma, m = sigma/2, v."""
-
-    N: int
-    sigma: int
-
-    def __post_init__(self) -> None:
-        if abs(self.sigma) > self.N or (self.N - self.sigma) % 2:
-            raise ValueError(f"sigma={self.sigma} not in the [N={self.N}] ladder")
-
-    @property
-    def m(self) -> Fraction:
-        return Fraction(self.sigma, 2)
-
-    @property
-    def pi_prime(self) -> int:
-        return 1 if self.sigma > 0 else (-1 if self.sigma < 0 else 0)
-
-    @property
-    def v(self) -> int:
-        """Vibrational index (N - |sigma|)/2, counted down from |sigma| = N."""
-        return (self.N - abs(self.sigma)) // 2
 
 
 class CasimirLevel(NamedTuple):

@@ -20,6 +20,7 @@ from kerrspec.cli import (
     _PALETTES,
     _color_class,
     _nice_ticks,
+    _write_table,
     emit_csv,
     emit_svg,
     load_config,
@@ -109,6 +110,14 @@ def with_numeric(out_dir: str, **numeric) -> dict:
     return sweep_config(out_dir, numeric=numeric)
 
 
+def esqpt_config(out_dir: str, **extra) -> dict:
+    """An esqpt config at n_max 40 that passes every configuration check until ``extra``
+    replaces a section (its grid is too short to map the separatrix, which exits 3)."""
+    base = dict(command="esqpt", hamiltonian={}, numeric={"n_max": 40, "n_probe": 60},
+                grid={"varying": "xi", "start": 0.0, "stop": 2.0, "step": 0.5})
+    return sweep_config(out_dir, **{**base, **extra})
+
+
 def track_at_n_max_40(out_dir: str, **track) -> dict:
     cfg = track_config(out_dir, **track)
     cfg["numeric"] = {"n_max": 40, "n_probe": 60}
@@ -169,6 +178,16 @@ class TestMalformedConfigExitTwo:
         "reversed window": lambda d: sweep_config(d, command="spectrum", window=[5, 1]),
         "tol_deg is no longer a key": lambda d: with_numeric(
             d, n_max=30, n_probe=45, tol_deg=1e-6
+        ),
+        "esqpt grid varies eta": lambda d: esqpt_config(
+            d, grid={"varying": "eta", "start": 0.0, "stop": 2.0, "step": 0.5}
+        ),
+        "esqpt detuned": lambda d: esqpt_config(d, hamiltonian={"eta": 1.0}),
+        "esqpt without parity sectors": lambda d: esqpt_config(d, hamiltonian={"xi3": 0.1}),
+        "esqpt v_max beyond the odd levels": lambda d: esqpt_config(d, esqpt={"v_max": 30}),
+        "mod3 coloring of a parity sweep": lambda d: sweep_config(d, coloring="mod3"),
+        "mod3 coloring of a parity spectrum": lambda d: sweep_config(
+            d, command="spectrum", coloring="mod3"
         ),
     }
 
@@ -284,15 +303,9 @@ class TestCsv:
         b = emit_csv(run_sweep(plan, threads=4), tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_empty_result_header_only(self, tmp_path):
-        path = emit_csv([], tmp_path / "empty.csv")
-        assert path.read_text().splitlines() == [
-            "param,sector_residue,level_index,energy,excitation_energy,converged,color_class"
-        ]
-
     def test_separatrix_points_table(self, tmp_path):
         pts = [SeparatrixPoint(1, "max_rate", 3.1, 10.0, 0.04)]
-        path = emit_csv(pts, tmp_path / "pts.csv")
+        path = _write_table(tmp_path / "pts.csv", SeparatrixPoint, pts)
         assert path.read_text().splitlines()[1] == "1,max_rate,3.1,10,0.04"
 
     def test_mod4_coloring_classes(self, tmp_path):
@@ -511,7 +524,9 @@ class TestNoConvergedLevels:
             "window": [0.5, 1.5],
         }
         assert self._main(tmp_path, payload, capsys)[0] == 0
-        assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1
+        assert (tmp_path / "out" / "spectrum.csv").read_text().splitlines() == [
+            "param,sector_residue,level_index,energy,excitation_energy,converged,color_class"
+        ]
 
 
 def _oracle_csv(grid, coloring, max_levels):

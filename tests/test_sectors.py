@@ -84,8 +84,9 @@ class TestSplit:
             split(_ham(6, eta=1, xi=1), MOD_ALL)
 
     def test_bad_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            split(_ham(4, eta=1), 0)
+        for k in (-1, 2.5, "all"):
+            with pytest.raises(ValueError):
+                split(_ham(4, eta=1), k)
 
 
 class TestSectorSpectraInvariants:

@@ -7,8 +7,8 @@ import kerrspec.classify
 import kerrspec.sweep
 from kerrspec.classify import detect_crossings, kerr_exact_levels
 from kerrspec import converged_spectrum
-from kerrspec.fock import HamiltonianSpec
-from kerrspec.sectors import MOD_ALL
+from kerrspec.fock import HamiltonianSpec, standard_hamiltonian
+from kerrspec.sectors import MOD_ALL, detect_modulus
 from kerrspec.sweep import CHUNK, SweepPlan, plan_modulus, run_sweep
 
 
@@ -48,6 +48,20 @@ class TestSweepPlan:
             varying="eta", grid=(0.0, 1.0), fixed=HamiltonianSpec(), n_max=20, n_probe=30
         )
         assert plan_modulus(diag_only) == MOD_ALL
+
+    @pytest.mark.parametrize(
+        "fixed, k",
+        [(HamiltonianSpec(), MOD_ALL), (HamiltonianSpec(xi=1.0), 2), (HamiltonianSpec(xi3=0.3), 3)],
+    )
+    def test_modulus_is_a_plain_int(self, fixed, k):
+        plan = SweepPlan(varying="eta", grid=(0.0, 0.5), fixed=fixed, n_max=12, n_probe=20)
+        moduli = (
+            detect_modulus(standard_hamiltonian(fixed)),
+            run_sweep(plan).modulus,
+            converged_spectrum(plan.spec_at(0.5), n_max=12, n_probe=20).modulus,
+        )
+        for m in moduli:
+            assert type(m) is int and m == k
 
 
 class TestRunSweep:
