@@ -42,6 +42,7 @@ __all__ = [
     "kerr_exact_levels",
     "degeneracy_groups",
     "detect_crossings",
+    "check_track_pair",
     "track_crossing_location",
 ]
 
@@ -345,6 +346,23 @@ class TrackedCrossing(NamedTuple):
     gap: float
 
 
+def check_track_pair(pair: LevelPair, coupling: str, n_max: int) -> int:
+    """Raise ValueError unless both levels of ``pair`` exist under ``coupling`` at ``n_max``.
+
+    The coupling conserves n mod k; sector r holds the states r, r + k, ...
+    <= n_max.  Returns k.
+    """
+    if coupling not in COUPLING_KINDS:
+        raise ValueError(f"coupling must be one of {sorted(COUPLING_KINDS)}")
+    k = detect_modulus(standard_hamiltonian(HamiltonianSpec(**{COUPLING_KINDS[coupling]: 1.0})))
+    for r, i in (pair[:2], pair[2:]):
+        if not (0 <= r < k and 0 <= i < len(range(r, n_max + 1, k))):
+            raise ValueError(
+                f"pair level ({r}, {i}) is not among the {coupling} sector levels at n_max={n_max}"
+            )
+    return k
+
+
 def track_crossing_location(
     pair: LevelPair,
     coupling: str,
@@ -363,14 +381,11 @@ def track_crossing_location(
     solves only the two levels of the pair at ``n_max``; the bracket ends are
     not solved twice, and ``gap`` is |E_a - E_b| at the root.  A bracket that
     never changes sign (the pair has merged into the avoided regime) is
-    reported as not found.
+    reported as not found.  A pair that :func:`check_track_pair` refuses
+    raises ValueError before anything is solved.
     """
-    if coupling not in COUPLING_KINDS:
-        raise ValueError(f"coupling must be one of {sorted(COUPLING_KINDS)}")
+    k = check_track_pair(pair, coupling, n_max)
     field_name = COUPLING_KINDS[coupling]
-    k = detect_modulus(
-        standard_hamiltonian(HamiltonianSpec(eta=float(eta0), **{field_name: 1.0}))
-    )
     ra, ia, rb, ib = pair
     wanted = ((ra, ia), (rb, ib))
 

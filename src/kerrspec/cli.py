@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,11 @@ from .classify import (
     CrossingEvent,
     LevelPair,
     TrackedCrossing,
+    check_track_pair,
     detect_crossings,
     track_crossing_location,
 )
-from .eigensolve import DEFAULT_N_MAX, DEFAULT_N_PROBE, DEFAULT_TOL_CONV, EigenSolverError
+from .eigensolve import DEFAULT_N_MAX, DEFAULT_TOL_CONV, EigenSolverError
 from .esqpt import (
     SeparatrixModel,
     SeparatrixPoint,
@@ -47,7 +48,6 @@ from .fock import (
 from .sectors import detect_modulus
 from .sweep import (
     NORMALIZE_MODES,
-    ConvergedSpectrum,
     SpectrumGrid,
     SweepPlan,
     converged_spectrum,
@@ -59,7 +59,20 @@ from .u2 import CasimirLevel, U2Rep, casimir_spectrum
 __all__ = ["ConfigError", "RunConfig", "load_config", "run", "emit_csv", "emit_svg", "main"]
 
 SCHEMA_VERSION = 1
-COMMANDS = ("spectrum", "sweep", "crossings", "esqpt", "casimir", "track")
+
+# command -> the top-level sections it reads besides schema_version, command and
+# output.  A section is listed only when it can change that command's output; any
+# other section is refused, a grid is required exactly where it is listed, and
+# only a command that reads svg may write it.
+_SECTIONS = {
+    "spectrum": ("hamiltonian", "numeric", "window", "coloring"),
+    "sweep": ("hamiltonian", "numeric", "grid", "normalize", "coloring", "svg"),
+    "crossings": ("hamiltonian", "numeric", "grid", "normalize", "crossings"),
+    "esqpt": ("hamiltonian", "numeric", "grid", "esqpt"),
+    "casimir": ("casimir",),
+    "track": ("numeric", "grid", "track"),
+}
+COMMANDS = tuple(_SECTIONS)
 # coloring -> the residue modulus it colors by; it needs a sector modulus that it divides
 _DIVISORS = {"parity": 2, "mod3": 3, "mod4": 4, "mod2x2": 2}
 COLORINGS = tuple(_DIVISORS)
@@ -78,8 +91,9 @@ MAX_GRID_POINTS = 1_000_000
 # Largest casimir.N: its two tridiagonal blocks take about 1 s to solve there.
 MAX_CASIMIR_N = 10_000
 
-# track.coupling when none is given: the first kind, the two-photon drive.
-_DEFAULT_COUPLING = next(iter(COUPLING_KINDS))
+# Largest numeric.n_max and n_probe: a basis this size already takes minutes per
+# grid point, and a far larger one fails allocating its arrays.
+MAX_BASIS = 100_000
 
 
 class ConfigError(ValueError):
@@ -123,24 +137,24 @@ class SvgStyle:
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    hamiltonian: HamiltonianSpec = field(default_factory=HamiltonianSpec)
-    n_max: int = DEFAULT_N_MAX
-    n_probe: int = DEFAULT_N_PROBE
-    tol_conv: float = DEFAULT_TOL_CONV
-    grid: GridConfig | None = None
-    normalize: str = "excitation"
-    coloring: str = "parity"
-    out_dir: str = "."
-    formats: tuple[str, ...] = ("csv",)
-    basename: str | None = None
-    window: tuple[float, float] | None = None
-    svg_style: SvgStyle = field(default_factory=SvgStyle)
-    v_max: int = 12
-    casimir_N: int = 50
-    track_coupling: str = _DEFAULT_COUPLING
-    track_eta0: int = 0
-    track_pair: tuple[int, int, int, int] = (0, 0, 1, 0)
-    crossings_max_levels: int = 12
+    hamiltonian: HamiltonianSpec
+    n_max: int
+    n_probe: int
+    tol_conv: float
+    grid: GridConfig | None
+    normalize: str
+    coloring: str
+    out_dir: str
+    formats: tuple[str, ...]
+    basename: str | None
+    window: tuple[float, float] | None
+    svg_style: SvgStyle
+    v_max: int
+    casimir_N: int
+    track_coupling: str
+    track_eta0: int
+    track_pair: LevelPair
+    crossings_max_levels: int
     threads: int = 1
 
 
@@ -173,84 +187,76 @@ def _as_count(value, what: str) -> int:
     return int(value)
 
 
-def _number(section: dict, key: str, default, where: str):
-    return _as_number(section.get(key, default), f"{where}.{key}")
-
-
 def _integer(section: dict, key: str, default, where: str) -> int:
     return _as_count(section.get(key, default), f"{where}.{key}")
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and strictly validate a JSON run configuration."""
+    """Parse and strictly validate a JSON run configuration.
+
+    A section the command does not read (see ``_SECTIONS``) is refused, so no
+    setting is ever silently ignored.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    _check_keys(
-        raw,
-        {
-            "schema_version", "command", "hamiltonian", "numeric", "grid",
-            "normalize", "coloring", "output", "window", "svg",
-            "esqpt", "casimir", "track", "crossings",
-        },
-        "configuration",
-    )
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}")
+    sections = _SECTIONS[command]
+    unread = sorted(set(raw) - {"schema_version", "command", "output", *sections})
+    if unread:
+        raise ConfigError(f"the {command} command does not read section(s) {unread}")
 
     ham = raw.get("hamiltonian", {})
     _check_keys(ham, {*COUPLING_FIELDS, "higher_order"}, "hamiltonian")
     higher = None
     if "higher_order" in ham:
         ho = ham["higher_order"]
-        fields = {
-            "detuning3", "kerr3", "squeeze3", "number_squeeze3",
-            "detuning4", "kerr4", "cubic4", "quad_squeeze4",
-        }
-        _check_keys(ho, fields, "hamiltonian.higher_order")
+        _check_keys(
+            ho, {f.name for f in fields(HigherOrderCorrections)}, "hamiltonian.higher_order"
+        )
         higher = HigherOrderCorrections(
-            **{k: _number(ho, k, 0.0, "higher_order") for k in ho}
+            **{k: _as_number(v, f"higher_order.{k}") for k, v in ho.items()}
         )
     spec = HamiltonianSpec(
-        **{f: _number(ham, f, 0.0, "hamiltonian") for f in COUPLING_FIELDS}, higher=higher
+        **{f: _as_number(v, f"hamiltonian.{f}") for f, v in ham.items() if f != "higher_order"},
+        higher=higher,
     )
 
     num = raw.get("numeric", {})
     _check_keys(num, {"n_max", "n_probe", "tol_conv"}, "numeric")
     n_max = _integer(num, "n_max", DEFAULT_N_MAX, "numeric")
-    n_probe = _integer(num, "n_probe", DEFAULT_N_PROBE, "numeric")
-    if "n_probe" not in num and n_max != DEFAULT_N_MAX:
-        n_probe = n_max + max(50, n_max // 8)
+    n_probe = _integer(num, "n_probe", n_max + max(50, n_max // 8), "numeric")
+    for key, n in (("n_max", n_max), ("n_probe", n_probe)):
+        if n > MAX_BASIS:
+            raise ConfigError(f"numeric.{key}={n} is above the {MAX_BASIS}-state basis cap")
     if n_probe <= n_max:
         raise ConfigError(f"numeric.n_probe={n_probe} must exceed n_max={n_max}")
-    tol_conv = float(_number(num, "tol_conv", DEFAULT_TOL_CONV, "numeric"))
+    tol_conv = float(_as_number(num.get("tol_conv", DEFAULT_TOL_CONV), "numeric.tol_conv"))
     if tol_conv < 0:
         raise ConfigError("numeric.tol_conv must not be negative")
 
     grid = None
-    if "grid" in raw:
+    if "grid" in sections:
+        if "grid" not in raw:
+            raise ConfigError(f"the {command} command requires a grid section")
         g = raw["grid"]
-        _check_keys(g, {"varying", "start", "stop", "step"}, "grid")
-        for key in ("varying", "start", "stop", "step"):
+        keys = [f.name for f in fields(GridConfig)]
+        _check_keys(g, set(keys), "grid")
+        for key in keys:
             if key not in g:
                 raise ConfigError(f"grid.{key} is required")
         if g["varying"] not in COUPLING_FIELDS:
             raise ConfigError(f"grid.varying {g['varying']!r} is not a parameter")
-        step = _number(g, "step", None, "grid")
-        if step <= 0:
+        grid = GridConfig(g["varying"], *(_as_number(g[k], f"grid.{k}") for k in keys[1:]))
+        if grid.step <= 0:
             raise ConfigError("grid.step must be positive")
-        grid = GridConfig(
-            g["varying"],
-            _number(g, "start", None, "grid"),
-            _number(g, "stop", None, "grid"),
-            step,
-        )
         grid.steps()  # an oversized grid is refused before any value is built
 
     normalize = raw.get("normalize", "excitation")
@@ -265,6 +271,8 @@ def load_config(path: str | Path) -> RunConfig:
     formats = out.get("formats", ["csv"])
     if not (isinstance(formats, list) and formats and all(f in ("csv", "svg") for f in formats)):
         raise ConfigError("output.formats must be a non-empty subset of ['csv', 'svg']")
+    if "svg" in formats and "svg" not in sections:
+        raise ConfigError(f"output.formats: the {command} command writes no svg")
     for key in ("directory", "basename"):
         if key in out and not isinstance(out[key], str):
             raise ConfigError(f"output.{key} must be a string")
@@ -278,67 +286,49 @@ def load_config(path: str | Path) -> RunConfig:
         if window[0] > window[1]:
             raise ConfigError("window must be a [low, high] pair with low <= high")
 
-    style = SvgStyle()
-    if "svg" in raw:
-        sv = raw["svg"]
-        _check_keys(
-            sv, {"width", "height", "margin", "max_levels", "y_min", "y_max", "separatrices"}, "svg"
-        )
-        seps = sv.get("separatrices", [])
-        if not isinstance(seps, list):
-            raise ConfigError("svg.separatrices must be a list")
-        for s in seps:
-            if s not in SeparatrixModel._KINDS:
-                raise ConfigError(f"unknown separatrix kind {s!r}")
-        max_levels = _integer(sv, "max_levels", 1, "svg") if "max_levels" in sv else None
-        if max_levels == 0:
-            raise ConfigError("svg.max_levels must be at least 1")
-        style = SvgStyle(
-            width=_integer(sv, "width", 960, "svg"),
-            height=_integer(sv, "height", 640, "svg"),
-            margin=_integer(sv, "margin", 70, "svg"),
-            max_levels=max_levels,
-            y_min=float(_number(sv, "y_min", 0.0, "svg")) if "y_min" in sv else None,
-            y_max=float(_number(sv, "y_max", 0.0, "svg")) if "y_max" in sv else None,
-            separatrices=tuple(seps),
-        )
+    sv = raw.get("svg", {})
+    _check_keys(sv, {f.name for f in fields(SvgStyle)}, "svg")
+    seps = sv.get("separatrices", [])
+    if not isinstance(seps, list):
+        raise ConfigError("svg.separatrices must be a list")
+    for s in seps:
+        if s not in SeparatrixModel._KINDS:
+            raise ConfigError(f"unknown separatrix kind {s!r}")
+    style = SvgStyle(
+        **{
+            k: float(_as_number(v, f"svg.{k}"))
+            if k in ("y_min", "y_max")
+            else _as_count(v, f"svg.{k}")
+            for k, v in sv.items()
+            if k != "separatrices"
+        },
+        separatrices=tuple(seps),
+    )
+    if style.max_levels == 0:
+        raise ConfigError("svg.max_levels must be at least 1")
 
-    kwargs: dict = {}
-    for section, owner in (("esqpt", "esqpt"), ("casimir", "casimir"), ("track", "track"), ("crossings", "crossings")):
-        if section in raw and command != owner:
-            raise ConfigError(f"section {section!r} only applies to the {owner} command")
-    if "esqpt" in raw:
-        _check_keys(raw["esqpt"], {"v_max"}, "esqpt")
-        kwargs["v_max"] = _integer(raw["esqpt"], "v_max", 12, "esqpt")
-    if "casimir" in raw:
-        _check_keys(raw["casimir"], {"N"}, "casimir")
-        kwargs["casimir_N"] = _integer(raw["casimir"], "N", 50, "casimir")
-        if not 1 <= kwargs["casimir_N"] <= MAX_CASIMIR_N:
-            raise ConfigError(f"casimir.N must be in 1..{MAX_CASIMIR_N}")
-    if "track" in raw:
-        t = raw["track"]
-        _check_keys(t, {"coupling", "eta0", "pair"}, "track")
-        pair = t.get("pair", [0, 0, 1, 0])
-        if not (isinstance(pair, list) and len(pair) == 4):
-            raise ConfigError("track.pair must be [residue_a, index_a, residue_b, index_b]")
-        coupling = t.get("coupling", _DEFAULT_COUPLING)
-        if not isinstance(coupling, str) or coupling not in COUPLING_KINDS:
-            raise ConfigError(f"track.coupling must be one of {sorted(COUPLING_KINDS)}")
-        kwargs.update(
-            track_coupling=coupling,
-            track_eta0=_integer(t, "eta0", 0, "track"),
-            track_pair=tuple(_as_count(x, "track.pair entry") for x in pair),
-        )
-    if "crossings" in raw:
-        _check_keys(raw["crossings"], {"max_levels"}, "crossings")
-        kwargs["crossings_max_levels"] = _integer(
-            raw["crossings"], "max_levels", 12, "crossings"
-        )
+    esq, cas, trk, cro = (raw.get(s, {}) for s in ("esqpt", "casimir", "track", "crossings"))
+    _check_keys(esq, {"v_max"}, "esqpt")
+    _check_keys(cas, {"N"}, "casimir")
+    _check_keys(trk, {"coupling", "eta0", "pair"}, "track")
+    _check_keys(cro, {"max_levels"}, "crossings")
+    casimir_N = _integer(cas, "N", 50, "casimir")
+    if not 1 <= casimir_N <= MAX_CASIMIR_N:
+        raise ConfigError(f"casimir.N must be in 1..{MAX_CASIMIR_N}")
+    pair = trk.get("pair", [0, 0, 1, 0])
+    if not (isinstance(pair, list) and len(pair) == 4):
+        raise ConfigError("track.pair must be [residue_a, index_a, residue_b, index_b]")
+    pair = LevelPair(*(_as_count(x, "track.pair entry") for x in pair))
+    coupling = trk.get("coupling", "P2")
+    if not isinstance(coupling, str):
+        raise ConfigError("track.coupling must be a string")
+    if "track" in sections:
+        try:
+            check_track_pair(pair, coupling, n_max)
+        except ValueError as exc:
+            raise ConfigError(f"track.{exc}") from exc
 
-    if command in ("sweep", "crossings", "esqpt", "track") and grid is None:
-        raise ConfigError(f"the {command} command requires a grid section")
-
-    cfg = RunConfig(
+    return RunConfig(
         command=command,
         hamiltonian=spec,
         n_max=n_max,
@@ -352,27 +342,13 @@ def load_config(path: str | Path) -> RunConfig:
         basename=out.get("basename"),
         window=window,
         svg_style=style,
-        **kwargs,
+        v_max=_integer(esq, "v_max", 12, "esqpt"),
+        casimir_N=casimir_N,
+        track_coupling=coupling,
+        track_eta0=_integer(trk, "eta0", 0, "track"),
+        track_pair=pair,
+        crossings_max_levels=_integer(cro, "max_levels", 12, "crossings"),
     )
-    if command == "track":
-        # track_crossing_location builds its Hamiltonian from eta and the coupling alone
-        if spec != HamiltonianSpec():
-            ignored = [f for f in COUPLING_FIELDS if getattr(spec, f)]
-            ignored += ["higher_order"] if spec.higher is not None else []
-            raise ConfigError(
-                f"the track command ignores hamiltonian {ignored}: it builds its "
-                "Hamiltonian from track.eta0 and the grid's coupling alone"
-            )
-        # the coupling conserves n mod k; sector r holds the states r, r + k, ... <= n_max
-        field_name = COUPLING_KINDS[cfg.track_coupling]
-        k = detect_modulus(standard_hamiltonian(HamiltonianSpec(**{field_name: 1.0})))
-        for r, i in (cfg.track_pair[:2], cfg.track_pair[2:]):
-            if r >= k or i >= len(range(r, n_max + 1, k)):
-                raise ConfigError(
-                    f"track.pair level ({r}, {i}) is not among the {cfg.track_coupling} "
-                    f"sector levels at n_max={n_max}"
-                )
-    return cfg
 
 
 def _check_coloring(coloring: str, modulus: int) -> None:
@@ -419,39 +395,6 @@ def _level_stop(grid: SpectrumGrid, residue: int, max_levels: int | None) -> int
     return n if max_levels is None else min(max_levels, n)
 
 
-def _write_grid_csv(
-    path: Path, grid: SpectrumGrid, coloring: str, max_levels: int | None
-) -> None:
-    """Grid rows in (param, sector, level) order, written one grid point at a time.
-
-    Everything that does not change along the grid (level fields, color
-    class, flag strings, absolute and excitation arrays) is prepared once per
-    sector; energies are formatted from Python floats with ``.12g``, exactly
-    as :func:`_fmt` formats each value.
-    """
-    sectors = []
-    for r in grid.residues:
-        n = _level_stop(grid, r, max_levels)
-        sectors.append((
-            [f"{r},{lvl}," for lvl in range(n)],
-            grid.absolute(r)[:, :n],
-            grid.excitation(r)[:, :n],
-            np.where(grid.converged[r][:, :n], "1", "0"),
-            f",{_color_class(coloring, r, grid.modulus)}\n",
-        ))
-    with path.open("w") as fh:
-        fh.write(",".join(_GRID_HEADER) + "\n")
-        for g, param in enumerate(grid.params.tolist()):
-            p = f"{param:.12g},"
-            for heads, absolute, excitation, flags, tail in sectors:
-                fh.write("".join([
-                    f"{p}{head}{e:.12g},{x:.12g},{f}{tail}"
-                    for head, e, x, f in zip(
-                        heads, absolute[g].tolist(), excitation[g].tolist(), flags[g].tolist()
-                    )
-                ]))
-
-
 # record type -> (CSV header, row of one record)
 _TABLES = {
     CrossingEvent: (
@@ -482,30 +425,41 @@ def _write_table(path: str | Path, kind: type, records) -> Path:
 
 
 def emit_csv(
-    result,
+    grid: SpectrumGrid,
     path: str | Path,
     coloring: str = "parity",
     max_levels: int | None = None,
-    param: float = 0.0,
 ) -> Path:
-    """Write a sweep grid or a one-point spectrum as deterministic CSV.
+    """Write a sweep grid as deterministic CSV, one grid point at a time.
 
-    Tables of records (crossings, separatrix points, Casimir levels, tracked
-    crossings) are written by ``_write_table`` under their own header.
+    Rows are in (param, sector, level) order, with all levels of each sector
+    or the first ``max_levels``.  Everything that does not change along the
+    grid (level fields, color class, flag strings, absolute and excitation
+    arrays) is prepared once per sector; energies are formatted from Python
+    floats with ``.12g``, exactly as :func:`_fmt` formats each value.
     """
     path = Path(path)
-    if isinstance(result, SpectrumGrid):
-        _write_grid_csv(path, result, coloring, max_levels)
-    elif isinstance(result, ConvergedSpectrum):
-        rows = (
-            (param, int(r), i, e, x, c, _color_class(coloring, int(r), result.modulus))
-            for i, (e, x, r, c) in enumerate(
-                zip(result.energies, result.excitations, result.residues, result.converged)
-            )
-        )
-        _write_rows(path, _GRID_HEADER, rows)
-    else:
-        raise TypeError(f"no CSV writer for {type(result).__name__}")
+    sectors = []
+    for r in grid.residues:
+        n = _level_stop(grid, r, max_levels)
+        sectors.append((
+            [f"{r},{lvl}," for lvl in range(n)],
+            grid.absolute(r)[:, :n],
+            grid.excitation(r)[:, :n],
+            np.where(grid.converged[r][:, :n], "1", "0"),
+            f",{_color_class(coloring, r, grid.modulus)}\n",
+        ))
+    with path.open("w") as fh:
+        fh.write(",".join(_GRID_HEADER) + "\n")
+        for g, param in enumerate(grid.params.tolist()):
+            p = f"{param:.12g},"
+            for heads, absolute, excitation, flags, tail in sectors:
+                fh.write("".join([
+                    f"{p}{head}{e:.12g},{x:.12g},{f}{tail}"
+                    for head, e, x, f in zip(
+                        heads, absolute[g].tolist(), excitation[g].tolist(), flags[g].tolist()
+                    )
+                ]))
     return path
 
 
@@ -542,8 +496,8 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
 
     y_lo = style.y_min if style.y_min is not None else min(float(b.min()) for _, b in blocks)
     y_hi = style.y_max if style.y_max is not None else max(float(b.max()) for _, b in blocks)
-    if y_hi <= y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    if y_hi <= y_lo:  # a flat or inverted range, e.g. a y_max below every level
+        y_lo, y_hi = min(y_lo, y_hi) - 1.0, max(y_lo, y_hi) + 1.0
 
     # sx/sy take scalars (ticks) and whole arrays (polylines); element-wise
     # IEEE operations round as the scalar expressions do, so a coordinate
@@ -610,7 +564,6 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
 
 
 def _build_plan(cfg: RunConfig) -> SweepPlan:
-    assert cfg.grid is not None
     return SweepPlan(
         varying=cfg.grid.varying,
         grid=cfg.grid.values(),
@@ -636,12 +589,11 @@ def _require_converged(flags: list[np.ndarray], cfg: RunConfig) -> None:
         )
 
 
-def _dispatch(cfg: RunConfig) -> list[Path]:
+def _dispatch(cfg: RunConfig) -> None:
     # every configuration error is raised before the output directory is made
     if cfg.threads < 0:
         raise ConfigError(f"threads must be >= 0, got {cfg.threads}")
     if cfg.command == "track":
-        assert cfg.grid is not None
         expect = COUPLING_KINDS[cfg.track_coupling]
         if cfg.grid.varying != expect:
             raise ConfigError(
@@ -660,71 +612,52 @@ def _dispatch(cfg: RunConfig) -> list[Path]:
             raise ConfigError(str(exc)) from exc
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = cfg.basename or cfg.command
-    written: list[Path] = []
+    csv_path = out_dir / f"{cfg.basename or cfg.command}.csv"
 
     if cfg.command == "spectrum":
         spectrum = converged_spectrum(
             cfg.hamiltonian, cfg.n_max, cfg.n_probe, cfg.tol_conv, cfg.window
         )
         _require_converged([spectrum.converged], cfg)
-        written.append(
-            emit_csv(
-                spectrum, out_dir / f"{base}.csv", cfg.coloring, param=cfg.hamiltonian.eta
+        rows = (
+            (cfg.hamiltonian.eta, int(r), i, e, x, c,
+             _color_class(cfg.coloring, int(r), spectrum.modulus))
+            for i, (e, x, r, c) in enumerate(
+                zip(spectrum.energies, spectrum.excitations, spectrum.residues, spectrum.converged)
             )
         )
-        return written
-
-    if cfg.command == "casimir":
-        levels = casimir_spectrum(U2Rep(cfg.casimir_N))
-        written.append(_write_table(out_dir / f"{base}.csv", CasimirLevel, levels))
-        return written
-
-    if cfg.command == "track":
+        _write_rows(csv_path, _GRID_HEADER, rows)
+    elif cfg.command == "casimir":
+        _write_table(csv_path, CasimirLevel, casimir_spectrum(U2Rep(cfg.casimir_N)))
+    elif cfg.command == "track":
         points = track_crossing_location(
-            LevelPair(*cfg.track_pair),
-            cfg.track_coupling,
-            cfg.grid.values(),
-            cfg.track_eta0,
-            n_max=cfg.n_max,
+            cfg.track_pair, cfg.track_coupling, cfg.grid.values(), cfg.track_eta0, n_max=cfg.n_max
         )
-        written.append(_write_table(out_dir / f"{base}.csv", TrackedCrossing, points))
-        return written
-
-    grid = run_sweep(plan, threads=cfg.threads)
-
-    if cfg.command == "sweep":
+        _write_table(csv_path, TrackedCrossing, points)
+    elif cfg.command == "sweep":
+        grid = run_sweep(plan, threads=cfg.threads)
         max_levels = cfg.svg_style.max_levels
         _require_converged(
             [grid.converged[r][:, : _level_stop(grid, r, max_levels)] for r in grid.residues],
             cfg,
         )
         if "csv" in cfg.formats:
-            written.append(
-                emit_csv(grid, out_dir / f"{base}.csv", cfg.coloring, max_levels)
-            )
+            emit_csv(grid, csv_path, cfg.coloring, max_levels)
         if "svg" in cfg.formats:
-            written.append(emit_svg(grid, cfg.svg_style, out_dir / f"{base}.svg", cfg.coloring))
-        return written
-
-    if cfg.command == "crossings":
+            emit_svg(grid, cfg.svg_style, csv_path.with_suffix(".svg"), cfg.coloring)
+    elif cfg.command == "crossings":
+        grid = run_sweep(plan, threads=cfg.threads)
         events = detect_crossings(grid, max_levels=cfg.crossings_max_levels)
-        written.append(_write_table(out_dir / f"{base}.csv", CrossingEvent, events))
-        return written
-
-    if cfg.command == "esqpt":
-        curves = gap_curves(grid, cfg.v_max)
+        _write_table(csv_path, CrossingEvent, events)
+    else:  # esqpt
+        curves = gap_curves(run_sweep(plan, threads=cfg.threads), cfg.v_max)
         estimates = []
         for curve in curves[1:]:  # v >= 1: the v = 0 pair never opens a usable gap head
             for estimator in (xi_c_max_rate, xi_c_linear_extrapolation, xi_c_difference_bound):
                 est = estimator(curve)
                 if est is not None:
                     estimates.append(est)
-        points = separatrix_from_estimates(estimates)
-        written.append(_write_table(out_dir / f"{base}.csv", SeparatrixPoint, points))
-        return written
-
-    raise ConfigError(f"unhandled command {cfg.command!r}")
+        _write_table(csv_path, SeparatrixPoint, separatrix_from_estimates(estimates))
 
 
 def run(config: RunConfig) -> int:
@@ -763,10 +696,7 @@ def main(argv=None) -> int:
     overrides: dict = {"threads": args.threads}
     if args.out is not None:
         overrides["out_dir"] = args.out
-    from dataclasses import replace
-
-    cfg = replace(cfg, **overrides)
-    return run(cfg)
+    return run(replace(cfg, **overrides))
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from kerrspec.classify import (
     LevelPair,
     QuasiSpinLabel,
     TwoBosonState,
+    check_track_pair,
     degeneracy_groups,
     detect_crossings,
     kerr_exact_levels,
@@ -200,6 +201,14 @@ class TestTrackCrossing:
     def test_unknown_coupling_rejected(self):
         with pytest.raises(ValueError):
             track_crossing_location(LevelPair(0, 0, 1, 0), "P5", [0.1], 2)
+
+    def test_pair_outside_the_sectors_refused_before_any_solve(self):
+        # P2 at n_max 40: sectors 0 and 1 hold 21 and 20 states
+        for pair in (LevelPair(5, 0, 1, 0), LevelPair(0, 99, 1, 0), LevelPair(0, 0, 1, 20)):
+            with pytest.raises(ValueError, match=r"pair level \(\d+, \d+\) is not among"):
+                track_crossing_location(pair, "P2", [0.5], 2, n_max=40)
+        assert check_track_pair(LevelPair(0, 20, 1, 19), "P2", 40) == 2
+        assert check_track_pair(LevelPair(2, 12, 0, 13), "P3", 40) == 3
 
     def test_lost_crossing_reported(self):
         # same-parity pair never changes sign: no root to find

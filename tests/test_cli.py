@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kerrspec.cli import (
     COLORINGS,
     COMMANDS,
+    MAX_BASIS,
     MAX_CASIMIR_N,
     ConfigError,
     GridConfig,
@@ -95,6 +96,12 @@ class TestConfigValidation:
         assert main(["--config", str(tmp_path / "missing.json")]) == 4
 
 
+def spectrum_config(out_dir: str, **extra) -> dict:
+    cfg = sweep_config(out_dir, command="spectrum", **extra)
+    del cfg["grid"]
+    return cfg
+
+
 def track_config(out_dir: str, **track) -> dict:
     return {
         "schema_version": 1,
@@ -175,7 +182,7 @@ class TestMalformedConfigExitTwo:
             **track_config(d), "hamiltonian": {"higher_order": {"kerr3": 0.2}}
         },
         "negative tol_conv": lambda d: with_numeric(d, n_max=30, n_probe=45, tol_conv=-1e-8),
-        "reversed window": lambda d: sweep_config(d, command="spectrum", window=[5, 1]),
+        "reversed window": lambda d: spectrum_config(d, window=[5, 1]),
         "tol_deg is no longer a key": lambda d: with_numeric(
             d, n_max=30, n_probe=45, tol_deg=1e-6
         ),
@@ -186,9 +193,9 @@ class TestMalformedConfigExitTwo:
         "esqpt without parity sectors": lambda d: esqpt_config(d, hamiltonian={"xi3": 0.1}),
         "esqpt v_max beyond the odd levels": lambda d: esqpt_config(d, esqpt={"v_max": 30}),
         "mod3 coloring of a parity sweep": lambda d: sweep_config(d, coloring="mod3"),
-        "mod3 coloring of a parity spectrum": lambda d: sweep_config(
-            d, command="spectrum", coloring="mod3"
-        ),
+        "mod3 coloring of a parity spectrum": lambda d: spectrum_config(d, coloring="mod3"),
+        "n_max above the basis cap": lambda d: with_numeric(d, n_max=MAX_BASIS + 1),
+        "n_probe above the basis cap": lambda d: with_numeric(d, n_max=30, n_probe=MAX_BASIS + 1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -200,18 +207,15 @@ class TestMalformedConfigExitTwo:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_track_error_names_the_ignored_fields(self, tmp_path, capsys):
-        for ham, named in (
-            ({"eta": 3, "xi3": 0.7}, "['eta', 'xi3']"),
-            ({"higher_order": {"kerr3": 0.2}}, "['higher_order']"),
-        ):
-            cfg = write_config(tmp_path, {**track_config(str(tmp_path)), "hamiltonian": ham})
+    def test_track_refuses_any_hamiltonian(self, tmp_path, capsys):
+        # track builds its Hamiltonian from track.eta0 and the grid's coupling alone
+        out = tmp_path / "out"
+        for ham in ({}, {"eta": 0.0, "xi": 0.0}, {"eta": 3, "xi3": 0.7},
+                    {"higher_order": {"kerr3": 0.2}}):
+            cfg = write_config(tmp_path, {**track_config(str(out)), "hamiltonian": ham})
             assert main(["--config", str(cfg)]) == 2
-            assert named in capsys.readouterr().err
-
-    def test_track_accepts_a_default_hamiltonian(self, tmp_path):
-        payload = {**track_config(str(tmp_path)), "hamiltonian": {"eta": 0.0, "xi": 0.0}}
-        assert load_config(write_config(tmp_path, payload)).hamiltonian == HamiltonianSpec()
+            assert "['hamiltonian']" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_track_grid_checked_before_the_output_directory_is_made(self, tmp_path, capsys):
         out = tmp_path / "not-yet"
@@ -219,6 +223,10 @@ class TestMalformedConfigExitTwo:
         assert main(["--config", str(write_config(tmp_path, payload))]) == 2
         assert "track grid must vary 'xi3'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_largest_basis_accepted(self, tmp_path):
+        payload = with_numeric(str(tmp_path), n_max=MAX_BASIS - 1, n_probe=MAX_BASIS)
+        assert load_config(write_config(tmp_path, payload)).n_probe == MAX_BASIS
 
     def test_largest_casimir_N_accepted(self, tmp_path):
         payload = {
@@ -267,6 +275,86 @@ class TestMalformedConfigExitTwo:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "--seedless"])
         assert exc.value.code == 2
+
+
+# command -> the top-level sections it reads besides schema_version, command and output
+READS = {
+    "spectrum": {"hamiltonian", "numeric", "window", "coloring"},
+    "sweep": {"hamiltonian", "numeric", "grid", "normalize", "coloring", "svg"},
+    "crossings": {"hamiltonian", "numeric", "grid", "normalize", "crossings"},
+    "esqpt": {"hamiltonian", "numeric", "grid", "esqpt"},
+    "casimir": {"casimir"},
+    "track": {"numeric", "grid", "track"},
+}
+
+# a valid value of every top-level section
+SECTION_VALUES = {
+    "hamiltonian": {},
+    "numeric": {"n_max": 20, "n_probe": 30},
+    "grid": {"varying": "xi", "start": 0.5, "stop": 2.0, "step": 0.5},
+    "normalize": "absolute",
+    "coloring": "parity",
+    "window": [0.0, 10.0],
+    "svg": {"max_levels": 3},
+    "esqpt": {"v_max": 2},
+    "casimir": {"N": 4},
+    "track": {"coupling": "P2", "eta0": 2, "pair": [0, 0, 1, 0]},
+    "crossings": {"max_levels": 3},
+}
+
+
+def command_config(command: str, out_dir: str, formats=("csv",)) -> dict:
+    cfg = {"schema_version": 1, "command": command,
+           "output": {"directory": out_dir, "formats": list(formats)}}
+    cfg.update((section, SECTION_VALUES[section]) for section in READS[command])
+    return cfg
+
+
+class TestSectionsEachCommandReads:
+    """A section the command would ignore is a configuration error: exit 2, nothing made."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_section_it_reads_accepted(self, command, tmp_path):
+        cfg = load_config(write_config(tmp_path, command_config(command, "out")))
+        assert cfg.command == command
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [(c, s) for c in READS for s in sorted(SECTION_VALUES.keys() - READS[c])],
+    )
+    def test_unread_section_exits_two(self, command, section, tmp_path, capsys):
+        out = tmp_path / "out"
+        payload = {**command_config(command, str(out)), section: SECTION_VALUES[section]}
+        assert main(["--config", str(write_config(tmp_path, payload)), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"['{section}']" in err
+        assert not out.exists()
+
+    def test_error_names_every_unread_section(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        payload = {
+            **command_config("casimir", str(out)),
+            "grid": {"varying": "eta", "start": 0.0, "stop": 1.0, "step": 0.5},
+            "svg": {"max_levels": 3},
+            "coloring": "mod3",
+            "window": [0, 1],
+            "hamiltonian": {"xi": 3},
+            "numeric": {"n_max": 20},
+        }
+        assert main(["--config", str(write_config(tmp_path, payload))]) == 2
+        assert "['coloring', 'grid', 'hamiltonian', 'numeric', 'svg', 'window']" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"sweep"}))
+    def test_only_sweep_writes_svg(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        payload = command_config(command, str(out), formats=["svg"])
+        assert main(["--config", str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "svg" in err
+        assert not out.exists()
 
 
 class TestCsv:
@@ -354,6 +442,13 @@ class TestSvg:
         text = emit_svg(grid, style, tmp_path / "sq.svg").read_text()
         assert "stroke-dasharray" in text
         assert "#e66101" in text and "#1f78b4" in text
+
+    def test_y_max_below_every_level(self, tmp_path):
+        # excitation energies start at 0, so y_max -2 once made a zero-height frame
+        plan = SweepPlan(varying="eta", grid=(0.0, 0.5), fixed=HamiltonianSpec(xi=1.0),
+                         n_max=10, n_probe=20)
+        text = emit_svg(run_sweep(plan), SvgStyle(y_max=-2.0), tmp_path / "y.svg").read_text()
+        assert text.count("<polyline") == 11 and "nan" not in text
 
     def test_mod3_shades(self, tmp_path):
         plan = SweepPlan(
@@ -732,16 +827,21 @@ _FIELDS = {
 
 
 def _fuzz_base(command: str) -> dict:
+    """A valid ``command`` config holding only the sections that command reads."""
     cfg = sweep_config(".", output={"formats": ["csv", "svg"]}, svg={"separatrices": ["combined"]})
     cfg["numeric"] = {"n_max": 20, "n_probe": 30}
     cfg["command"] = command
+    if command != "sweep":
+        del cfg["svg"]
+        cfg["output"] = {"formats": ["csv"]}
     if command in ("spectrum", "casimir"):
         del cfg["grid"]
     if command == "track":
-        del cfg["hamiltonian"]  # track refuses a hamiltonian section it would ignore
+        del cfg["hamiltonian"]
         cfg["grid"] = {"varying": "xi", "start": 0.5, "stop": 2.0, "step": 0.5}
         cfg["track"] = {"coupling": "P2", "eta0": 2, "pair": [0, 0, 1, 0]}
     if command == "casimir":
+        del cfg["hamiltonian"], cfg["numeric"]
         cfg["casimir"] = {"N": 12}
     return cfg
 
@@ -776,9 +876,10 @@ class TestExitCodeFuzz:
         cfg = _fuzz_base(command)
         for path, value in mutations:
             _mutate(cfg, path, value)
-        numeric = cfg.setdefault("numeric", {})
-        if isinstance(numeric, dict):
-            numeric.setdefault("n_max", 20)  # the default basis is far above this test's budget
+        if command != "casimir":  # casimir reads no numeric section
+            numeric = cfg.setdefault("numeric", {})
+            if isinstance(numeric, dict):  # the default basis is far above this test's budget
+                numeric.setdefault("n_max", 20)
         stderr = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
@@ -801,7 +902,7 @@ class TestExitCodeFuzz:
         ],
     )
     def test_non_finite_numbers_exit_two(self, path, value, tmp_path, capsys):
-        cfg = _fuzz_base("sweep")
+        cfg = _fuzz_base("spectrum" if path == ("window",) else "sweep")
         _mutate(cfg, path, value)
         config = write_config(tmp_path, cfg)
         assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2

@@ -21,15 +21,18 @@ def loaded():
 
 import kerrspec, kerrspec.cli
 seen = {"import": loaded()}
-base = {"schema_version": 1, "numeric": {"n_max": 40, "n_probe": 60}}
+base = {"schema_version": 1}
+numeric = {"n_max": 40, "n_probe": 60}
 configs = {
-    "spectrum": {"hamiltonian": {"eta": 2.0, "xi": 1.0}},
+    "spectrum": {"hamiltonian": {"eta": 2.0, "xi": 1.0}, "numeric": numeric},
     "sweep": {
         "hamiltonian": {"xi": 1.0},
+        "numeric": numeric,
         "grid": {"varying": "eta", "start": 0.0, "stop": 2.0, "step": 0.5},
         "output": {"formats": ["csv", "svg"]},
     },
     "esqpt": {
+        "numeric": numeric,
         "grid": {"varying": "xi", "start": 0.0, "stop": 6.0, "step": 0.1},
         "esqpt": {"v_max": 4},
     },
@@ -37,6 +40,7 @@ configs = {
     # off the integer nodes, so that every crossing found is refined
     "crossings": {
         "hamiltonian": {"xi": 1.0},
+        "numeric": numeric,
         "grid": {"varying": "eta", "start": 0.05, "stop": 3.05, "step": 0.1},
     },
 }
