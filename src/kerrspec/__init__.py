@@ -38,6 +38,7 @@ from .fock import (
     HamiltonianSpec,
     HigherOrderCorrections,
     NonHermitianError,
+    NumericFailure,
     OperatorPoly,
     OperatorTerm,
     assemble,

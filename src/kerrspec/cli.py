@@ -43,6 +43,7 @@ from .fock import (
     COUPLING_KINDS,
     HamiltonianSpec,
     HigherOrderCorrections,
+    NumericFailure,
     standard_hamiltonian,
 )
 from .sectors import detect_modulus
@@ -60,19 +61,6 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "run", "emit_csv", "emit_s
 
 SCHEMA_VERSION = 1
 
-# command -> the top-level sections it reads besides schema_version, command and
-# output.  A section is listed only when it can change that command's output; any
-# other section is refused, a grid is required exactly where it is listed, and
-# only a command that reads svg may write it.
-_SECTIONS = {
-    "spectrum": ("hamiltonian", "numeric", "window", "coloring"),
-    "sweep": ("hamiltonian", "numeric", "grid", "normalize", "coloring", "svg"),
-    "crossings": ("hamiltonian", "numeric", "grid", "normalize", "crossings"),
-    "esqpt": ("hamiltonian", "numeric", "grid", "esqpt"),
-    "casimir": ("casimir",),
-    "track": ("numeric", "grid", "track"),
-}
-COMMANDS = tuple(_SECTIONS)
 # coloring -> the residue modulus it colors by; it needs a sector modulus that it divides
 _DIVISORS = {"parity": 2, "mod3": 3, "mod4": 4, "mod2x2": 2}
 COLORINGS = tuple(_DIVISORS)
@@ -107,15 +95,12 @@ class GridConfig:
     stop: float
     step: float
 
-    def steps(self) -> int:
-        """Steps from start to stop, rounded; refuses grids above MAX_GRID_POINTS points."""
+    def values(self) -> tuple[float, ...]:
+        """The grid points; a grid above MAX_GRID_POINTS points is refused before it is built."""
         span = (self.stop - self.start) / self.step
         if span >= MAX_GRID_POINTS - 0.5:  # also an infinite span
             raise ConfigError(f"grid asks for more than {MAX_GRID_POINTS} points")
-        return round(max(span, -1.0))
-
-    def values(self) -> tuple[float, ...]:
-        n = self.steps()
+        n = round(max(span, -1.0))
         if n < 1 or abs(self.start + n * self.step - self.stop) > 1e-9 * max(
             1.0, abs(self.stop)
         ):
@@ -141,8 +126,8 @@ class RunConfig:
     n_max: int
     n_probe: int
     tol_conv: float
-    grid: GridConfig | None
-    normalize: str
+    plan: SweepPlan | None  # the sweep that sweep, crossings and esqpt run
+    track_grid: tuple[float, ...] | None  # the values of track's coupling
     coloring: str
     out_dir: str
     formats: tuple[str, ...]
@@ -156,6 +141,10 @@ class RunConfig:
     track_pair: LevelPair
     crossings_max_levels: int
     threads: int = 1
+
+    def __post_init__(self) -> None:
+        if self.threads < 0:
+            raise ConfigError(f"threads must be >= 0, got {self.threads}")
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -194,8 +183,9 @@ def _integer(section: dict, key: str, default, where: str) -> int:
 def load_config(path: str | Path) -> RunConfig:
     """Parse and strictly validate a JSON run configuration.
 
-    A section the command does not read (see ``_SECTIONS``) is refused, so no
-    setting is ever silently ignored.
+    Every check a configuration can fail is made here, so running the result
+    never raises ConfigError.  A section the command does not read (see
+    ``_COMMANDS``) is refused, so no setting is ever silently ignored.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -208,7 +198,7 @@ def load_config(path: str | Path) -> RunConfig:
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}")
-    sections = _SECTIONS[command]
+    sections = _COMMANDS[command][0]
     unread = sorted(set(raw) - {"schema_version", "command", "output", *sections})
     if unread:
         raise ConfigError(f"the {command} command does not read section(s) {unread}")
@@ -242,7 +232,6 @@ def load_config(path: str | Path) -> RunConfig:
     if tol_conv < 0:
         raise ConfigError("numeric.tol_conv must not be negative")
 
-    grid = None
     if "grid" in sections:
         if "grid" not in raw:
             raise ConfigError(f"the {command} command requires a grid section")
@@ -257,7 +246,7 @@ def load_config(path: str | Path) -> RunConfig:
         grid = GridConfig(g["varying"], *(_as_number(g[k], f"grid.{k}") for k in keys[1:]))
         if grid.step <= 0:
             raise ConfigError("grid.step must be positive")
-        grid.steps()  # an oversized grid is refused before any value is built
+        values = grid.values()
 
     normalize = raw.get("normalize", "excitation")
     if normalize not in NORMALIZE_MODES:
@@ -306,6 +295,8 @@ def load_config(path: str | Path) -> RunConfig:
     )
     if style.max_levels == 0:
         raise ConfigError("svg.max_levels must be at least 1")
+    if None not in (style.y_min, style.y_max) and not 0 < style.y_max - style.y_min < math.inf:
+        raise ConfigError("svg.y_min must be below svg.y_max, a finite range apart")
 
     esq, cas, trk, cro = (raw.get(s, {}) for s in ("esqpt", "casimir", "track", "crossings"))
     _check_keys(esq, {"v_max"}, "esqpt")
@@ -322,11 +313,30 @@ def load_config(path: str | Path) -> RunConfig:
     coupling = trk.get("coupling", "P2")
     if not isinstance(coupling, str):
         raise ConfigError("track.coupling must be a string")
+    v_max = _integer(esq, "v_max", 12, "esqpt")
+
+    # checks that join sections
+    plan = track_grid = None
     if "track" in sections:
         try:
             check_track_pair(pair, coupling, n_max)
         except ValueError as exc:
             raise ConfigError(f"track.{exc}") from exc
+        if grid.varying != COUPLING_KINDS[coupling]:
+            raise ConfigError(
+                f"track grid must vary {COUPLING_KINDS[coupling]!r} for coupling {coupling!r}"
+            )
+        track_grid = values
+    elif "grid" in sections:
+        try:
+            plan = SweepPlan(grid.varying, values, spec, n_max, n_probe, tol_conv, normalize)
+            if "esqpt" in sections:
+                check_gap_sweep(plan, plan_modulus(plan), v_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    if "coloring" in sections:
+        modulus = plan_modulus(plan) if plan else detect_modulus(standard_hamiltonian(spec))
+        _check_coloring(coloring, modulus)
 
     return RunConfig(
         command=command,
@@ -334,15 +344,15 @@ def load_config(path: str | Path) -> RunConfig:
         n_max=n_max,
         n_probe=n_probe,
         tol_conv=tol_conv,
-        grid=grid,
-        normalize=normalize,
+        plan=plan,
+        track_grid=track_grid,
         coloring=coloring,
         out_dir=out.get("directory", "."),
         formats=tuple(formats),
         basename=out.get("basename"),
         window=window,
         svg_style=style,
-        v_max=_integer(esq, "v_max", 12, "esqpt"),
+        v_max=v_max,
         casimir_N=casimir_N,
         track_coupling=coupling,
         track_eta0=_integer(trk, "eta0", 0, "track"),
@@ -563,18 +573,6 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     return path
 
 
-def _build_plan(cfg: RunConfig) -> SweepPlan:
-    return SweepPlan(
-        varying=cfg.grid.varying,
-        grid=cfg.grid.values(),
-        fixed=cfg.hamiltonian,
-        n_max=cfg.n_max,
-        n_probe=cfg.n_probe,
-        tol_conv=cfg.tol_conv,
-        normalize=cfg.normalize,
-    )
-
-
 def _require_converged(flags: list[np.ndarray], cfg: RunConfig) -> None:
     """Refuse a result whose emitted levels are all unconverged.
 
@@ -589,85 +587,76 @@ def _require_converged(flags: list[np.ndarray], cfg: RunConfig) -> None:
         )
 
 
-def _dispatch(cfg: RunConfig) -> None:
-    # every configuration error is raised before the output directory is made
-    if cfg.threads < 0:
-        raise ConfigError(f"threads must be >= 0, got {cfg.threads}")
-    if cfg.command == "track":
-        expect = COUPLING_KINDS[cfg.track_coupling]
-        if cfg.grid.varying != expect:
-            raise ConfigError(
-                f"track grid must vary {expect!r} for coupling {cfg.track_coupling!r}"
-            )
-    if cfg.command == "spectrum":
-        _check_coloring(cfg.coloring, detect_modulus(standard_hamiltonian(cfg.hamiltonian)))
-    if cfg.command in ("sweep", "crossings", "esqpt"):
-        plan = _build_plan(cfg)
-    if cfg.command == "sweep":
-        _check_coloring(cfg.coloring, plan_modulus(plan))
-    if cfg.command == "esqpt":
-        try:
-            check_gap_sweep(plan, plan_modulus(plan), cfg.v_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{cfg.basename or cfg.command}.csv"
+def _spectrum(cfg: RunConfig, csv_path: Path) -> None:
+    spectrum = converged_spectrum(cfg.hamiltonian, cfg.n_max, cfg.n_probe, cfg.tol_conv, cfg.window)
+    _require_converged([spectrum.converged], cfg)
+    rows = (
+        (cfg.hamiltonian.eta, int(r), i, e, x, c,
+         _color_class(cfg.coloring, int(r), spectrum.modulus))
+        for i, (e, x, r, c) in enumerate(
+            zip(spectrum.energies, spectrum.excitations, spectrum.residues, spectrum.converged)
+        )
+    )
+    _write_rows(csv_path, _GRID_HEADER, rows)
 
-    if cfg.command == "spectrum":
-        spectrum = converged_spectrum(
-            cfg.hamiltonian, cfg.n_max, cfg.n_probe, cfg.tol_conv, cfg.window
-        )
-        _require_converged([spectrum.converged], cfg)
-        rows = (
-            (cfg.hamiltonian.eta, int(r), i, e, x, c,
-             _color_class(cfg.coloring, int(r), spectrum.modulus))
-            for i, (e, x, r, c) in enumerate(
-                zip(spectrum.energies, spectrum.excitations, spectrum.residues, spectrum.converged)
-            )
-        )
-        _write_rows(csv_path, _GRID_HEADER, rows)
-    elif cfg.command == "casimir":
-        _write_table(csv_path, CasimirLevel, casimir_spectrum(U2Rep(cfg.casimir_N)))
-    elif cfg.command == "track":
-        points = track_crossing_location(
-            cfg.track_pair, cfg.track_coupling, cfg.grid.values(), cfg.track_eta0, n_max=cfg.n_max
-        )
-        _write_table(csv_path, TrackedCrossing, points)
-    elif cfg.command == "sweep":
-        grid = run_sweep(plan, threads=cfg.threads)
-        max_levels = cfg.svg_style.max_levels
-        _require_converged(
-            [grid.converged[r][:, : _level_stop(grid, r, max_levels)] for r in grid.residues],
-            cfg,
-        )
-        if "csv" in cfg.formats:
-            emit_csv(grid, csv_path, cfg.coloring, max_levels)
-        if "svg" in cfg.formats:
-            emit_svg(grid, cfg.svg_style, csv_path.with_suffix(".svg"), cfg.coloring)
-    elif cfg.command == "crossings":
-        grid = run_sweep(plan, threads=cfg.threads)
-        events = detect_crossings(grid, max_levels=cfg.crossings_max_levels)
-        _write_table(csv_path, CrossingEvent, events)
-    else:  # esqpt
-        curves = gap_curves(run_sweep(plan, threads=cfg.threads), cfg.v_max)
-        estimates = []
-        for curve in curves[1:]:  # v >= 1: the v = 0 pair never opens a usable gap head
-            for estimator in (xi_c_max_rate, xi_c_linear_extrapolation, xi_c_difference_bound):
-                est = estimator(curve)
-                if est is not None:
-                    estimates.append(est)
-        _write_table(csv_path, SeparatrixPoint, separatrix_from_estimates(estimates))
+
+def _sweep(cfg: RunConfig, csv_path: Path) -> None:
+    grid = run_sweep(cfg.plan, threads=cfg.threads)
+    max_levels = cfg.svg_style.max_levels
+    _require_converged(
+        [grid.converged[r][:, : _level_stop(grid, r, max_levels)] for r in grid.residues], cfg
+    )
+    if "csv" in cfg.formats:
+        emit_csv(grid, csv_path, cfg.coloring, max_levels)
+    if "svg" in cfg.formats:
+        emit_svg(grid, cfg.svg_style, csv_path.with_suffix(".svg"), cfg.coloring)
+
+
+def _esqpt(cfg: RunConfig, csv_path: Path) -> None:
+    curves = gap_curves(run_sweep(cfg.plan, threads=cfg.threads), cfg.v_max)
+    estimates = []
+    for curve in curves[1:]:  # v >= 1: the v = 0 pair never opens a usable gap head
+        for estimator in (xi_c_max_rate, xi_c_linear_extrapolation, xi_c_difference_bound):
+            est = estimator(curve)
+            if est is not None:
+                estimates.append(est)
+    _write_table(csv_path, SeparatrixPoint, separatrix_from_estimates(estimates))
+
+
+# command -> (the top-level sections it reads besides schema_version, command and
+# output; its runner, which writes the CSV path it is given and any file beside
+# it).  A section is listed only when it can change that command's output; any
+# other section is refused, a grid is required exactly where it is listed, and
+# only a command that reads svg may write it.
+_COMMANDS = {
+    "spectrum": (("hamiltonian", "numeric", "window", "coloring"), _spectrum),
+    "sweep": (("hamiltonian", "numeric", "grid", "normalize", "coloring", "svg"), _sweep),
+    "crossings": (
+        ("hamiltonian", "numeric", "grid", "normalize", "crossings"),
+        lambda cfg, csv_path: _write_table(csv_path, CrossingEvent, detect_crossings(
+            run_sweep(cfg.plan, threads=cfg.threads), cfg.crossings_max_levels)),
+    ),
+    "esqpt": (("hamiltonian", "numeric", "grid", "esqpt"), _esqpt),
+    "casimir": (("casimir",), lambda cfg, csv_path: _write_table(
+        csv_path, CasimirLevel, casimir_spectrum(U2Rep(cfg.casimir_N)))),
+    "track": (("numeric", "grid", "track"), lambda cfg, csv_path: _write_table(
+        csv_path, TrackedCrossing, track_crossing_location(
+            cfg.track_pair, cfg.track_coupling, cfg.track_grid, cfg.track_eta0, n_max=cfg.n_max))),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit status."""
+    """Execute a configuration from :func:`load_config`; returns the process exit status.
+
+    A numeric failure exits 3 and an I/O error 4; any other exception is a
+    defect, not a property of the configuration, and propagates.
+    """
     try:
-        _dispatch(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EigenSolverError, ValueError) as exc:
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[config.command][1](config, out_dir / f"{config.basename or config.command}.csv")
+    except (NumericFailure, EigenSolverError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -690,13 +679,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        out_dir = cfg.out_dir if args.out is None else args.out
+        cfg = replace(cfg, threads=args.threads, out_dir=out_dir)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 4
-    overrides: dict = {"threads": args.threads}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    return run(replace(cfg, **overrides))
+    return run(cfg)
 
 
 if __name__ == "__main__":

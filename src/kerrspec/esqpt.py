@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import DEFAULT_TOL_DEG
+from .fock import NumericFailure
 from .sweep import SpectrumGrid, SweepPlan
 
 __all__ = [
@@ -60,7 +61,7 @@ class GapCurve:
         if not (len(self.xi) == len(self.gap) == len(self.mean_energy)):
             raise ValueError("grid, gap, and energy arrays must share a length")
         if np.min(self.gap) < -DEFAULT_TOL_DEG:
-            raise ValueError(
+            raise NumericFailure(
                 f"gap dips to {np.min(self.gap):.3e}; pairing convention violated"
             )
 
@@ -110,7 +111,7 @@ def gap_curves(grid: SpectrumGrid, v_max: int) -> list[GapCurve]:
     for v in range(v_max + 1):
         bad = ~(grid.converged[0][:, v] & grid.converged[1][:, v])
         if bad.any():
-            raise ValueError(
+            raise NumericFailure(
                 f"pair v={v} is unconverged at {int(bad.sum())} grid points"
             )
         gap = odd[:, v] - even[:, v]
@@ -208,11 +209,11 @@ def separatrix_from_estimates(
     """
     points = [e for e in estimates if e is not None]
     if len(points) < 3:
-        raise ValueError("need at least three estimates to map the separatrix")
+        raise NumericFailure("need at least three estimates to map the separatrix")
     out = []
     for e in points:
         if e.xi_c == 0.0:
-            raise ValueError(f"estimate at xi_c=0 (v={e.v}) has no square-law reference")
+            raise NumericFailure(f"estimate at xi_c=0 (v={e.v}) has no square-law reference")
         out.append(
             SeparatrixPoint(
                 e.v, e.method, e.xi_c, e.E_c, abs(e.E_c - e.xi_c**2) / e.xi_c**2

@@ -25,6 +25,7 @@ __all__ = [
     "HamiltonianSpec",
     "BandedSymMatrix",
     "NonHermitianError",
+    "NumericFailure",
     "matrix_element",
     "assemble",
     "poly_to_dense",
@@ -40,6 +41,10 @@ __all__ = [
 
 class NonHermitianError(ValueError):
     """A Hamiltonian assembly was attempted on a non-Hermitian polynomial."""
+
+
+class NumericFailure(ValueError):
+    """Valid input whose computation failed: an overflow, unconverged levels, a broken identity."""
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,7 @@ class BandedSymMatrix:
             if diag.shape != (want,):
                 raise ValueError(f"diagonal {d} must have length {want}")
             if not np.all(np.isfinite(diag)):
-                raise ValueError(f"non-finite entries on diagonal {d}")
+                raise NumericFailure(f"non-finite entries on diagonal {d}")
             diag = diag.copy()
             diag.flags.writeable = False
             frozen.append(diag)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigensolve import eigen
-from .fock import BandedSymMatrix, HamiltonianSpec, pairing_poly
+from .fock import BandedSymMatrix, HamiltonianSpec, NumericFailure, pairing_poly
 from .sweep import converged_spectrum, sector_blocks
 
 __all__ = [
@@ -162,7 +162,7 @@ def casimir_spectrum(rep: U2Rep, tol: float = 1e-6) -> list[CasimirLevel]:
         for sign in signs:
             got = float(vals[pos])
             if abs(got - expect) > tol * max(1.0, N * N):
-                raise ValueError(
+                raise NumericFailure(
                     f"Casimir eigenvalue {got} does not match sigma^2={expect} at v={v}"
                 )
             out.append(CasimirLevel(v, sign, got))

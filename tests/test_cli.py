@@ -18,6 +18,7 @@ from kerrspec.cli import (
     ConfigError,
     GridConfig,
     SvgStyle,
+    _COMMANDS,
     _PALETTES,
     _color_class,
     _nice_ticks,
@@ -80,9 +81,8 @@ class TestConfigValidation:
     def test_step_must_divide_range(self, tmp_path):
         payload = sweep_config(str(tmp_path))
         payload["grid"]["step"] = 0.3
-        cfg = load_config(write_config(tmp_path, payload))
-        with pytest.raises(ConfigError):
-            cfg.grid.values()
+        with pytest.raises(ConfigError, match="evenly"):
+            load_config(write_config(tmp_path, payload))
 
     def test_command_sections_are_owned(self, tmp_path):
         payload = sweep_config(str(tmp_path))
@@ -196,11 +196,19 @@ class TestMalformedConfigExitTwo:
         "mod3 coloring of a parity spectrum": lambda d: spectrum_config(d, coloring="mod3"),
         "n_max above the basis cap": lambda d: with_numeric(d, n_max=MAX_BASIS + 1),
         "n_probe above the basis cap": lambda d: with_numeric(d, n_max=30, n_probe=MAX_BASIS + 1),
+        "svg.y_min above svg.y_max": lambda d: sweep_config(
+            d, output={"directory": d, "formats": ["csv", "svg"]}, svg={"y_min": 10, "y_max": 0}
+        ),
+        "svg y range wider than a float": lambda d: sweep_config(
+            d, svg={"y_min": -1e308, "y_max": 1e308}
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_two_without_traceback(self, case, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CASES[case](str(tmp_path / "out")))
+        with pytest.raises(ConfigError):  # one pass validates: nothing is refused later
+            load_config(cfg)
         assert main(["--config", str(cfg), "--threads", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -511,7 +519,8 @@ class TestCommands:
             "track": {"coupling": "P3", "eta0": 2, "pair": [1, 0, 2, 0]},
             "output": {"directory": str(tmp_path)},
         }
-        assert run(load_config(write_config(tmp_path, payload))) == 2  # xi vs xi3
+        with pytest.raises(ConfigError, match="track grid must vary 'xi3'"):  # xi vs xi3
+            load_config(write_config(tmp_path, payload))
 
     def test_numeric_failure_exit_code(self, tmp_path):
         payload = {
@@ -524,6 +533,31 @@ class TestCommands:
             "output": {"directory": str(tmp_path)},
         }
         assert run(load_config(write_config(tmp_path, payload))) == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_coupling_is_a_numeric_failure(self, tmp_path, capsys):
+        # a finite eta whose diagonal -eta n overflows once the basis is assembled
+        payload = {**spectrum_config(str(tmp_path)), "hamiltonian": {"eta": 1e308}}
+        assert run(load_config(write_config(tmp_path, payload))) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite entries on diagonal 0\n"
+        )
+
+    def test_other_errors_are_not_numeric_failures(self, tmp_path, monkeypatch, capsys):
+        def broken(cfg, csv_path):
+            raise ValueError("a defect, not a property of the configuration")
+
+        sections, _ = _COMMANDS["casimir"]
+        monkeypatch.setitem(_COMMANDS, "casimir", (sections, broken))
+        cfg = write_config(tmp_path, command_config("casimir", str(tmp_path / "out")))
+        with pytest.raises(ValueError, match="a defect"):
+            main(["--config", str(cfg)])
+        assert "numeric failure" not in capsys.readouterr().err
+
+    def test_y_range_accepted_when_ordered(self, tmp_path):
+        for svg in ({"y_min": 0, "y_max": 60}, {"y_min": 1e3}, {"y_max": -2.0}):
+            style = load_config(write_config(tmp_path, sweep_config(".", svg=svg))).svg_style
+            assert (style.y_min, style.y_max) == (svg.get("y_min"), svg.get("y_max"))
 
     def test_io_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "blocked"
