@@ -26,7 +26,6 @@ from .esqpt import (
     SeparatrixModel,
     SeparatrixPoint,
     gap_curves,
-    phase3_energy,
     separatrix_from_estimates,
     xi_c_difference_bound,
     xi_c_linear_extrapolation,

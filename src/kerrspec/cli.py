@@ -48,7 +48,6 @@ from .fock import (
 )
 from .sectors import detect_modulus
 from .sweep import (
-    NORMALIZE_MODES,
     SpectrumGrid,
     SweepPlan,
     converged_spectrum,
@@ -62,12 +61,11 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "run", "emit_csv", "emit_s
 SCHEMA_VERSION = 1
 
 # coloring -> the residue modulus it colors by; it needs a sector modulus that it divides
-_DIVISORS = {"parity": 2, "mod3": 3, "mod4": 4, "mod2x2": 2}
+_DIVISORS = {"parity": 2, "mod3": 3, "mod4": 4}
 COLORINGS = tuple(_DIVISORS)
 
 _PALETTES = {
     "parity": {"even": "#e66101", "odd": "#1f78b4"},
-    "mod2x2": {"even": "#e66101", "odd": "#1f78b4"},
     "mod3": {"0": "#1b7837", "1": "#5aae61", "2": "#a6dba0"},
     "mod4": {"0": "#08519c", "1": "#cb181d", "2": "#6baed6", "3": "#fb6a4a"},
 }
@@ -126,8 +124,7 @@ class RunConfig:
     n_max: int
     n_probe: int
     tol_conv: float
-    plan: SweepPlan | None  # the sweep that sweep, crossings and esqpt run
-    track_grid: tuple[float, ...] | None  # the values of track's coupling
+    plan: SweepPlan | None  # the grid of every command that reads one
     coloring: str
     out_dir: str
     formats: tuple[str, ...]
@@ -136,7 +133,6 @@ class RunConfig:
     svg_style: SvgStyle
     v_max: int
     casimir_N: int
-    track_coupling: str
     track_eta0: int
     track_pair: LevelPair
     crossings_max_levels: int
@@ -220,7 +216,7 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
     num = raw.get("numeric", {})
-    _check_keys(num, {"n_max", "n_probe", "tol_conv"}, "numeric")
+    _check_keys(num, set(_NUMERIC_READ.get(command, ("n_max", "n_probe", "tol_conv"))), "numeric")
     n_max = _integer(num, "n_max", DEFAULT_N_MAX, "numeric")
     n_probe = _integer(num, "n_probe", n_max + max(50, n_max // 8), "numeric")
     for key, n in (("n_max", n_max), ("n_probe", n_probe)):
@@ -232,25 +228,6 @@ def load_config(path: str | Path) -> RunConfig:
     if tol_conv < 0:
         raise ConfigError("numeric.tol_conv must not be negative")
 
-    if "grid" in sections:
-        if "grid" not in raw:
-            raise ConfigError(f"the {command} command requires a grid section")
-        g = raw["grid"]
-        keys = [f.name for f in fields(GridConfig)]
-        _check_keys(g, set(keys), "grid")
-        for key in keys:
-            if key not in g:
-                raise ConfigError(f"grid.{key} is required")
-        if g["varying"] not in COUPLING_FIELDS:
-            raise ConfigError(f"grid.varying {g['varying']!r} is not a parameter")
-        grid = GridConfig(g["varying"], *(_as_number(g[k], f"grid.{k}") for k in keys[1:]))
-        if grid.step <= 0:
-            raise ConfigError("grid.step must be positive")
-        values = grid.values()
-
-    normalize = raw.get("normalize", "excitation")
-    if normalize not in NORMALIZE_MODES:
-        raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}")
     coloring = raw.get("coloring", "parity")
     if coloring not in COLORINGS:
         raise ConfigError(f"coloring must be one of {COLORINGS}")
@@ -293,15 +270,15 @@ def load_config(path: str | Path) -> RunConfig:
         },
         separatrices=tuple(seps),
     )
-    if style.max_levels == 0:
-        raise ConfigError("svg.max_levels must be at least 1")
+    if min(style.width, style.height) <= 2 * style.margin:
+        raise ConfigError("svg.width and svg.height must each exceed 2 * svg.margin")
     if None not in (style.y_min, style.y_max) and not 0 < style.y_max - style.y_min < math.inf:
         raise ConfigError("svg.y_min must be below svg.y_max, a finite range apart")
 
     esq, cas, trk, cro = (raw.get(s, {}) for s in ("esqpt", "casimir", "track", "crossings"))
     _check_keys(esq, {"v_max"}, "esqpt")
     _check_keys(cas, {"N"}, "casimir")
-    _check_keys(trk, {"coupling", "eta0", "pair"}, "track")
+    _check_keys(trk, {"eta0", "pair"}, "track")
     _check_keys(cro, {"max_levels"}, "crossings")
     casimir_N = _integer(cas, "N", 50, "casimir")
     if not 1 <= casimir_N <= MAX_CASIMIR_N:
@@ -310,30 +287,44 @@ def load_config(path: str | Path) -> RunConfig:
     if not (isinstance(pair, list) and len(pair) == 4):
         raise ConfigError("track.pair must be [residue_a, index_a, residue_b, index_b]")
     pair = LevelPair(*(_as_count(x, "track.pair entry") for x in pair))
-    coupling = trk.get("coupling", "P2")
-    if not isinstance(coupling, str):
-        raise ConfigError("track.coupling must be a string")
     v_max = _integer(esq, "v_max", 12, "esqpt")
+    crossings_max_levels = _integer(cro, "max_levels", 12, "crossings")
+    # at 0 there is nothing to estimate (pairs v >= 1), scan or plot
+    for key, n in (("esqpt.v_max", v_max), ("crossings.max_levels", crossings_max_levels),
+                   ("svg.max_levels", style.max_levels)):
+        if n == 0:
+            raise ConfigError(f"{key} must be at least 1")
 
     # checks that join sections
-    plan = track_grid = None
-    if "track" in sections:
+    plan = None
+    if "grid" in sections:
+        if "grid" not in raw:
+            raise ConfigError(f"the {command} command requires a grid section")
+        g = raw["grid"]
+        keys = [f.name for f in fields(GridConfig)]
+        _check_keys(g, set(keys), "grid")
+        for key in keys:
+            if key not in g:
+                raise ConfigError(f"grid.{key} is required")
+        grid = GridConfig(g["varying"], *(_as_number(g[k], f"grid.{k}") for k in keys[1:]))
+        if grid.step <= 0:
+            raise ConfigError("grid.step must be positive")
         try:
-            check_track_pair(pair, coupling, n_max)
-        except ValueError as exc:
-            raise ConfigError(f"track.{exc}") from exc
-        if grid.varying != COUPLING_KINDS[coupling]:
-            raise ConfigError(
-                f"track grid must vary {COUPLING_KINDS[coupling]!r} for coupling {coupling!r}"
-            )
-        track_grid = values
-    elif "grid" in sections:
-        try:
-            plan = SweepPlan(grid.varying, values, spec, n_max, n_probe, tol_conv, normalize)
+            plan = SweepPlan(grid.varying, grid.values(), spec, n_max, n_probe, tol_conv,
+                             raw.get("normalize", "excitation"))
             if "esqpt" in sections:
                 check_gap_sweep(plan, plan_modulus(plan), v_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    if "track" in sections:
+        if plan.varying not in _TRACKED:
+            raise ConfigError(
+                f"track grid must vary one of {sorted(_TRACKED)}, not {plan.varying!r}"
+            )
+        try:
+            check_track_pair(pair, _TRACKED[plan.varying], n_max)
+        except ValueError as exc:
+            raise ConfigError(f"track.{exc}") from exc
     if "coloring" in sections:
         modulus = plan_modulus(plan) if plan else detect_modulus(standard_hamiltonian(spec))
         _check_coloring(coloring, modulus)
@@ -345,7 +336,6 @@ def load_config(path: str | Path) -> RunConfig:
         n_probe=n_probe,
         tol_conv=tol_conv,
         plan=plan,
-        track_grid=track_grid,
         coloring=coloring,
         out_dir=out.get("directory", "."),
         formats=tuple(formats),
@@ -354,10 +344,9 @@ def load_config(path: str | Path) -> RunConfig:
         svg_style=style,
         v_max=v_max,
         casimir_N=casimir_N,
-        track_coupling=coupling,
         track_eta0=_integer(trk, "eta0", 0, "track"),
         track_pair=pair,
-        crossings_max_levels=_integer(cro, "max_levels", 12, "crossings"),
+        crossings_max_levels=crossings_max_levels,
     )
 
 
@@ -370,7 +359,7 @@ def _check_coloring(coloring: str, modulus: int) -> None:
 def _color_class(coloring: str, residue: int, modulus: int) -> str:
     _check_coloring(coloring, modulus)
     r = residue % _DIVISORS[coloring]
-    if coloring in ("parity", "mod2x2"):
+    if coloring == "parity":
         return "even" if r == 0 else "odd"
     return str(r)
 
@@ -632,7 +621,7 @@ _COMMANDS = {
     "spectrum": (("hamiltonian", "numeric", "window", "coloring"), _spectrum),
     "sweep": (("hamiltonian", "numeric", "grid", "normalize", "coloring", "svg"), _sweep),
     "crossings": (
-        ("hamiltonian", "numeric", "grid", "normalize", "crossings"),
+        ("hamiltonian", "numeric", "grid", "crossings"),
         lambda cfg, csv_path: _write_table(csv_path, CrossingEvent, detect_crossings(
             run_sweep(cfg.plan, threads=cfg.threads), cfg.crossings_max_levels)),
     ),
@@ -641,9 +630,17 @@ _COMMANDS = {
         csv_path, CasimirLevel, casimir_spectrum(U2Rep(cfg.casimir_N)))),
     "track": (("numeric", "grid", "track"), lambda cfg, csv_path: _write_table(
         csv_path, TrackedCrossing, track_crossing_location(
-            cfg.track_pair, cfg.track_coupling, cfg.track_grid, cfg.track_eta0, n_max=cfg.n_max))),
+            cfg.track_pair, _TRACKED[cfg.plan.varying], cfg.plan.grid, cfg.track_eta0,
+            n_max=cfg.plan.n_max))),
 }
 COMMANDS = tuple(_COMMANDS)
+
+# command -> the numeric keys it reads, where that is not all three: track solves
+# its two levels at n_max only, uncertified
+_NUMERIC_READ = {"track": ("n_max",)}
+
+# grid field -> the coupling that track follows along it
+_TRACKED = {field: kind for kind, field in COUPLING_KINDS.items()}
 
 
 def run(config: RunConfig) -> int:

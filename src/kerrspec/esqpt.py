@@ -30,7 +30,6 @@ __all__ = [
     "xi_c_linear_extrapolation",
     "xi_c_difference_bound",
     "separatrix_from_estimates",
-    "phase3_energy",
     "LINEXT_WINDOW",
     "DIFF_BOUND_FRACTION",
 ]
@@ -220,19 +219,6 @@ def separatrix_from_estimates(
             )
         )
     return out
-
-
-def phase3_energy(xi, v: int, n_eff: float | None = None):
-    """Model energy of the v-th merged pair deep in the driven phase.
-
-    The bare form 4 xi v ignores the finite basis; passing the effective size
-    n_eff applies the saturation factor (1 - v / n_eff).
-    """
-    xi = np.asarray(xi, dtype=float)
-    base = 4.0 * xi * v
-    if n_eff is None:
-        return base
-    return base * (1.0 - v / n_eff)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from kerrspec.classify import (
     kerr_exact_levels,
     track_crossing_location,
 )
-from kerrspec import converged_spectrum
+from kerrspec import classify, converged_spectrum
 from kerrspec.fock import HamiltonianSpec
 from kerrspec.sweep import SweepPlan, run_sweep
 
@@ -209,6 +209,17 @@ class TestTrackCrossing:
                 track_crossing_location(pair, "P2", [0.5], 2, n_max=40)
         assert check_track_pair(LevelPair(0, 20, 1, 19), "P2", 40) == 2
         assert check_track_pair(LevelPair(2, 12, 0, 13), "P3", 40) == 3
+
+    def test_pair_of_one_level_refused_before_any_solve(self, monkeypatch):
+        # its gap is identically 0, so every bracket would report a "root"
+        def no_solve(*args):
+            raise AssertionError("solved a level")
+
+        monkeypatch.setattr(classify, "spec_levels", no_solve)
+        for coupling, pair in (("P2", LevelPair(0, 0, 0, 0)), ("P3", LevelPair(2, 5, 2, 5))):
+            with pytest.raises(ValueError, match=r"names the level \(\d+, \d+\) twice"):
+                track_crossing_location(pair, coupling, [0.5, 1.0], 2, n_max=40)
+        assert check_track_pair(LevelPair(0, 0, 0, 1), "P2", 40) == 2
 
     def test_lost_crossing_reported(self):
         # same-parity pair never changes sign: no root to find

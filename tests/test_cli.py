@@ -29,6 +29,7 @@ from kerrspec.cli import (
     main,
     run,
 )
+from kerrspec.classify import LevelPair, TrackedCrossing, track_crossing_location
 from kerrspec.esqpt import SeparatrixModel, SeparatrixPoint
 from kerrspec.fock import HamiltonianSpec
 from kerrspec.sectors import MOD_ALL
@@ -103,12 +104,13 @@ def spectrum_config(out_dir: str, **extra) -> dict:
 
 
 def track_config(out_dir: str, **track) -> dict:
+    """A P2 track config: its grid varies xi, the field P2 scales."""
     return {
         "schema_version": 1,
         "command": "track",
-        "numeric": {"n_max": 60, "n_probe": 90},
+        "numeric": {"n_max": 60},
         "grid": {"varying": "xi", "start": 0.1, "stop": 0.2, "step": 0.1},
-        "track": {"coupling": "P2", "eta0": 2, "pair": [0, 0, 1, 0], **track},
+        "track": {"eta0": 2, "pair": [0, 0, 1, 0], **track},
         "output": {"directory": out_dir},
     }
 
@@ -125,12 +127,15 @@ def esqpt_config(out_dir: str, **extra) -> dict:
     return sweep_config(out_dir, **{**base, **extra})
 
 
-def track_at_n_max_40(out_dir: str, **track) -> dict:
+def track_at_n_max_40(out_dir: str, varying: str = "xi", **track) -> dict:
     cfg = track_config(out_dir, **track)
-    cfg["numeric"] = {"n_max": 40, "n_probe": 60}
-    if track.get("coupling") == "P3":
-        cfg["grid"]["varying"] = "xi3"
+    cfg["numeric"] = {"n_max": 40}
+    cfg["grid"]["varying"] = varying
     return cfg
+
+
+def crossings_config(out_dir: str, **extra) -> dict:
+    return sweep_config(out_dir, command="crossings", **extra)
 
 
 class TestMalformedConfigExitTwo:
@@ -162,11 +167,28 @@ class TestMalformedConfigExitTwo:
         "pair residue outside the sectors": lambda d: track_at_n_max_40(d, pair=[5, 0, 1, 0]),
         "pair level beyond its block": lambda d: track_at_n_max_40(d, pair=[0, 99, 1, 0]),
         "P3 pair level beyond its block": lambda d: track_at_n_max_40(
-            d, coupling="P3", pair=[2, 13, 1, 0]
+            d, varying="xi3", pair=[2, 13, 1, 0]
         ),
         "default pair beyond a one-state basis": lambda d: {
-            **track_config(d), "numeric": {"n_max": 0, "n_probe": 20}, "track": {}
+            **track_config(d), "numeric": {"n_max": 0}, "track": {}
         },
+        "track pair names one level twice": lambda d: track_config(d, pair=[0, 0, 0, 0]),
+        "track.coupling restates grid.varying": lambda d: track_config(d, coupling="P2"),
+        "track grid varies eta": lambda d: {
+            **track_config(d), "grid": {"varying": "eta", "start": 1.0, "stop": 3.0, "step": 1.0}
+        },
+        "n_probe on track": lambda d: {**track_config(d), "numeric": {"n_max": 60, "n_probe": 90}},
+        "tol_conv on track": lambda d: {**track_config(d), "numeric": {"n_max": 60, "tol_conv": 1}},
+        "normalize on crossings": lambda d: crossings_config(d, normalize="excitation"),
+        "crossings max_levels zero": lambda d: crossings_config(d, crossings={"max_levels": 0}),
+        "mod2x2 coloring": lambda d: sweep_config(d, coloring="mod2x2"),
+        "esqpt v_max zero": lambda d: esqpt_config(d, esqpt={"v_max": 0}),
+        "svg narrower than its margins": lambda d: sweep_config(
+            d, output={"directory": d, "formats": ["csv", "svg"]}, svg={"width": 100}
+        ),
+        "svg height of twice its margin": lambda d: sweep_config(
+            d, svg={"height": 200, "margin": 100}
+        ),
         "casimir N zero": lambda d: {
             "schema_version": 1, "command": "casimir", "casimir": {"N": 0},
             "output": {"directory": d},
@@ -227,9 +249,10 @@ class TestMalformedConfigExitTwo:
 
     def test_track_grid_checked_before_the_output_directory_is_made(self, tmp_path, capsys):
         out = tmp_path / "not-yet"
-        payload = track_config(str(out), coupling="P3", pair=[1, 0, 2, 0])  # grid varies xi
+        payload = track_config(str(out))
+        payload["grid"]["varying"] = "eta"  # track varies eta itself, at each coupling value
         assert main(["--config", str(write_config(tmp_path, payload))]) == 2
-        assert "track grid must vary 'xi3'" in capsys.readouterr().err
+        assert "track grid must vary one of ['xi', 'xi2p', 'xi3', 'xi4']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_largest_basis_accepted(self, tmp_path):
@@ -246,7 +269,7 @@ class TestMalformedConfigExitTwo:
     def test_last_level_of_each_track_sector_accepted(self, tmp_path):
         # n_max 40 under P3: sectors 0, 1, 2 hold 14, 13 and 13 states
         cfg = load_config(write_config(tmp_path, track_at_n_max_40(
-            str(tmp_path), coupling="P3", pair=[2, 12, 0, 13])))
+            str(tmp_path), varying="xi3", pair=[2, 12, 0, 13])))
         assert cfg.track_pair == (2, 12, 0, 13)
 
     def test_integral_float_counts_accepted(self, tmp_path):
@@ -289,7 +312,7 @@ class TestMalformedConfigExitTwo:
 READS = {
     "spectrum": {"hamiltonian", "numeric", "window", "coloring"},
     "sweep": {"hamiltonian", "numeric", "grid", "normalize", "coloring", "svg"},
-    "crossings": {"hamiltonian", "numeric", "grid", "normalize", "crossings"},
+    "crossings": {"hamiltonian", "numeric", "grid", "crossings"},
     "esqpt": {"hamiltonian", "numeric", "grid", "esqpt"},
     "casimir": {"casimir"},
     "track": {"numeric", "grid", "track"},
@@ -298,7 +321,7 @@ READS = {
 # a valid value of every top-level section
 SECTION_VALUES = {
     "hamiltonian": {},
-    "numeric": {"n_max": 20, "n_probe": 30},
+    "numeric": {"n_max": 20},
     "grid": {"varying": "xi", "start": 0.5, "stop": 2.0, "step": 0.5},
     "normalize": "absolute",
     "coloring": "parity",
@@ -306,7 +329,7 @@ SECTION_VALUES = {
     "svg": {"max_levels": 3},
     "esqpt": {"v_max": 2},
     "casimir": {"N": 4},
-    "track": {"coupling": "P2", "eta0": 2, "pair": [0, 0, 1, 0]},
+    "track": {"eta0": 2, "pair": [0, 0, 1, 0]},
     "crossings": {"max_levels": 3},
 }
 
@@ -514,13 +537,24 @@ class TestCommands:
         payload = {
             "schema_version": 1,
             "command": "track",
-            "numeric": {"n_max": 60, "n_probe": 90},
-            "grid": {"varying": "xi", "start": 0.1, "stop": 0.2, "step": 0.1},
-            "track": {"coupling": "P3", "eta0": 2, "pair": [1, 0, 2, 0]},
+            "numeric": {"n_max": 60},
+            "grid": {"varying": "eta", "start": 0.1, "stop": 0.2, "step": 0.1},
+            "track": {"eta0": 2, "pair": [1, 0, 2, 0]},
             "output": {"directory": str(tmp_path)},
         }
-        with pytest.raises(ConfigError, match="track grid must vary 'xi3'"):  # xi vs xi3
+        with pytest.raises(ConfigError, match=r"track grid must vary one of .*, not 'eta'"):
             load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "varying, coupling, pair", [("xi", "P2", (0, 0, 1, 0)), ("xi3", "P3", (1, 0, 2, 0)),
+                                    ("xi4", "P4", (1, 0, 2, 0)), ("xi2p", "nP2", (0, 0, 1, 0))],
+    )
+    def test_track_follows_the_coupling_its_grid_varies(self, varying, coupling, pair, tmp_path):
+        payload = track_at_n_max_40(str(tmp_path / "out"), varying=varying, pair=list(pair))
+        assert main(["--config", str(write_config(tmp_path, payload))]) == 0
+        expected = _write_table(tmp_path / "expected.csv", TrackedCrossing, track_crossing_location(
+            LevelPair(*pair), coupling, (0.1, 0.2), 2, n_max=40))
+        assert (tmp_path / "out" / "track.csv").read_bytes() == expected.read_bytes()
 
     def test_numeric_failure_exit_code(self, tmp_path):
         payload = {
@@ -553,6 +587,11 @@ class TestCommands:
         with pytest.raises(ValueError, match="a defect"):
             main(["--config", str(cfg)])
         assert "numeric failure" not in capsys.readouterr().err
+
+    def test_smallest_svg_frame_accepted(self, tmp_path):
+        svg = {"width": 141, "height": 141}
+        style = load_config(write_config(tmp_path, sweep_config(".", svg=svg))).svg_style
+        assert (style.width, style.height, style.margin) == (141, 141, 70)
 
     def test_y_range_accepted_when_ordered(self, tmp_path):
         for svg in ({"y_min": 0, "y_max": 60}, {"y_min": 1e3}, {"y_max": -2.0}):
@@ -758,7 +797,7 @@ ORACLE_CASES = {
     ),
     "max_levels below the block size": (
         dict(varying="xi", grid=np.arange(0.0, 2.01, 0.125), fixed=HamiltonianSpec(eta=1.3)),
-        "mod2x2", 4, SvgStyle(max_levels=4, y_max=20.0, separatrices=BOTH_SEPARATRICES),
+        "parity", 4, SvgStyle(max_levels=4, y_max=20.0, separatrices=BOTH_SEPARATRICES),
     ),
     "max_levels above the block size": (
         dict(varying="eta", grid=np.arange(0.0, 2.01, 0.25), fixed=HamiltonianSpec(xi=2.0)),
@@ -872,8 +911,9 @@ def _fuzz_base(command: str) -> dict:
         del cfg["grid"]
     if command == "track":
         del cfg["hamiltonian"]
+        cfg["numeric"] = {"n_max": 20}
         cfg["grid"] = {"varying": "xi", "start": 0.5, "stop": 2.0, "step": 0.5}
-        cfg["track"] = {"coupling": "P2", "eta0": 2, "pair": [0, 0, 1, 0]}
+        cfg["track"] = {"eta0": 2, "pair": [0, 0, 1, 0]}
     if command == "casimir":
         del cfg["hamiltonian"], cfg["numeric"]
         cfg["casimir"] = {"N": 12}

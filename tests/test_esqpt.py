@@ -6,7 +6,6 @@ from kerrspec.esqpt import (
     GapCurve,
     SeparatrixModel,
     gap_curves,
-    phase3_energy,
     separatrix_from_estimates,
     xi_c_difference_bound,
     xi_c_linear_extrapolation,
@@ -181,20 +180,6 @@ class TestSeparatrix:
         assert SeparatrixModel("combined_prime").evaluate(eta=4.0, xi=1.0) == 4.0
         with pytest.raises(ValueError):
             SeparatrixModel("linear")
-
-    def test_saturating_energy_model_fits_high_v_better(self):
-        # deep in the driven phase the pair energies bend below 4 xi v
-        plan = SweepPlan(
-            varying="xi", grid=(19.9, 20.0), fixed=HamiltonianSpec(eta=0.0),
-            n_max=400, n_probe=500,
-        )
-        grid = run_sweep(plan, threads=2)
-        even, odd = grid.excitation(0)[1], grid.excitation(1)[1]
-        v = np.arange(10, 16)
-        energies = 0.5 * (even[v] + odd[v])
-        bare = phase3_energy(20.0, v)
-        saturating = phase3_energy(20.0, v, n_eff=400 / 2)
-        assert np.linalg.norm(energies - saturating) < np.linalg.norm(energies - bare)
 
 
 class TestPhaseBoundary:
