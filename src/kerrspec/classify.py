@@ -19,9 +19,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigensolve import DEFAULT_N_MAX
-from .fock import COUPLING_KINDS, HamiltonianSpec, standard_hamiltonian
+from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec, standard_hamiltonian
 from .sectors import detect_modulus
-from .sweep import ConvergedSpectrum, SpectrumGrid, SweepPlan, sector_levels_at, spec_levels
+from .sweep import (
+    ConvergedSpectrum,
+    SpectrumGrid,
+    SweepPlan,
+    sector_blocks,
+    sector_levels_at,
+    spec_levels,
+)
 
 # perfbench/spans.py traces the library by wrapping these names in each
 # caller's namespace, this module included; they stay bound here.
@@ -39,6 +46,7 @@ __all__ = [
     "LevelPair",
     "TrackedCrossing",
     "UnconvergedCrossingWarning",
+    "UnrefinedCrossingWarning",
     "kerr_exact_levels",
     "degeneracy_groups",
     "detect_crossings",
@@ -50,12 +58,19 @@ __all__ = [
 # eigensolver backward error at the default basis size.
 DEFAULT_TOL_DEG = 1e-6
 
-# Bracket width, in the swept parameter, at which a crossing root is accepted.
+# Bracket width, in the swept parameter, at which a crossing root is accepted;
+# the relative part of the tolerance is ROOT_RTOL |t|.
 ROOT_XTOL = 1e-12
+ROOT_RTOL = 4 * np.finfo(float).eps
+ROOT_MAXITER = 100
 
 
 class UnconvergedCrossingWarning(UserWarning):
     """A located crossing sits within one grid step of an unconverged level."""
+
+
+class UnrefinedCrossingWarning(UserWarning):
+    """An avoided crossing is reported at its grid node, unrefined."""
 
 
 @dataclass(frozen=True)
@@ -208,25 +223,79 @@ def _pair_gap(plan: SweepPlan, k, ra: int, ia: int, rb: int, ib: int):
     return f
 
 
-def _root_in_bracket(f, lo: float, hi: float, f_lo: float, f_hi: float):
-    """Brent root of f on [lo, hi]; returns (root, |f(root)|).
+def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:
+    """Brent root of f on [lo, hi]; returns (root, f(root)).
 
     The end values are taken as given, not re-solved: a crossing that sits
     on a grid node has an end value that is pure roundoff, and a fresh solve
-    there may carry the other sign.
+    there may carry the other sign.  The iteration is SciPy's ``brentq``,
+    step for step (secant or inverse quadratic interpolation, else
+    bisection), converged once the bracket half-width falls below
+    (ROOT_XTOL + ROOT_RTOL |t|) / 2; the root is always a point where f was
+    evaluated or given.
     """
-    # imported on first use: scipy.optimize adds ~0.3 s to every start-up
-    from scipy.optimize import brentq
+    x_pre, x_cur, f_pre, f_cur = lo, hi, f_lo, f_hi
+    if f_pre == 0:
+        return x_pre, f_pre
+    if f_cur == 0:
+        return x_cur, f_cur
+    if (f_pre < 0) == (f_cur < 0):
+        raise ValueError(f"no sign change of f on [{lo}, {hi}]")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(ROOT_MAXITER):
+        # f_cur == 0 returns below, whatever the bracket
+        if (f_pre < 0) != (f_cur < 0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0 or abs(s_bis) < delta:
+            return x_cur, f_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0 else -delta
+        f_cur = f(x_cur)
+    raise RuntimeError(f"Brent root not converged after {ROOT_MAXITER} iterations")
 
-    known = {lo: f_lo, hi: f_hi}
 
-    def g(t: float) -> float:
-        if t not in known:
-            known[t] = f(t)
-        return known[t]
+def _gap_minimum(plan: SweepPlan, k, r: int, i: int, slopes, lo: float, hi: float):
+    """Minimum of the gap E_{i+1} - E_i of sector r on [lo, hi]: (t, gap at t).
 
-    root = brentq(g, lo, hi, xtol=ROOT_XTOL)
-    return root, abs(g(root))
+    The minimum is the zero of the exact gap slope dE_{i+1}/dt - dE_i/dt,
+    found by :func:`_brent` from the slopes at ``lo`` and ``hi``.  Returns
+    None unless that slope rises through zero there.
+    """
+    wanted = ((r, i + 1), (r, i))
+    gaps = {}
+
+    def slope(t: float) -> float:
+        (e_hi, s_hi), (e_lo, s_lo) = sector_levels_at(plan, t, k, wanted, slopes)
+        gaps[t] = e_hi - e_lo
+        return s_hi - s_lo
+
+    s_lo, s_hi = slope(lo), slope(hi)
+    if s_lo > 0 or s_hi < 0:
+        return None
+    t, _ = _brent(slope, lo, hi, s_lo, s_hi)
+    return t, abs(gaps[t])
 
 
 def _warn_if_unconverged(grid: SpectrumGrid, g: int, r: int, i: int, t: float) -> None:
@@ -251,16 +320,18 @@ def detect_crossings(
     is refined by Brent's root finder, started from the grid's values at the
     two nodes; a crossing that sits on a node, where the grid difference is
     roundoff of either sign, is thus reported once, at that node.  An
-    interior local minimum of an intra-sector adjacent gap is refined by
-    Brent's bounded minimizer over the two grid intervals around it.  Every
-    evaluation solves only the two levels compared, through
-    ``sector_levels_at``.
+    interior local minimum of an intra-sector adjacent gap is refined to the
+    zero of the gap's exact slope over the two grid intervals around it, by
+    the same root finder; the slopes are Hellmann-Feynman values of the two
+    levels' eigenvectors.  Every evaluation solves only the two levels
+    compared, through ``sector_levels_at``.
 
-    True crossings are located to ``ROOT_XTOL`` + 4 eps |t| in the parameter
-    t.  Avoided-crossing minima are located to about 2 sqrt(eps) |t| +
-    ``ROOT_XTOL``: the gap is quadratic there, so energies accurate to eps
-    fix its position no better.  ``min_gap`` is |E_a - E_b| at the returned parameter.  At
-    most ``max_levels`` curves per sector are scanned.
+    Both kinds are located to ``ROOT_XTOL`` + ``ROOT_RTOL`` |t| in the
+    parameter t, up to the roundoff of the compared quantity.  A gap minimum
+    whose slope does not rise through zero on its two intervals is reported
+    at its grid node with the grid's gap, with an
+    :class:`UnrefinedCrossingWarning`.  ``min_gap`` is |E_a - E_b| at the
+    returned parameter.  At most ``max_levels`` curves per sector are scanned.
     """
     params = grid.params
     events: list[CrossingEvent] = []
@@ -287,7 +358,7 @@ def detect_crossings(
             flips = np.argwhere(sign[:-1] * sign[1:] < 0)
             for g, i, jj in flips:
                 f = _pair_gap(grid.plan, grid.modulus, ra, int(i), rb, int(jj))
-                root, gap = _root_in_bracket(
+                root, gap = _brent(
                     f,
                     float(params[g]),
                     float(params[g + 1]),
@@ -295,11 +366,12 @@ def detect_crossings(
                     float(diff[g + 1, i, jj]),
                 )
                 events.append(
-                    CrossingEvent("true_crossing", root, (ra, int(i), rb, int(jj)), gap)
+                    CrossingEvent("true_crossing", root, (ra, int(i), rb, int(jj)), abs(gap))
                 )
                 _warn_if_unconverged(grid, int(g), ra, int(i), root)
                 _warn_if_unconverged(grid, int(g), rb, int(jj), root)
 
+    slopes = None  # sector blocks of dH/d(param), built at the first gap minimum
     for r in residues:
         C = grid.curves[r][:, :max_levels]
         if C.shape[1] < 2:
@@ -310,21 +382,24 @@ def detect_crossings(
             interior = np.arange(1, len(g) - 1)
             mins = interior[(g[interior] < g[interior - 1]) & (g[interior] <= g[interior + 1])]
             for m in mins:
-                # imported on first use: scipy.optimize adds ~0.3 s to every start-up
-                from scipy.optimize import minimize_scalar
-
-                fn = _pair_gap(grid.plan, grid.modulus, r, i + 1, r, i)
-                best = minimize_scalar(
-                    fn,
-                    bounds=(float(params[m - 1]), float(params[m + 1])),
-                    method="bounded",
-                    options={"xatol": ROOT_XTOL},
-                )
-                t = float(best.x)
-                events.append(
-                    CrossingEvent("avoided_crossing", t, (r, i + 1, r, i), abs(best.fun))
-                )
+                if slopes is None:
+                    slopes = sector_blocks(
+                        COUPLING_DERIVATIVES[grid.plan.varying], grid.plan.n_max, grid.modulus
+                    )
+                lo, hi = float(params[m - 1]), float(params[m + 1])
+                found = _gap_minimum(grid.plan, grid.modulus, r, i, slopes, lo, hi)
+                if found is None:
+                    warnings.warn(
+                        f"avoided crossing near param={params[m]:.6g} (sector {r}, levels "
+                        f"{i} and {i + 1}) left at its grid node: the gap slope does not "
+                        "rise through zero on the two grid intervals around it",
+                        UnrefinedCrossingWarning,
+                        stacklevel=2,
+                    )
+                t, gap = found or (float(params[m]), float(g[m]))
+                events.append(CrossingEvent("avoided_crossing", t, (r, i + 1, r, i), gap))
                 _warn_if_unconverged(grid, int(m), r, i, t)
+                _warn_if_unconverged(grid, int(m), r, i + 1, t)
 
     events.sort(key=lambda e: (e.param_value, e.level_pair))
     return events
@@ -381,9 +456,10 @@ def track_crossing_location(
     ``coupling`` is one of P2, P3, P4, nP2; at xi = 0 the pair crosses at
     eta0.  Each step brackets the signed pair difference in eta around the
     previous location, widening the bracket up to ``max_expand`` times, and
-    refines the root with Brent's method to ``ROOT_XTOL`` in eta.  Each evaluation
-    solves only the two levels of the pair at ``n_max``; the bracket ends are
-    not solved twice, and ``gap`` is |E_a - E_b| at the root.  A bracket that
+    refines the root with Brent's method to ``ROOT_XTOL`` + ``ROOT_RTOL``
+    |eta|.  Each evaluation solves only the two levels of the pair at
+    ``n_max``; the bracket ends are not solved twice, and ``gap`` is
+    |E_a - E_b| at the root.  A bracket that
     never changes sign (the pair has merged into the avoided regime) is
     reported as not found.  A pair that :func:`check_track_pair` refuses
     raises ValueError before anything is solved.
@@ -409,12 +485,12 @@ def track_crossing_location(
             lo, hi = center - w, center + w
             f_lo, f_hi = f(lo), f(hi)
             if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
-                root, gap = _root_in_bracket(f, lo, hi, f_lo, f_hi)
+                root, gap = _brent(f, lo, hi, f_lo, f_hi)
                 found = True
                 break
             w *= 2.0
         if found:
-            out.append(TrackedCrossing(xi, float(root), True, gap))
+            out.append(TrackedCrossing(xi, float(root), True, abs(gap)))
             center = float(root)
         else:
             out.append(TrackedCrossing(xi, None, False, min(abs(f_lo), abs(f_hi))))

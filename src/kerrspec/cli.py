@@ -216,11 +216,17 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
     num = raw.get("numeric", {})
-    _check_keys(num, set(_NUMERIC_READ.get(command, ("n_max", "n_probe", "tol_conv"))), "numeric")
+    read = _NUMERIC_READ.get(command, _NUMERIC_KEYS)
+    _check_keys(num, set(_NUMERIC_KEYS), "numeric")
+    unread = sorted(set(num) - set(read))
+    if unread:
+        raise ConfigError(
+            f"the {command} command reads only numeric.{', numeric.'.join(read)}, not {unread}"
+        )
     n_max = _integer(num, "n_max", DEFAULT_N_MAX, "numeric")
     n_probe = _integer(num, "n_probe", n_max + max(50, n_max // 8), "numeric")
     for key, n in (("n_max", n_max), ("n_probe", n_probe)):
-        if n > MAX_BASIS:
+        if key in read and n > MAX_BASIS:
             raise ConfigError(f"numeric.{key}={n} is above the {MAX_BASIS}-state basis cap")
     if n_probe <= n_max:
         raise ConfigError(f"numeric.n_probe={n_probe} must exceed n_max={n_max}")
@@ -635,8 +641,9 @@ _COMMANDS = {
 }
 COMMANDS = tuple(_COMMANDS)
 
-# command -> the numeric keys it reads, where that is not all three: track solves
-# its two levels at n_max only, uncertified
+# The numeric keys, and command -> those it reads where that is not all of them:
+# track solves its two levels at n_max only, uncertified
+_NUMERIC_KEYS = ("n_max", "n_probe", "tol_conv")
 _NUMERIC_READ = {"track": ("n_max",)}
 
 # grid field -> the coupling that track follows along it

@@ -19,6 +19,7 @@ __all__ = [
     "EigenSolverError",
     "eigen",
     "eigenvalue",
+    "eigenpair",
     "certify",
     "sturm_certifiable",
     "DEFAULT_N_MAX",
@@ -86,6 +87,45 @@ def eigenvalue(matrix: BandedSymMatrix, index: int) -> float:
     except scipy.linalg.LinAlgError as exc:
         raise EigenSolverError(f"banded eigensolver failed: {exc}") from exc
     return float(w[0])
+
+
+def eigenpair(matrix: BandedSymMatrix, index: int) -> tuple[float, np.ndarray]:
+    """The ``index``-th smallest eigenvalue (0-based) and a unit eigenvector.
+
+    Diagonal matrices read off the value and the exact unit vector of the
+    ``index``-th entry in stable sorted order.  Tridiagonal ones bisect for
+    the value, as :func:`eigenvalue` does, and inverse-iterate for the
+    vector; wider bands reduce to tridiagonal form first.  The value is the
+    one :func:`eigenvalue` returns.
+    """
+    if not 0 <= index < matrix.dim:
+        raise IndexError(f"level {index} outside a {matrix.dim}-state block")
+    if _is_diagonal(matrix):
+        n = np.argsort(matrix.diagonal, kind="stable")[index]
+        v = np.zeros(matrix.dim)
+        v[n] = 1.0
+        return float(matrix.diagonal[n]), v
+    try:
+        if matrix.bandwidth == 1:
+            w, v = scipy.linalg.eigh_tridiagonal(
+                matrix.diagonal,
+                matrix.diagonals[1],
+                select="i",
+                select_range=(index, index),
+                check_finite=False,
+                tol=2 * np.finfo(float).tiny,
+            )
+        else:
+            w, v = scipy.linalg.eig_banded(
+                matrix.band_lower(),
+                lower=True,
+                select="i",
+                select_range=(index, index),
+                check_finite=False,
+            )
+    except scipy.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"banded eigensolver failed: {exc}") from exc
+    return float(w[0]), v[:, 0]
 
 
 def sturm_certifiable(matrix: BandedSymMatrix) -> bool:

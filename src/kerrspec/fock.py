@@ -36,6 +36,7 @@ __all__ = [
     "pairing_poly",
     "COUPLING_FIELDS",
     "COUPLING_KINDS",
+    "COUPLING_DERIVATIVES",
 ]
 
 
@@ -245,6 +246,17 @@ COUPLING_FIELDS = ("eta", "xi", "xi3", "xi4", "xi2p")
 # Crossing-tracking perturbations P2, P3, P4, nP2 -> the field each one scales.
 COUPLING_KINDS = {"P2": "xi", "P3": "xi3", "P4": "xi4", "nP2": "xi2p"}
 
+# Coupling field -> dH/d(field) of standard_hamiltonian, which is affine in each.
+COUPLING_DERIVATIVES = {
+    "eta": number_poly((0.0, -1.0)),
+    "xi": pairing_poly(2, -1.0),
+    "xi3": pairing_poly(3, -1.0),
+    "xi4": pairing_poly(4, -1.0),
+    "xi2p": OperatorPoly(
+        (OperatorTerm(-1.0, 2, 0, (0.0, 1.0)), OperatorTerm(-1.0, 0, 2, (0.0, 1.0)))
+    ),
+}
+
 
 def standard_hamiltonian(spec: HamiltonianSpec) -> OperatorPoly:
     """Expand a parameter record into its normal-ordered polynomial.
@@ -336,6 +348,13 @@ class BandedSymMatrix:
             out[idx + d, idx] = diag
             out[idx, idx + d] = diag
         return out
+
+    def quadratic_form(self, v: np.ndarray) -> float:
+        """v^T M v, from the stored diagonals."""
+        total = float(self.diagonal @ (v * v))
+        for d in range(1, self.bandwidth + 1):
+            total += 2.0 * float(self.diagonals[d] @ (v[d:] * v[:-d]))
+        return total
 
     def band_lower(self) -> np.ndarray:
         """LAPACK lower-banded storage: ab[d, i] = M[i + d, i], zero padded."""

@@ -25,6 +25,7 @@ from .eigensolve import (
     DEFAULT_TOL_CONV,
     certify,
     eigen,
+    eigenpair,
     eigenvalue,
     sturm_certifiable,
 )
@@ -108,25 +109,44 @@ def sector_blocks(poly: OperatorPoly, n: int, k: int) -> dict[int, BandedSymMatr
 
 
 def spec_levels(
-    spec: HamiltonianSpec, n_max: int, k: int, levels: Sequence[tuple[int, int]]
-) -> tuple[float, ...]:
+    spec: HamiltonianSpec,
+    n_max: int,
+    k: int,
+    levels: Sequence[tuple[int, int]],
+    slopes: dict[int, BandedSymMatrix] | None = None,
+) -> tuple:
     """Absolute energies of the named (residue, index) levels of one Hamiltonian.
 
     Each level is a single-level solve of its sector block, so asking for
-    two levels costs far less than diagonalizing the two blocks.
+    two levels costs far less than diagonalizing the two blocks.  Given
+    ``slopes``, the sector blocks of dH/d(lambda) at ``n_max`` for one
+    coupling lambda, each level comes back as a pair (E, dE/d(lambda)), the
+    slope being the Hellmann-Feynman value v^T (dH/d(lambda)) v of the
+    level's unit eigenvector v.
     """
     blocks = sector_blocks(standard_hamiltonian(spec), n_max, k)
-    return tuple(eigenvalue(blocks[r], i) for r, i in levels)
+    if slopes is None:
+        return tuple(eigenvalue(blocks[r], i) for r, i in levels)
+    out = []
+    for r, i in levels:
+        e, v = eigenpair(blocks[r], i)
+        out.append((e, slopes[r].quadratic_form(v)))
+    return tuple(out)
 
 
 def sector_levels_at(
-    plan: SweepPlan, value: float, k: int, levels: Sequence[tuple[int, int]]
-) -> tuple[float, ...]:
+    plan: SweepPlan,
+    value: float,
+    k: int,
+    levels: Sequence[tuple[int, int]],
+    slopes: dict[int, BandedSymMatrix] | None = None,
+) -> tuple:
     """Absolute energies of the named (residue, index) levels at one grid parameter.
 
-    Crossing refinement evaluates its level pair here many times.
+    With ``slopes`` (see :func:`spec_levels`) each level is an (energy,
+    slope) pair.  Crossing refinement evaluates its level pair here many times.
     """
-    return spec_levels(plan.spec_at(value), plan.n_max, k, levels)
+    return spec_levels(plan.spec_at(value), plan.n_max, k, levels, slopes)
 
 
 @dataclass(frozen=True)

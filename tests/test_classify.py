@@ -1,13 +1,19 @@
+import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from kerrspec.classify import (
+    ROOT_XTOL,
     CrossingEvent,
     LevelPair,
     QuasiSpinLabel,
     TwoBosonState,
+    UnconvergedCrossingWarning,
+    _brent,
     check_track_pair,
     degeneracy_groups,
     detect_crossings,
@@ -169,6 +175,76 @@ class TestCrossingEvents:
                 ra, ia, rb, ib = e.level_pair
                 coarse = np.min(np.abs(grid.curves[ra][:, ia] - grid.curves[rb][:, ib]))
                 assert e.min_gap <= coarse + 1e-12
+
+
+class TestBrentRoot:
+    @staticmethod
+    def bracketed_functions(count):
+        """``count`` (f, lo, hi) with f(lo) and f(hi) nonzero and of opposite sign."""
+        rng = np.random.default_rng(7)
+        shapes = (
+            lambda c, x: np.polyval(c, x),
+            lambda c, x: np.sin(3 * c[0] * x + c[1]) + 0.3 * c[2],
+            lambda c, x: np.tanh(5 * c[0] * (x - c[1])) + 1e-3 * c[2],
+            lambda c, x: abs(c[1]) * (x - c[0]) ** 3 + 1e-14 * c[2],
+            lambda c, x: np.exp(c[0] * x) - np.exp(c[1]),
+        )
+        found = []
+        while len(found) < count:
+            shape, c = shapes[len(found) % len(shapes)], rng.normal(size=6)
+            lo, hi = sorted(rng.uniform(-3, 3, size=2))
+            f = lambda x, shape=shape, c=c: float(shape(c, x))  # noqa: E731
+            f_lo, f_hi = f(lo), f(hi)
+            if f_lo != 0 and f_hi != 0 and (f_lo < 0) != (f_hi < 0):
+                found.append((f, lo, hi))
+        return found
+
+    def test_same_root_and_calls_as_scipy_brentq(self):
+        for f, lo, hi in self.bracketed_functions(1000):
+            calls = []
+
+            def counted(x, f=f):
+                calls.append(x)
+                return f(x)
+
+            want, info = brentq(f, lo, hi, xtol=ROOT_XTOL, full_output=True)
+            root, value = _brent(counted, lo, hi, f(lo), f(hi))
+            assert root == want
+            assert len(calls) + 2 == info.function_calls  # brentq also evaluates both ends
+            assert value == f(root)
+
+    def test_zero_end_is_the_root_and_no_sign_change_refused(self):
+        never = lambda x: pytest.fail("evaluated f")  # noqa: E731
+        assert _brent(never, 1.0, 2.0, 0.0, 3.0) == (1.0, 0.0)
+        assert _brent(never, 1.0, 2.0, -3.0, 0.0) == (2.0, 0.0)
+        with pytest.raises(ValueError, match="no sign change"):
+            _brent(never, 1.0, 2.0, 1.0, 3.0)
+
+
+class TestUnconvergedWarning:
+    def test_avoided_crossing_warns_about_either_level(self):
+        plan = SweepPlan(
+            varying="eta", grid=tuple(0.05 + 0.1 * k for k in range(40)),
+            fixed=HamiltonianSpec(xi=1.0), n_max=40, n_probe=60,
+        )
+        grid = run_sweep(plan)
+        avoided = [e for e in detect_crossings(grid, 6) if e.kind == "avoided_crossing"]
+        assert [f"{e.param_value:.6g}" for e in avoided] == ["0.412703", "2.21093", "2.90306"]
+        for e in avoided:
+            r, upper, _, lower = e.level_pair
+            for level in (upper, lower):
+                flags = {q: f.copy() for q, f in grid.converged.items()}
+                flags[r][:, level] = False
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    detect_crossings(dataclasses.replace(grid, converged=flags), 6)
+                named = [
+                    w for w in caught
+                    if w.category is UnconvergedCrossingWarning
+                    and f"param={e.param_value:.6g} " in str(w.message)
+                    and f"(sector {r}, index {level})" in str(w.message)
+                ]
+                assert len(named) == 1, (e, level)
 
 
 class TestTrackCrossing:

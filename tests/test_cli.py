@@ -217,6 +217,9 @@ class TestMalformedConfigExitTwo:
         "mod3 coloring of a parity sweep": lambda d: sweep_config(d, coloring="mod3"),
         "mod3 coloring of a parity spectrum": lambda d: spectrum_config(d, coloring="mod3"),
         "n_max above the basis cap": lambda d: with_numeric(d, n_max=MAX_BASIS + 1),
+        "track n_max above the basis cap": lambda d: {
+            **track_config(d), "numeric": {"n_max": MAX_BASIS + 1}
+        },
         "n_probe above the basis cap": lambda d: with_numeric(d, n_max=30, n_probe=MAX_BASIS + 1),
         "svg.y_min above svg.y_max": lambda d: sweep_config(
             d, output={"directory": d, "formats": ["csv", "svg"]}, svg={"y_min": 10, "y_max": 0}
@@ -258,6 +261,17 @@ class TestMalformedConfigExitTwo:
     def test_largest_basis_accepted(self, tmp_path):
         payload = with_numeric(str(tmp_path), n_max=MAX_BASIS - 1, n_probe=MAX_BASIS)
         assert load_config(write_config(tmp_path, payload)).n_probe == MAX_BASIS
+
+    def test_track_basis_cap_is_on_n_max_alone(self, tmp_path):
+        # the default n_probe of n_max 90000 is 101250, above the cap, but track never reads it
+        payload = {**track_config(str(tmp_path)), "numeric": {"n_max": 90_000}}
+        assert load_config(write_config(tmp_path, payload)).plan.n_max == 90_000
+
+    def test_track_refusal_of_n_probe_names_what_it_reads(self, tmp_path, capsys):
+        payload = {**track_config(str(tmp_path / "out")), "numeric": {"n_max": 60, "n_probe": 90}}
+        assert main(["--config", str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert "the track command reads only numeric.n_max, not ['n_probe']" in err
 
     def test_largest_casimir_N_accepted(self, tmp_path):
         payload = {

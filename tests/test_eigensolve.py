@@ -7,6 +7,7 @@ from kerrspec.eigensolve import (
     _sturm_counts,
     certify,
     eigen,
+    eigenpair,
     eigenvalue,
     sturm_certifiable,
 )
@@ -168,10 +169,33 @@ class TestSingleLevel:
 
     def test_index_out_of_range(self):
         m = BandedSymMatrix(2, 1, (np.zeros(2), np.array([1.0])))
-        with pytest.raises(IndexError):
-            eigenvalue(m, 2)
-        with pytest.raises(IndexError):
-            eigenvalue(m, -1)
+        for solve in (eigenvalue, eigenpair):
+            with pytest.raises(IndexError):
+                solve(m, 2)
+            with pytest.raises(IndexError):
+                solve(m, -1)
+
+    def test_eigenpair_value_is_eigenvalue_bit_for_bit(self):
+        widths = set()
+        for name, block in self.blocks():
+            widths.add(block.bandwidth)
+            dense = block.to_dense()
+            for i in list(range(min(25, block.dim))) + [block.dim - 1]:
+                e, v = eigenpair(block, i)
+                assert e == eigenvalue(block, i), (name, i)
+                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(dense @ v - e * v) <= 1e-10 * max(1.0, abs(e)), (name, i)
+        assert widths == {0, 1, 2, 4}
+
+    def test_diagonal_eigenpair_is_an_exact_unit_vector(self):
+        # eta = 4: n and 5 - n are degenerate; ties go to the lower n, as in eigen's stable sort
+        m = assemble(standard_hamiltonian(HamiltonianSpec(eta=4)), FockSpace(8))
+        order = [int(np.flatnonzero(eigenpair(m, i)[1])[0]) for i in range(m.dim)]
+        assert order == [2, 3, 1, 4, 0, 5, 6, 7, 8]
+        for i in range(m.dim):
+            e, v = eigenpair(m, i)
+            assert e == eigen(m)[i]
+            np.testing.assert_array_equal(v, np.eye(m.dim)[order[i]])
 
 
 def probe_flags(vals, probe_block, tol):

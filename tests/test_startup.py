@@ -1,7 +1,9 @@
-"""What ``import kerrspec`` loads: scipy.optimize only once a crossing is refined.
+"""What ``import kerrspec`` loads: never scipy.optimize, not even once a crossing is refined.
 
-Each check runs in a fresh interpreter, since any other test module may
-already have imported scipy.optimize into this one.
+Crossing refinement and ``track`` find their roots with the package's own
+Brent iteration, so importing scipy.optimize would only add start-up time
+and memory.  Each check runs in a fresh interpreter, since any other test
+module may already have imported scipy.optimize into this one.
 """
 
 import json
@@ -43,6 +45,11 @@ configs = {
         "numeric": numeric,
         "grid": {"varying": "eta", "start": 0.05, "stop": 3.05, "step": 0.1},
     },
+    "track": {
+        "numeric": {"n_max": 40},
+        "grid": {"varying": "xi", "start": 0.5, "stop": 2.0, "step": 0.5},
+        "track": {"eta0": 2, "pair": [0, 0, 1, 0]},
+    },
 }
 with tempfile.TemporaryDirectory() as tmp:
     for command, extra in configs.items():
@@ -55,7 +62,7 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_optimize_is_imported_only_by_refinement():
+def test_no_command_imports_scipy_optimize():
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE],
         capture_output=True,
@@ -68,4 +75,5 @@ def test_scipy_optimize_is_imported_only_by_refinement():
     assert seen.pop("import") is False
     for command, run in seen.items():
         assert run["exit"] == 0 and run["rows"] > 0, (command, run)
-    assert [c for c, run in seen.items() if run["optimize"]] == ["crossings"]
+    assert sorted(seen) == ["casimir", "crossings", "esqpt", "spectrum", "sweep", "track"]
+    assert [c for c, run in seen.items() if run["optimize"]] == []

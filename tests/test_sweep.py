@@ -1,15 +1,26 @@
+import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import kerrspec.classify
 import kerrspec.sweep
-from kerrspec.classify import detect_crossings, kerr_exact_levels
+from kerrspec.classify import UnrefinedCrossingWarning, detect_crossings, kerr_exact_levels
 from kerrspec import converged_spectrum
-from kerrspec.fock import HamiltonianSpec, standard_hamiltonian
+from kerrspec.eigensolve import eigen
+from kerrspec.fock import COUPLING_DERIVATIVES, HamiltonianSpec, standard_hamiltonian
 from kerrspec.sectors import MOD_ALL, detect_modulus
-from kerrspec.sweep import CHUNK, SweepPlan, plan_modulus, run_sweep
+from kerrspec.sweep import (
+    CHUNK,
+    SweepPlan,
+    plan_modulus,
+    run_sweep,
+    sector_blocks,
+    spec_levels,
+)
 
 
 def small_plan(**overrides):
@@ -155,6 +166,36 @@ class TestRunSweep:
         assert all(grid.converged[r].shape == grid.curves[r].shape for r in grid.residues)
 
 
+# case -> (a Hamiltonian, its sector modulus); the case names the field whose
+# level slopes are checked there
+SLOPE_CASES = {
+    "eta": (HamiltonianSpec(eta=1.3, xi=1.0), 2),  # tridiagonal
+    "eta, diagonal": (HamiltonianSpec(eta=1.3), MOD_ALL),  # one-state sectors
+    "xi": (HamiltonianSpec(eta=1.3, xi=1.0), 2),
+    "xi3": (HamiltonianSpec(eta=0.7, xi3=0.3), 3),
+    "xi4": (HamiltonianSpec(eta=1.3, xi=1.0, xi4=0.2), 2),  # bandwidth 2
+    "xi2p": (HamiltonianSpec(eta=1.3, xi=0.5, xi2p=0.05), 2),
+}
+
+
+class TestLevelSlopes:
+    @pytest.mark.parametrize("case", sorted(SLOPE_CASES))
+    def test_hellmann_feynman_slope_matches_central_difference(self, case):
+        field = case.split(",")[0]
+        spec, k = SLOPE_CASES[case]
+        n_max, h = 60, 1e-5
+        levels = [(r, i) for r in range(k or 4) for i in range(4 if k else 1)]
+        slopes = sector_blocks(COUPLING_DERIVATIVES[field], n_max, k)
+        value = getattr(spec, field)
+        up, down = (
+            spec_levels(replace(spec, **{field: value + d}), n_max, k, levels) for d in (h, -h)
+        )
+        got = spec_levels(spec, n_max, k, levels, slopes)
+        assert [e for e, _ in got] == list(spec_levels(spec, n_max, k, levels))
+        for (_, slope), hi, lo in zip(got, up, down):
+            assert slope == pytest.approx((hi - lo) / (2 * h), rel=1e-6, abs=1e-9)
+
+
 # Events found on the two small_plan grids with max_levels=6 by the earlier
 # refinement (bisection to |dE| < 1e-9 for true crossings, golden section to
 # a 1e-12 bracket for avoided ones): (kind, level pair, parameter).
@@ -204,11 +245,11 @@ class TestCrossingRefinement:
 
     def test_at_most_eight_solves_per_refined_event(self, monkeypatch):
         original = kerrspec.classify.sector_levels_at
-        calls = []
+        calls = Counter()
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counting(plan, value, k, levels, *slopes):
+            calls[plan.grid, tuple(levels)] += 1
+            return original(plan, value, k, levels, *slopes)
 
         monkeypatch.setattr(kerrspec.classify, "sector_levels_at", counting)
         refined = 0
@@ -217,4 +258,53 @@ class TestCrossingRefinement:
             events = detect_crossings(grid, max_levels=6)
             refined += sum(not (e.min_gap == 0.0 and e.param_value in grid.params) for e in events)
         assert refined == 7
-        assert 0 < len(calls) <= 8 * refined
+        # six level pairs, none solved more than eight times on its grid
+        assert len(calls) == 6 and max(calls.values()) <= 8
+        assert sum(calls.values()) <= 32
+
+    @pytest.mark.parametrize("name", sorted(PINNED_EVENTS))
+    def test_avoided_minimum_is_the_vertex_of_the_gap(self, name):
+        # a quartic fitted to full-spectrum gaps around the minimum, no slopes involved
+        plan = pinned_plan(name)
+        grid = run_sweep(plan)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            events = detect_crossings(grid, max_levels=6)
+        assert not [w for w in caught if w.category is UnrefinedCrossingWarning]
+        avoided = [e for e in events if e.kind == "avoided_crossing"]
+        assert avoided
+        h, xs = 3e-4, np.arange(-4, 5)
+        for e in avoided:
+            r, upper, _, lower = e.level_pair
+            gaps = []
+            for x in xs:
+                w = eigen(sector_blocks(standard_hamiltonian(plan.spec_at(e.param_value + h * x)),
+                                        plan.n_max, grid.modulus)[r])
+                gaps.append(w[upper] - w[lower])
+            slope = np.polynomial.Polynomial.fit(h * xs, gaps, 4).convert().deriv()
+            vertex = 0.0  # Newton on the fitted slope, from the returned parameter
+            for _ in range(20):
+                vertex -= slope(vertex) / slope.deriv()(vertex)
+            assert abs(vertex) <= 1e-10
+            assert e.min_gap == pytest.approx(gaps[4], abs=1e-12)
+
+    def test_minimum_without_a_rising_slope_stays_at_its_node(self, monkeypatch):
+        # gap slopes that never change sign: the grid node and gap are reported, with a warning
+        original = kerrspec.classify.sector_levels_at
+
+        def rising(plan, value, k, levels, slopes=None):
+            out = original(plan, value, k, levels, slopes)
+            return out if slopes is None else ((out[0][0], 1.0), (out[1][0], 0.0))
+
+        monkeypatch.setattr(kerrspec.classify, "sector_levels_at", rising)
+        grid = run_sweep(small_plan())
+        with pytest.warns(UnrefinedCrossingWarning, match="left at its grid node") as caught:
+            events = detect_crossings(grid, max_levels=6)
+        avoided = [e for e in events if e.kind == "avoided_crossing"]
+        assert len(avoided) == len(
+            [w for w in caught if w.category is UnrefinedCrossingWarning]
+        ) == 2
+        for e in avoided:
+            r, upper, _, lower = e.level_pair
+            [g] = np.flatnonzero(grid.params == e.param_value)
+            assert e.min_gap == grid.curves[r][g, upper] - grid.curves[r][g, lower]
