@@ -484,7 +484,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: str = "parity") -> Path:
-    """Self-contained SVG: one polyline per level curve plus optional overlays."""
+    """Self-contained SVG: one polyline per level curve plus optional overlays.
+
+    Like :func:`emit_csv`, it writes as it goes: the frame, then each level
+    curve from one column of the grid at a time, then the overlays, so the
+    document is never held in memory.
+    """
     path = Path(path)
     w, h, m = style.width, style.height, style.margin
     x = grid.params
@@ -518,38 +523,7 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     def points(ys) -> str:
         return " ".join([px + f"{py:.2f}" for px, py in zip(x_fields, ys)])
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" stroke="black"/>',
-        f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>',
-    ]
-    for t in _nice_ticks(x_lo, x_hi):
-        px = sx(t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{h - m}" x2="{px:.2f}" y2="{h - m + 6}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{h - m + 22}" font-size="13" text-anchor="middle">{t:.6g}</text>'
-        )
-    for t in _nice_ticks(y_lo, y_hi):
-        py = sy(t)
-        parts.append(
-            f'<line x1="{m - 6}" y1="{py:.2f}" x2="{m}" y2="{py:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{m - 10}" y="{py + 4:.2f}" font-size="13" text-anchor="end">{t:.6g}</text>'
-        )
-
-    clip = f'<clipPath id="frame"><rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}"/></clipPath>'
-    parts.append(clip)
-    for color, block in blocks:
-        for ys in sy(block).T.tolist():
-            parts.append(
-                f'<polyline points="{points(ys)}" fill="none" stroke="{color}" '
-                f'stroke-width="1.2" clip-path="url(#frame)"/>'
-            )
+    overlays = []  # evaluated before the file is opened, so no error leaves half a file
     for kind in style.separatrices:
         model = SeparatrixModel(kind)
         # the models depend on eta and xi only; other swept couplings stay fixed
@@ -558,13 +532,44 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
             params[grid.plan.varying] = x
         ys = model.evaluate(**params)
         # a model that does not depend on the varying parameter is a flat line
-        ys = np.broadcast_to(ys, x.shape)
-        parts.append(
-            f'<polyline points="{points(sy(ys).tolist())}" fill="none" stroke="black" '
-            f'stroke-width="1.4" stroke-dasharray="8 5" clip-path="url(#frame)"/>'
+        overlays.append(points(sy(np.broadcast_to(ys, x.shape)).tolist()))
+
+    with path.open("w") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+            f'viewBox="0 0 {w} {h}">\n'
+            f'<rect width="{w}" height="{h}" fill="white"/>\n'
+            f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" stroke="black"/>\n'
+            f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>\n'
         )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+        for t in _nice_ticks(x_lo, x_hi):
+            px = sx(t)
+            fh.write(
+                f'<line x1="{px:.2f}" y1="{h - m}" x2="{px:.2f}" y2="{h - m + 6}" stroke="black"/>\n'
+                f'<text x="{px:.2f}" y="{h - m + 22}" font-size="13" text-anchor="middle">{t:.6g}</text>\n'
+            )
+        for t in _nice_ticks(y_lo, y_hi):
+            py = sy(t)
+            fh.write(
+                f'<line x1="{m - 6}" y1="{py:.2f}" x2="{m}" y2="{py:.2f}" stroke="black"/>\n'
+                f'<text x="{m - 10}" y="{py + 4:.2f}" font-size="13" text-anchor="end">{t:.6g}</text>\n'
+            )
+        fh.write(
+            f'<clipPath id="frame"><rect x="{m}" y="{m}" width="{w - 2 * m}" '
+            f'height="{h - 2 * m}"/></clipPath>\n'
+        )
+        for color, block in blocks:
+            for col in range(block.shape[1]):
+                fh.write(
+                    f'<polyline points="{points(sy(block[:, col]).tolist())}" fill="none" '
+                    f'stroke="{color}" stroke-width="1.2" clip-path="url(#frame)"/>\n'
+                )
+        for pts in overlays:
+            fh.write(
+                f'<polyline points="{pts}" fill="none" stroke="black" '
+                f'stroke-width="1.4" stroke-dasharray="8 5" clip-path="url(#frame)"/>\n'
+            )
+        fh.write("</svg>\n")
     return path
 
 

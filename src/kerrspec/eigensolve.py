@@ -143,6 +143,38 @@ def _level_flags(vals: np.ndarray, probe_vals: np.ndarray, tol: float) -> np.nda
     return np.abs(vals - probe_vals[: len(vals)]) <= tol * np.maximum(1.0, np.abs(vals))
 
 
+# A (block, shift) Sturm sequence is settled once its pivot d_k >= f_k and
+# every later row j has a_j - x >= (f_{j-1} + f_j) * (1 + SETTLE_MARGIN) +
+# SETTLE_MARGIN * |a_j|, where f_j = max(|e_j|, PIVOT_FLOOR) (see _sturm_counts).
+# The margin covers the rounding of the pivots and of the test itself; the
+# floor keeps e_j^2 / d_j below f_j when e_j^2 underflows.
+SETTLE_MARGIN = 1e-12
+PIVOT_FLOOR = 1e-150
+# Rows between two drops of the settled shift columns.
+SETTLE_EVERY = 16
+
+
+def _settle_bounds(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The settling test of :func:`_sturm_counts` for padded rows of many blocks.
+
+    ``a[k, j]`` is row k's diagonal entry of block j (+inf in the padding)
+    and ``e[k, j]`` its coupling |e_{k-1}| to the row above (0 where there is
+    none).  Returns f_k = max(|e_k|, PIVOT_FLOOR), the floored coupling to
+    the row below, and the bound that a shift must stay below after row k:
+    the minimum over rows j > k of
+    a_j - (f_{j-1} + f_j) * (1 + SETTLE_MARGIN) - SETTLE_MARGIN * |a_j|.
+    """
+    last = np.full((1, a.shape[1]), PIVOT_FLOOR)
+    above = np.maximum(e, PIVOT_FLOOR)
+    below = np.concatenate([above[1:], last])
+    with np.errstate(invalid="ignore"):
+        c = a - ((above + below) * (1.0 + SETTLE_MARGIN) + SETTLE_MARGIN * np.abs(a))
+    c[np.isinf(a)] = np.inf
+    suffix = np.minimum.accumulate(c[::-1], axis=0)[::-1]
+    bound = np.concatenate([suffix[1:], np.full_like(last, np.inf)])
+    return below[:, :, None], bound[:, :, None]
+
+
 def _sturm_counts(
     blocks: list[BandedSymMatrix], shifts: list[np.ndarray]
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -159,17 +191,31 @@ def _sturm_counts(
     shifts are -inf; neither ever gives a negative pivot.  Returns the counts
     and, per block, whether some sequence met 0/0 (a zero pivot at a zero
     off-diagonal), which leaves its counts meaningless.
+
+    A sequence stops early once its count is final.  If d_k >= |e_k| and
+    every later row has a_j - x >= |e_{j-1}| + |e_j|, then e_k^2 / d_k <=
+    |e_k| and d_{k+1} >= |e_{k+1}|, and so on: no later pivot is negative
+    (nor 0/0).  The test carries a relative margin and a floor on |e|, so
+    that it also holds for the rounded pivots (``SETTLE_MARGIN``).  Every
+    ``SETTLE_EVERY`` rows the leading shift columns settled in every block
+    are dropped and the rest copied to contiguous arrays; shifts ascend
+    within a block, so low shifts settle first.  The counts are those of the
+    full recurrence, count for count.
     """
     rows = max(b.dim for b in blocks)
     width = max(len(x) for x in shifts)
-    a = np.full((rows, len(blocks), 1), np.inf)
-    e2 = np.zeros((rows, len(blocks), 1))
+    a = np.full((rows, len(blocks)), np.inf)
+    e = np.zeros((rows, len(blocks)))
     x = np.full((len(blocks), width), -np.inf)
     for j, (block, shift) in enumerate(zip(blocks, shifts)):
         top = rows - block.dim
-        a[top:, j, 0] = block.diagonal
-        e2[top + 1 :, j, 0] = block.diagonals[1] ** 2
+        a[top:, j] = block.diagonal
+        e[top + 1 :, j] = np.abs(block.diagonals[1])
         x[j, : len(shift)] = shift
+    floor, bound = _settle_bounds(a, e)
+    a, e2 = a[:, :, None], (e * e)[:, :, None]
+    out = np.zeros(x.shape, dtype=np.int32)
+    done = 0  # out[:, :done] holds final counts
     d = np.ones_like(x)
     t = np.empty_like(x)
     negative = np.empty(x.shape, dtype=bool)
@@ -181,8 +227,22 @@ def _sturm_counts(
             np.subtract(d, t, out=d)
             np.less(d, 0.0, out=negative)
             np.add(count, negative, out=count)
+            if (k + 1) % SETTLE_EVERY:
+                continue
+            settled = ((d >= floor[k]) & (x < bound[k])).all(axis=0)
+            drop = len(settled) if settled.all() else int(np.argmin(settled))
+            if drop:
+                out[:, done : done + drop] = count[:, :drop]
+                done += drop
+                if done == width:
+                    break
+                x, d, count = (np.ascontiguousarray(v[:, drop:]) for v in (x, d, count))
+                t = np.empty_like(x)
+                negative = np.empty(x.shape, dtype=bool)
+    if done < width:
+        out[:, done:] = count
     failed = np.isnan(d).any(axis=1)
-    return [count[j, : len(shift)] for j, shift in enumerate(shifts)], failed
+    return [out[j, : len(shift)] for j, shift in enumerate(shifts)], failed
 
 
 def certify(

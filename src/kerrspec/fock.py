@@ -356,6 +356,14 @@ class BandedSymMatrix:
             total += 2.0 * float(self.diagonals[d] @ (v[d:] * v[:-d]))
         return total
 
+    def leading(self, dim: int) -> "BandedSymMatrix":
+        """The leading principal ``dim`` x ``dim`` submatrix, at the same bandwidth."""
+        if dim == self.dim:
+            return self
+        return BandedSymMatrix(
+            dim, self.bandwidth, tuple(d[: max(dim - i, 0)] for i, d in enumerate(self.diagonals))
+        )
+
     def band_lower(self) -> np.ndarray:
         """LAPACK lower-banded storage: ab[d, i] = M[i + d, i], zero padded."""
         ab = np.zeros((self.bandwidth + 1, self.dim))

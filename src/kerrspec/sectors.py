@@ -22,6 +22,7 @@ __all__ = [
     "Sector",
     "SectorDecomposition",
     "detect_modulus",
+    "sector_dim",
     "split",
 ]
 
@@ -63,6 +64,11 @@ class SectorDecomposition:
     sectors: tuple[Sector, ...]
 
 
+def sector_dim(dim: int, k: int, residue: int) -> int:
+    """Number of the basis states |0>..|dim - 1> in the sector n = residue (mod k)."""
+    return len(range(residue, dim, k or dim))
+
+
 def split(matrix: BandedSymMatrix, k: int) -> SectorDecomposition:
     """Split a banded symmetric matrix into its mod-k sector blocks.
 
@@ -79,7 +85,7 @@ def split(matrix: BandedSymMatrix, k: int) -> SectorDecomposition:
     local_b = matrix.bandwidth // stride
     sectors = []
     for r in range(min(stride, matrix.dim)):
-        dim_r = len(range(r, matrix.dim, stride))
+        dim_r = sector_dim(matrix.dim, k, r)
         local_diags = []
         for dd in range(local_b + 1):
             want = max(dim_r - dd, 0)

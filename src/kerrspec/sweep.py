@@ -1,11 +1,12 @@
 """Certified sector-resolved spectra, at one parameter point or over a 1-D grid.
 
 This is the one place a Hamiltonian becomes sector levels: expand the
-parameter record, assemble, split into symmetry sectors, diagonalize, and
-certify truncation convergence against the probe basis.  A sweep runs that
-on chunks of consecutive grid points, one batched Sturm count per chunk;
-chunks may be evaluated concurrently, and results are merged by grid index,
-so the output is identical for any evaluation order.
+parameter record, assemble at the probe basis, split into symmetry sectors,
+diagonalize the leading n_max blocks, and certify truncation convergence
+against the probe blocks.  A sweep runs that on chunks of consecutive grid
+points, one batched Sturm count per chunk; chunks may be evaluated
+concurrently, and results are merged by grid index, so the output is
+identical for any evaluation order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import os
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .fock import (
     assemble,
     standard_hamiltonian,
 )
-from .sectors import detect_modulus, split
+from .sectors import detect_modulus, sector_dim, split
 
 __all__ = [
     "NORMALIZE_MODES",
@@ -200,22 +200,26 @@ def _certified_levels(
 ):
     """Absolute sector levels of each polynomial plus probe-certified flags.
 
-    Each polynomial's main blocks are solved right after their split, and
-    probe blocks that :func:`certify` cannot count on right after theirs, so
-    every solve follows the split it belongs to (``perfbench/spans.py``
-    attributes solves to bases by split order); one :func:`certify` call then
-    flags the levels of all of them.
+    Each polynomial is assembled and split once, at the probe basis.  Its
+    n_max blocks are the leading principal sub-blocks of the probe blocks
+    (assembly is exact and normal-ordered, so they are bit-equal to blocks
+    assembled at n_max), and residues with no state up to n_max are skipped.
+    Probe blocks that :func:`certify` cannot count on are solved after the
+    main blocks; one :func:`certify` call then flags the levels of every
+    polynomial.
     """
     points, main, probe = [], [], []
     for poly in polys:
-        levels = {r: eigen(b) for r, b in sector_blocks(poly, n_max, k).items()}
-        blocks = {
-            r: b if sturm_certifiable(b) else eigen(b)
-            for r, b in sector_blocks(poly, n_probe, k).items()
-        }
+        blocks = sector_blocks(poly, n_probe, k)
+        levels = {}
+        for r, b in blocks.items():
+            dim = sector_dim(n_max + 1, k, r)
+            if dim:
+                levels[r] = eigen(b.leading(dim))
         points.append(levels)
         main.extend(levels.values())
-        probe.extend(blocks[r] for r in levels)
+        kept = [blocks[r] for r in levels]
+        probe.extend(b if sturm_certifiable(b) else eigen(b) for b in kept)
     flags = iter(certify(main, probe, tol))
     return [(levels, {r: next(flags) for r in levels}) for levels in points]
 
@@ -227,8 +231,9 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     max(1, |E|), as in :func:`converged_spectrum`; the flags come from
     :func:`certify`, one batched Sturm count per ``CHUNK`` grid points.
     ``threads`` workers evaluate chunks concurrently: 0 means one per core,
-    and larger counts are clamped to ``os.cpu_count()``.  The merge is by
-    grid index, so the result does not depend on scheduling.
+    and larger counts are clamped to ``os.cpu_count()``.  Chunks are copied
+    into the per-sector grid arrays in grid order, so the result does not
+    depend on scheduling.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
@@ -242,20 +247,29 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     starts = range(0, len(values), CHUNK)
     cores = os.cpu_count() or 1
     workers = min(threads, cores) if threads else cores
+    curves: dict[int, np.ndarray] = {}
+    flags: dict[int, np.ndarray] = {}
+
+    def fill(chunks) -> None:
+        for start, chunk in zip(starts, chunks):
+            for g, (levels, ok) in enumerate(chunk, start):
+                for r, v in levels.items():
+                    if r not in curves:
+                        curves[r] = np.empty((len(values), len(v)))
+                        flags[r] = np.empty((len(values), len(v)), dtype=bool)
+                    curves[r][g] = v
+                    flags[r][g] = ok[r]
+
     if workers == 1:
-        chunks = [work(i) for i in starts]
+        fill(map(work, starts))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(work, starts))
-    points = list(chain.from_iterable(chunks))
-    residues = tuple(points[0][0])
-    curves = {r: np.array([levels[r] for levels, _ in points]) for r in residues}
-    flags = {r: np.array([ok[r] for _, ok in points]) for r in residues}
+            fill(pool.map(work, starts))
 
-    ground = np.min([curves[r][:, 0] for r in residues], axis=0)
+    ground = np.min([c[:, 0] for c in curves.values()], axis=0)
     if plan.normalize == "excitation":
-        for r in residues:
-            curves[r] = curves[r] - ground[:, None]
+        for c in curves.values():
+            c -= ground[:, None]
     return SpectrumGrid(plan, k, values, curves, flags, ground)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from kerrspec.classify import LevelPair, TrackedCrossing, track_crossing_locatio
 from kerrspec.esqpt import SeparatrixModel, SeparatrixPoint
 from kerrspec.fock import HamiltonianSpec
 from kerrspec.sectors import MOD_ALL
-from kerrspec.sweep import SweepPlan, run_sweep
+from kerrspec.sweep import SpectrumGrid, SweepPlan, run_sweep
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -841,6 +842,24 @@ class TestWriterOracle:
         assert csv.read_bytes() == _oracle_csv(grid, coloring, max_levels)
         svg = emit_svg(grid, style, tmp_path / "grid.svg", coloring)
         assert svg.read_bytes() == _oracle_svg(grid, style, coloring)
+
+    def test_svg_is_streamed(self, tmp_path):
+        # the README sweep's shape with every level: 241 points, 401 + 400 levels
+        params = np.arange(241) * 0.05
+        plan = SweepPlan(varying="eta", grid=tuple(params), fixed=HamiltonianSpec(xi=1.0))
+        ramp = np.arange(801) * 0.075 + params[:, None] * 0.2
+        curves = {0: ramp[:, 0::2].copy(), 1: ramp[:, 1::2].copy()}
+        flags = {r: np.ones(c.shape, dtype=bool) for r, c in curves.items()}
+        grid = SpectrumGrid(plan, 2, params, curves, flags, np.zeros(len(params)))
+        style = SvgStyle(y_min=0.0, y_max=60.0, separatrices=BOTH_SEPARATRICES)
+        tracemalloc.start()
+        try:
+            svg = emit_svg(grid, style, tmp_path / "full.svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        assert svg.read_bytes() == _oracle_svg(grid, style, "parity")
 
     def test_flat_separatrix_overlay(self, tmp_path):
         # "kerr" does not depend on xi: the overlay is a horizontal line

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kerrspec import converged_spectrum
 from kerrspec.eigensolve import (
@@ -19,6 +21,7 @@ from kerrspec.fock import (
     standard_hamiltonian,
 )
 from kerrspec.sectors import MOD_ALL, detect_modulus, split
+from kerrspec.sweep import sector_blocks
 
 
 def count_below(dense: np.ndarray, x: float) -> int:
@@ -269,6 +272,8 @@ class TestCertify:
         np.testing.assert_array_equal(flags[0], probe_flags(vals, probe, 0.25))
         for v, b, f in zip(p2_vals, p2_probe, flags[1:]):
             np.testing.assert_array_equal(f, probe_flags(v, b, 0.25))
+        shifts = [v - 0.25 * np.maximum(1.0, np.abs(v)) for v in [vals, *p2_vals]]
+        assert_counts_equal_plain([probe, *p2_probe], shifts)
 
     def test_converged_spectrum_uses_the_same_flags(self):
         spec = HamiltonianSpec(eta=1.0, xi=2.0)
@@ -277,3 +282,116 @@ class TestCertify:
         _, vals, probe = self.sectors(spec, 24, 40)
         for r, (v, b) in enumerate(zip(vals, probe)):
             np.testing.assert_array_equal(cs.converged[cs.residues == r], probe_flags(v, b, 1e-8))
+
+
+def plain_sturm_counts(blocks, shifts):
+    """The Sturm recurrence of ``_sturm_counts`` run over every row, never stopped early."""
+    rows = max(b.dim for b in blocks)
+    width = max(len(x) for x in shifts)
+    a = np.full((rows, len(blocks), 1), np.inf)
+    e2 = np.zeros((rows, len(blocks), 1))
+    x = np.full((len(blocks), width), -np.inf)
+    for j, (block, shift) in enumerate(zip(blocks, shifts)):
+        top = rows - block.dim
+        a[top:, j, 0] = block.diagonal
+        e2[top + 1 :, j, 0] = block.diagonals[1] ** 2
+        x[j, : len(shift)] = shift
+    d = np.ones_like(x)
+    count = np.zeros(x.shape, dtype=np.int32)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(rows):
+            d = (a[k] - x) - e2[k] / d
+            count += d < 0.0
+    return [count[j, : len(shift)] for j, shift in enumerate(shifts)], np.isnan(d).any(axis=1)
+
+
+def assert_counts_equal_plain(blocks, shifts):
+    counts, failed = _sturm_counts(blocks, shifts)
+    plain, plain_failed = plain_sturm_counts(blocks, shifts)
+    np.testing.assert_array_equal(failed, plain_failed)
+    for c, p in zip(counts, plain, strict=True):
+        np.testing.assert_array_equal(c, p)
+
+
+def _near(values: np.ndarray) -> np.ndarray:
+    """The values and their floating-point neighbours on both sides."""
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+@st.composite
+def tridiagonal_batches(draw):
+    """Blocks of mixed sizes, some with zero couplings, and shifts on and next to eigenvalues."""
+    blocks, shifts = [], []
+    integral = draw(st.booleans())  # small integers make exact zero pivots (and 0/0) likely
+    entries = st.integers(-3, 3).map(float) if integral else st.floats(-50, 50)
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 70))
+        a = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+        a += np.arange(n) ** 2 * draw(st.sampled_from([0.0, 0.05, 1.0]))
+        e = np.array(draw(st.lists(st.one_of(st.just(0.0), entries), min_size=n - 1, max_size=n - 1)))
+        block = BandedSymMatrix(n, 1, (a, e))
+        x = _near(eigen(block))
+        x = np.concatenate([x, draw(st.lists(st.floats(-100, 5000), max_size=5))])
+        blocks.append(block)
+        shifts.append(np.sort(x) if draw(st.booleans()) else x)
+    return blocks, shifts
+
+
+def parity_blocks(spec, n_max=800, n_probe=900):
+    """Both parity blocks at the probe basis, with the shifts :func:`certify` gives them."""
+    poly = standard_hamiltonian(spec)
+    main = sector_blocks(poly, n_max, 2)
+    probe = sector_blocks(poly, n_probe, 2)
+    shifts = []
+    for r in probe:
+        vals = eigen(main[r])
+        shifts.append(vals - 1e-8 * np.maximum(1.0, np.abs(vals)))
+    return list(probe.values()), shifts
+
+
+class TestSturmCountsStopEarly:
+    """Stopping settled sequences leaves every count of the full recurrence unchanged."""
+
+    @settings(
+        max_examples=80, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(batch=tridiagonal_batches())
+    def test_random_tridiagonals(self, batch):
+        assert_counts_equal_plain(*batch)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [HamiltonianSpec(eta=0.0, xi=xi) for xi in (0.5, 5.0, 20.0, 42.0)]
+        + [HamiltonianSpec(eta=eta, xi=1.0) for eta in (0.0, 2.0, 4.05, 8.0)],
+        ids=lambda spec: f"eta={spec.eta},xi={spec.xi}",
+    )
+    def test_parity_blocks_at_800_900(self, spec):
+        blocks, shifts = parity_blocks(spec)
+        assert_counts_equal_plain(blocks, shifts)
+        # on the probe's own eigenvalues and their neighbours
+        assert_counts_equal_plain(blocks, [_near(eigen(b)) for b in blocks])
+
+    def test_rounding_cannot_settle_a_sequence_early(self):
+        # c^2 / c rounds above c; rows 16 and 17 meet a_j - x >= |e_{j-1}| + |e_j|
+        # with equality, so without the margin the sequence would be dropped
+        # after row 15 (d_15 = |e_15| = c) although d_17 rounds below zero
+        c = float.fromhex("0x1.6fd5555555554p+0")
+        assert (c * c) / c > c
+        block = BandedSymMatrix(
+            18, 1, (np.array([10.0] * 15 + [c, c + 2.0, 2.0]), np.array([0.0] * 15 + [c, 2.0]))
+        )
+        shift = np.array([-1e-300])
+        assert [n.tolist() for n in _sturm_counts([block], [shift])[0]] == [[1]]
+        assert_counts_equal_plain([block], [shift])
+
+    def test_underflowing_coupling_cannot_settle_a_sequence_early(self):
+        # e^2 underflows to the smallest subnormal, so e^2 / d_15 is about 1.24 e
+        # and the last pivot is negative, although a_j - x >= |e_{j-1}| + |e_j|
+        # holds from row 16 on with room to spare for the relative margin
+        e = 2e-162
+        assert (e * e) / e > 1.2 * e
+        block = BandedSymMatrix(17, 1, (np.array([10.0] * 15 + [e, e]), np.array([0.0] * 15 + [e])))
+        shift = np.array([-1e-170])
+        assert [n.tolist() for n in _sturm_counts([block], [shift])[0]] == [[1]]
+        assert_counts_equal_plain([block], [shift])

@@ -11,10 +11,17 @@ import kerrspec.sweep
 from kerrspec.classify import UnrefinedCrossingWarning, detect_crossings, kerr_exact_levels
 from kerrspec import converged_spectrum
 from kerrspec.eigensolve import eigen
-from kerrspec.fock import COUPLING_DERIVATIVES, HamiltonianSpec, standard_hamiltonian
-from kerrspec.sectors import MOD_ALL, detect_modulus
+from kerrspec.fock import (
+    COUPLING_DERIVATIVES,
+    COUPLING_FIELDS,
+    HamiltonianSpec,
+    HigherOrderCorrections,
+    standard_hamiltonian,
+)
+from kerrspec.sectors import MOD_ALL, detect_modulus, sector_dim
 from kerrspec.sweep import (
     CHUNK,
+    _certified_levels,
     SweepPlan,
     plan_modulus,
     run_sweep,
@@ -164,6 +171,69 @@ class TestRunSweep:
     def test_convergence_flags_present(self):
         grid = run_sweep(small_plan(n_max=30, n_probe=45))
         assert all(grid.converged[r].shape == grid.curves[r].shape for r in grid.residues)
+
+
+# case -> (a Hamiltonian, its sector modulus); together they drive every
+# coupling field and every higher-order correction
+ALL_HIGHER = HigherOrderCorrections(
+    detuning3=0.1, kerr3=0.02, squeeze3=0.3, number_squeeze3=0.01,
+    detuning4=-0.05, kerr4=0.01, cubic4=1e-3, quad_squeeze4=0.02,
+)
+LEADING_CASES = {
+    "eta": (HamiltonianSpec(eta=1.3), MOD_ALL),
+    "xi": (HamiltonianSpec(eta=1.3, xi=2.0), 2),
+    "xi3": (HamiltonianSpec(eta=0.7, xi3=0.3), 3),
+    "xi4": (HamiltonianSpec(eta=0.5, xi4=0.1), 4),
+    "xi2p": (HamiltonianSpec(eta=1.3, xi2p=0.05), 2),
+    "xi + xi3": (HamiltonianSpec(eta=1.0, xi=1.0, xi3=0.2), 1),
+    "xi + xi4": (HamiltonianSpec(eta=2.0, xi=1.0, xi4=0.05), 2),
+    "higher_order": (HamiltonianSpec(eta=2.0, xi=1.0, higher=ALL_HIGHER), 2),
+    "higher_order, diagonal": (
+        HamiltonianSpec(eta=2.0, higher=HigherOrderCorrections(kerr3=0.02, cubic4=1e-3)),
+        MOD_ALL,
+    ),
+}
+
+
+class TestOneBasisPerPoint:
+    """A point's n_max blocks are the leading sub-blocks of its probe blocks."""
+
+    def test_cases_cover_every_field_and_modulus(self):
+        driven = {f for spec, _ in LEADING_CASES.values() for f in COUPLING_FIELDS if getattr(spec, f)}
+        assert driven == set(COUPLING_FIELDS)
+        assert {k for _, k in LEADING_CASES.values()} == {MOD_ALL, 1, 2, 3, 4}
+        for spec, k in LEADING_CASES.values():
+            assert detect_modulus(standard_hamiltonian(spec)) == k
+
+    @pytest.mark.parametrize("case", sorted(LEADING_CASES))
+    @pytest.mark.parametrize("n_max, n_probe", [(40, 60), (1, 5), (2, 9)])
+    def test_leading_blocks_are_bit_equal(self, case, n_max, n_probe):
+        spec, k = LEADING_CASES[case]
+        poly = standard_hamiltonian(spec)
+        main = sector_blocks(poly, n_max, k)
+        probe = sector_blocks(poly, n_probe, k)
+        kept = {r: sector_dim(n_max + 1, k, r) for r in probe if sector_dim(n_max + 1, k, r)}
+        assert list(kept) == list(main)
+        for r, dim in kept.items():
+            lead, want = probe[r].leading(dim), main[r]
+            assert (lead.dim, lead.bandwidth) == (want.dim, want.bandwidth)
+            for got, ref in zip(lead.diagonals, want.diagonals, strict=True):
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, k, n_max, residues",
+        [
+            (HamiltonianSpec(eta=1.0), MOD_ALL, 6, range(7)),  # probe has 12 one-state sectors
+            (HamiltonianSpec(xi3=0.2), 3, 1, (0, 1)),  # residue 2 starts at n = 2
+            (HamiltonianSpec(xi4=0.1), 4, 2, (0, 1, 2)),
+        ],
+    )
+    def test_residues_empty_at_n_max_are_skipped(self, spec, k, n_max, residues):
+        poly = standard_hamiltonian(spec)
+        [(levels, flags)] = _certified_levels([poly], n_max, 11, k, 1e-8)
+        assert list(levels) == list(flags) == list(residues)
+        for r, block in sector_blocks(poly, n_max, k).items():
+            assert levels[r].tobytes() == eigen(block).tobytes()
 
 
 # case -> (a Hamiltonian, its sector modulus); the case names the field whose
