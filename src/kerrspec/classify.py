@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigensolve import DEFAULT_N_MAX
 from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec, standard_hamiltonian
-from .sectors import detect_modulus
+from .sectors import detect_modulus, sector_dim
 from .sweep import (
     ConvergedSpectrum,
     SpectrumGrid,
@@ -435,7 +435,7 @@ def check_track_pair(pair: LevelPair, coupling: str, n_max: int) -> int:
         raise ValueError(f"pair names the level {tuple(pair[:2])} twice")
     k = detect_modulus(standard_hamiltonian(HamiltonianSpec(**{COUPLING_KINDS[coupling]: 1.0})))
     for r, i in (pair[:2], pair[2:]):
-        if not (0 <= r < k and 0 <= i < len(range(r, n_max + 1, k))):
+        if not (0 <= r < k and 0 <= i < sector_dim(n_max + 1, k, r)):
             raise ValueError(
                 f"pair level ({r}, {i}) is not among the {coupling} sector levels at n_max={n_max}"
             )

@@ -27,7 +27,7 @@ from .classify import (
     detect_crossings,
     track_crossing_location,
 )
-from .eigensolve import DEFAULT_N_MAX, DEFAULT_TOL_CONV, EigenSolverError
+from .eigensolve import DEFAULT_N_MAX, DEFAULT_TOL_CONV, EigenSolverError, check_basis
 from .esqpt import (
     SeparatrixModel,
     SeparatrixPoint,
@@ -224,15 +224,15 @@ def load_config(path: str | Path) -> RunConfig:
             f"the {command} command reads only numeric.{', numeric.'.join(read)}, not {unread}"
         )
     n_max = _integer(num, "n_max", DEFAULT_N_MAX, "numeric")
-    n_probe = _integer(num, "n_probe", n_max + max(50, n_max // 8), "numeric")
+    n_probe = _as_count(num["n_probe"], "numeric.n_probe") if "n_probe" in num else None
+    tol_conv = float(_as_number(num.get("tol_conv", DEFAULT_TOL_CONV), "numeric.tol_conv"))
+    try:
+        n_probe = check_basis(n_max, n_probe, tol_conv)
+    except ValueError as exc:
+        raise ConfigError(f"numeric.{exc}") from exc
     for key, n in (("n_max", n_max), ("n_probe", n_probe)):
         if key in read and n > MAX_BASIS:
             raise ConfigError(f"numeric.{key}={n} is above the {MAX_BASIS}-state basis cap")
-    if n_probe <= n_max:
-        raise ConfigError(f"numeric.n_probe={n_probe} must exceed n_max={n_max}")
-    tol_conv = float(_as_number(num.get("tol_conv", DEFAULT_TOL_CONV), "numeric.tol_conv"))
-    if tol_conv < 0:
-        raise ConfigError("numeric.tol_conv must not be negative")
 
     coloring = raw.get("coloring", "parity")
     if coloring not in COLORINGS:

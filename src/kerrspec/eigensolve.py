@@ -1,14 +1,19 @@
 """Spectra of banded symmetric blocks and their truncation certificate.
 
-Dense/banded LAPACK drivers do the factorization work; diagonal matrices are
-read off exactly.  :func:`certify` decides, level by level, whether a block's
-eigenvalues at n_max agree with those of the same sector at a larger probe
-basis to tol * max(1, |E|); for tridiagonal probe blocks it decides by Sturm
-counts, without diagonalizing them.  Turning a Hamiltonian into certified
-sector levels is :mod:`kerrspec.sweep`'s job.
+Every solver branches on the block's ``bandwidth`` alone: diagonal blocks
+(0) are read off exactly, and the others go to banded LAPACK drivers.
+:func:`certify` decides, level by level, whether a block's eigenvalues at
+n_max agree with those of the same sector at a larger probe basis to
+tol * max(1, |E|); for tridiagonal probe blocks (1) it decides by Sturm
+counts, without diagonalizing them.  :func:`check_basis` is the one rule for
+the basis settings n_max, n_probe and tol_conv.  Turning a Hamiltonian into
+certified sector levels is :mod:`kerrspec.sweep`'s job.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 import scipy.linalg
@@ -21,14 +26,12 @@ __all__ = [
     "eigenvalue",
     "eigenpair",
     "certify",
-    "sturm_certifiable",
+    "check_basis",
     "DEFAULT_N_MAX",
-    "DEFAULT_N_PROBE",
     "DEFAULT_TOL_CONV",
 ]
 
 DEFAULT_N_MAX = 800
-DEFAULT_N_PROBE = 900
 DEFAULT_TOL_CONV = 1e-8
 
 
@@ -36,10 +39,24 @@ class EigenSolverError(RuntimeError):
     """The eigensolver failed to converge; never silently truncated."""
 
 
-def _is_diagonal(matrix: BandedSymMatrix) -> bool:
-    return matrix.bandwidth == 0 or all(
-        len(d) == 0 or not np.any(d) for d in matrix.diagonals[1:]
-    )
+def check_basis(
+    n_max: int, n_probe: int | None = None, tol_conv: float = DEFAULT_TOL_CONV
+) -> int:
+    """Validate the basis settings of a certified spectrum; returns n_probe.
+
+    Raises ValueError, naming the setting, unless n_max is a non-negative
+    integer, n_probe exceeds it and tol_conv is finite and not negative.  An
+    omitted n_probe is n_max + max(50, n_max // 8): 900 at n_max 800.
+    """
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    if n_probe is None:
+        n_probe = n_max + max(50, n_max // 8)
+    elif not n_probe > n_max:
+        raise ValueError(f"n_probe={n_probe} must exceed n_max={n_max}")
+    if not (math.isfinite(tol_conv) and tol_conv >= 0):
+        raise ValueError(f"tol_conv must be finite and not negative, got {tol_conv!r}")
+    return n_probe
 
 
 def eigen(matrix: BandedSymMatrix) -> np.ndarray:
@@ -49,7 +66,7 @@ def eigen(matrix: BandedSymMatrix) -> np.ndarray:
     Otherwise the banded LAPACK driver is used; a LAPACK convergence failure
     raises EigenSolverError.
     """
-    if _is_diagonal(matrix):
+    if matrix.bandwidth == 0:
         w = np.sort(matrix.diagonal, kind="stable")
     else:
         try:
@@ -73,7 +90,7 @@ def eigenvalue(matrix: BandedSymMatrix, index: int) -> float:
     """
     if not 0 <= index < matrix.dim:
         raise IndexError(f"level {index} outside a {matrix.dim}-state block")
-    if _is_diagonal(matrix):
+    if matrix.bandwidth == 0:
         return float(np.partition(matrix.diagonal, index)[index])
     try:
         w = scipy.linalg.eig_banded(
@@ -100,7 +117,7 @@ def eigenpair(matrix: BandedSymMatrix, index: int) -> tuple[float, np.ndarray]:
     """
     if not 0 <= index < matrix.dim:
         raise IndexError(f"level {index} outside a {matrix.dim}-state block")
-    if _is_diagonal(matrix):
+    if matrix.bandwidth == 0:
         n = np.argsort(matrix.diagonal, kind="stable")[index]
         v = np.zeros(matrix.dim)
         v[n] = 1.0
@@ -126,16 +143,6 @@ def eigenpair(matrix: BandedSymMatrix, index: int) -> tuple[float, np.ndarray]:
     except scipy.linalg.LinAlgError as exc:
         raise EigenSolverError(f"banded eigensolver failed: {exc}") from exc
     return float(w[0]), v[:, 0]
-
-
-def sturm_certifiable(matrix: BandedSymMatrix) -> bool:
-    """Whether :func:`certify` counts on this probe block instead of solving it.
-
-    True for tridiagonal blocks with a nonzero off-diagonal.  Diagonal blocks
-    are read off exactly, and wider bands have no reliable unpivoted LDL^T
-    inertia, so those two keep their probe spectrum.
-    """
-    return not _is_diagonal(matrix) and not any(np.any(d) for d in matrix.diagonals[2:])
 
 
 def _level_flags(vals: np.ndarray, probe_vals: np.ndarray, tol: float) -> np.ndarray:
@@ -210,7 +217,8 @@ def _sturm_counts(
     for j, (block, shift) in enumerate(zip(blocks, shifts)):
         top = rows - block.dim
         a[top:, j] = block.diagonal
-        e[top + 1 :, j] = np.abs(block.diagonals[1])
+        if block.bandwidth == 1:
+            e[top + 1 :, j] = np.abs(block.diagonals[1])
         x[j, : len(shift)] = shift
     floor, bound = _settle_bounds(a, e)
     a, e2 = a[:, :, None], (e * e)[:, :, None]
@@ -259,14 +267,16 @@ def certify(
     (assembly is exact and normal-ordered), so Cauchy interlacing gives
     E_probe[i] <= E_main[i], and the test holds exactly when fewer than i + 1
     probe eigenvalues lie below E_main[i] - tol * max(1, |E_main[i]|).  For
-    :func:`sturm_certifiable` blocks that count is a Sturm sequence, batched
-    over every level of every block; other blocks, and blocks whose sequence
-    meets 0/0, are compared against their probe spectrum.
+    tridiagonal probe blocks that count is a Sturm sequence, batched over
+    every level of every block.  Diagonal blocks are read off exactly, and
+    wider bands have no reliable unpivoted LDL^T inertia, so those, and
+    blocks whose sequence meets 0/0, are compared against their probe
+    spectrum.
     """
     flags: list[np.ndarray | None] = [None] * len(main)
     batch = []
     for j, (vals, p) in enumerate(zip(main, probe)):
-        if isinstance(p, BandedSymMatrix) and sturm_certifiable(p):
+        if isinstance(p, BandedSymMatrix) and p.bandwidth == 1:
             batch.append(j)
         else:
             probe_vals = p if isinstance(p, np.ndarray) else eigen(p)

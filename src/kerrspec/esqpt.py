@@ -17,6 +17,7 @@ import numpy as np
 
 from .classify import DEFAULT_TOL_DEG
 from .fock import NumericFailure
+from .sectors import sector_dim
 from .sweep import SpectrumGrid, SweepPlan
 
 __all__ = [
@@ -86,7 +87,7 @@ def check_gap_sweep(plan: SweepPlan, modulus: int, v_max: int) -> None:
     """Raise ValueError unless :func:`gap_curves` can pair v = 0..v_max on this sweep.
 
     That needs an undetuned two-photon sweep with parity sectors (``modulus``
-    from ``plan_modulus``) and v_max below the (n_max + 1) // 2 odd levels.
+    from ``plan_modulus``) and v_max below the number of odd levels.
     """
     if plan.varying != "xi":
         raise ValueError("gap curves require a sweep in the two-photon coupling")
@@ -94,8 +95,9 @@ def check_gap_sweep(plan: SweepPlan, modulus: int, v_max: int) -> None:
         raise ValueError("gap curves are defined for the undetuned Hamiltonian")
     if modulus != 2:
         raise ValueError(f"expected parity sectors, got modulus {modulus}")
-    if v_max >= (plan.n_max + 1) // 2:
-        raise ValueError(f"v_max={v_max} exceeds the {(plan.n_max + 1) // 2} odd levels")
+    odd = sector_dim(plan.n_max + 1, 2, 1)
+    if v_max >= odd:
+        raise ValueError(f"v_max={v_max} exceeds the {odd} odd levels")
 
 
 def gap_curves(grid: SpectrumGrid, v_max: int) -> list[GapCurve]:

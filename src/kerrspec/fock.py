@@ -8,7 +8,8 @@ where the number-operator weight w is evaluated at the occupation left
 behind after a^q has acted.  Matrix elements in the truncated basis
 |0>, ..., |n_max> follow from a|n> = sqrt(n)|n-1>, a^dag|n> = sqrt(n+1)|n+1>;
 anything reaching past n_max is projected out.  Hermitian polynomials
-assemble into exactly symmetric banded matrices.
+assemble into exactly symmetric banded matrices, stored at their true
+bandwidth (0 diagonal, 1 tridiagonal), which is all the eigensolvers read.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ class OperatorTerm:
     def step(self) -> int:
         """Net change p - q in occupation produced by the term."""
         return self.p - self.q
-
-    def conjugate(self) -> "OperatorTerm":
-        """Hermitian conjugate: (a^dag^p w(n) a^q)^dag = a^dag^q w(n) a^p."""
-        return OperatorTerm(self.coeff, self.q, self.p, self.weight)
 
 
 def _poly_eval(coeffs: tuple[float, ...], x) -> float:
@@ -246,17 +243,6 @@ COUPLING_FIELDS = ("eta", "xi", "xi3", "xi4", "xi2p")
 # Crossing-tracking perturbations P2, P3, P4, nP2 -> the field each one scales.
 COUPLING_KINDS = {"P2": "xi", "P3": "xi3", "P4": "xi4", "nP2": "xi2p"}
 
-# Coupling field -> dH/d(field) of standard_hamiltonian, which is affine in each.
-COUPLING_DERIVATIVES = {
-    "eta": number_poly((0.0, -1.0)),
-    "xi": pairing_poly(2, -1.0),
-    "xi3": pairing_poly(3, -1.0),
-    "xi4": pairing_poly(4, -1.0),
-    "xi2p": OperatorPoly(
-        (OperatorTerm(-1.0, 2, 0, (0.0, 1.0)), OperatorTerm(-1.0, 0, 2, (0.0, 1.0)))
-    ),
-}
-
 
 def standard_hamiltonian(spec: HamiltonianSpec) -> OperatorPoly:
     """Expand a parameter record into its normal-ordered polynomial.
@@ -300,12 +286,22 @@ def standard_hamiltonian(spec: HamiltonianSpec) -> OperatorPoly:
     return OperatorPoly(tuple(terms))
 
 
+# Coupling field -> dH/d(field) = H(field = 1) - H(0), as standard_hamiltonian is
+# affine in each; the Kerr terms cancel exactly in assembly for n < 2^26.
+COUPLING_DERIVATIVES = {
+    f: standard_hamiltonian(HamiltonianSpec(**{f: 1.0})) + -standard_hamiltonian(HamiltonianSpec())
+    for f in COUPLING_FIELDS
+}
+
+
 @dataclass(frozen=True)
 class BandedSymMatrix:
     """Real symmetric matrix stored by its lower diagonals.
 
     ``diagonals[d][i] = M[i + d, i]``; entries beyond offset ``bandwidth``
-    vanish.  Storage is immutable after construction.
+    vanish.  Trailing diagonals with no nonzero entry (empty ones included)
+    are dropped on construction, so ``bandwidth`` is the true one: 0 means
+    diagonal and 1 tridiagonal.  Storage is immutable after construction.
     """
 
     dim: int
@@ -328,6 +324,9 @@ class BandedSymMatrix:
             diag = diag.copy()
             diag.flags.writeable = False
             frozen.append(diag)
+        while len(frozen) > 1 and not np.any(frozen[-1]):
+            frozen.pop()
+        object.__setattr__(self, "bandwidth", len(frozen) - 1)
         object.__setattr__(self, "diagonals", tuple(frozen))
 
     @property
@@ -357,7 +356,7 @@ class BandedSymMatrix:
         return total
 
     def leading(self, dim: int) -> "BandedSymMatrix":
-        """The leading principal ``dim`` x ``dim`` submatrix, at the same bandwidth."""
+        """The leading principal ``dim`` x ``dim`` submatrix."""
         if dim == self.dim:
             return self
         return BandedSymMatrix(

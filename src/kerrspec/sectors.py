@@ -85,15 +85,9 @@ def split(matrix: BandedSymMatrix, k: int) -> SectorDecomposition:
     local_b = matrix.bandwidth // stride
     sectors = []
     for r in range(min(stride, matrix.dim)):
-        dim_r = sector_dim(matrix.dim, k, r)
-        local_diags = []
-        for dd in range(local_b + 1):
-            want = max(dim_r - dd, 0)
-            if dd * stride > matrix.bandwidth or want == 0:
-                local_diags.append(np.zeros(want))
-            else:
-                local_diags.append(matrix.diagonals[dd * stride][r::stride][:want])
-        sectors.append(Sector(r, BandedSymMatrix(dim_r, local_b, tuple(local_diags))))
+        # local diagonal dd of sector r: every stride-th entry of diagonal dd * stride
+        diags = tuple(matrix.diagonals[dd * stride][r::stride] for dd in range(local_b + 1))
+        sectors.append(Sector(r, BandedSymMatrix(sector_dim(matrix.dim, k, r), local_b, diags)))
     return SectorDecomposition(tuple(sectors))
 
 

@@ -21,13 +21,12 @@ import numpy as np
 
 from .eigensolve import (
     DEFAULT_N_MAX,
-    DEFAULT_N_PROBE,
     DEFAULT_TOL_CONV,
     certify,
+    check_basis,
     eigen,
     eigenpair,
     eigenvalue,
-    sturm_certifiable,
 )
 from .fock import (
     COUPLING_FIELDS,
@@ -61,13 +60,16 @@ CHUNK = 16
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """One varying parameter over a strictly increasing grid."""
+    """One varying parameter over a strictly increasing grid.
+
+    The basis settings pass :func:`check_basis`, which sets the default n_probe.
+    """
 
     varying: str
     grid: tuple[float, ...]
     fixed: HamiltonianSpec = field(default_factory=HamiltonianSpec)
     n_max: int = DEFAULT_N_MAX
-    n_probe: int = DEFAULT_N_PROBE
+    n_probe: int | None = None
     tol_conv: float = DEFAULT_TOL_CONV
     normalize: str = "excitation"
 
@@ -83,9 +85,9 @@ class SweepPlan:
             raise ValueError("grid must be strictly increasing")
         if self.normalize not in NORMALIZE_MODES:
             raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
-        if self.n_probe <= self.n_max:
-            raise ValueError("n_probe must exceed n_max")
+        n_probe = check_basis(self.n_max, self.n_probe, self.tol_conv)
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "n_probe", n_probe)
 
     def spec_at(self, value: float) -> HamiltonianSpec:
         return replace(self.fixed, **{self.varying: float(value)})
@@ -204,9 +206,9 @@ def _certified_levels(
     n_max blocks are the leading principal sub-blocks of the probe blocks
     (assembly is exact and normal-ordered, so they are bit-equal to blocks
     assembled at n_max), and residues with no state up to n_max are skipped.
-    Probe blocks that :func:`certify` cannot count on are solved after the
-    main blocks; one :func:`certify` call then flags the levels of every
-    polynomial.
+    Probe blocks that are not tridiagonal, which :func:`certify` cannot
+    count on, are solved after the main blocks; one :func:`certify` call
+    then flags the levels of every polynomial.
     """
     points, main, probe = [], [], []
     for poly in polys:
@@ -219,7 +221,7 @@ def _certified_levels(
         points.append(levels)
         main.extend(levels.values())
         kept = [blocks[r] for r in levels]
-        probe.extend(b if sturm_certifiable(b) else eigen(b) for b in kept)
+        probe.extend(b if b.bandwidth == 1 else eigen(b) for b in kept)
     flags = iter(certify(main, probe, tol))
     return [(levels, {r: next(flags) for r in levels}) for levels in points]
 
@@ -319,7 +321,7 @@ class ConvergedSpectrum:
 def converged_spectrum(
     spec: HamiltonianSpec,
     n_max: int = DEFAULT_N_MAX,
-    n_probe: int = DEFAULT_N_PROBE,
+    n_probe: int | None = None,
     tol_conv: float = DEFAULT_TOL_CONV,
     window: tuple[float, float] | None = None,
 ) -> ConvergedSpectrum:
@@ -328,10 +330,10 @@ def converged_spectrum(
     A level is converged when |E(n_max) - E(n_probe)| <= tol_conv * max(1, |E|),
     compared sector by sector in sorted order.  The point runs the same code
     as one grid point of :func:`run_sweep`, so both give the same levels and
-    flags.  ``window`` restricts the returned levels to an excitation-energy range.
+    flags, and its basis settings pass the same :func:`check_basis`.
+    ``window`` restricts the returned levels to an excitation-energy range.
     """
-    if n_probe <= n_max:
-        raise ValueError(f"n_probe={n_probe} must exceed n_max={n_max}")
+    n_probe = check_basis(n_max, n_probe, tol_conv)
     poly = standard_hamiltonian(spec)
     k = detect_modulus(poly)
     [(levels, ok)] = _certified_levels([poly], n_max, n_probe, k, tol_conv)

@@ -263,6 +263,17 @@ class TestMalformedConfigExitTwo:
         payload = with_numeric(str(tmp_path), n_max=MAX_BASIS - 1, n_probe=MAX_BASIS)
         assert load_config(write_config(tmp_path, payload)).n_probe == MAX_BASIS
 
+    @pytest.mark.parametrize("n_max", [0, 40, 800, 1000])
+    def test_default_n_probe_is_the_library_default(self, tmp_path, n_max):
+        cfg = load_config(write_config(tmp_path, with_numeric(str(tmp_path), n_max=n_max)))
+        library = SweepPlan(varying="eta", grid=(0.0, 1.0), n_max=n_max).n_probe
+        assert cfg.n_probe == cfg.plan.n_probe == library
+
+    def test_n_probe_below_n_max_keeps_its_message(self, tmp_path):
+        payload = with_numeric(str(tmp_path), n_max=30, n_probe=30)
+        with pytest.raises(ConfigError, match=r"^numeric\.n_probe=30 must exceed n_max=30$"):
+            load_config(write_config(tmp_path, payload))
+
     def test_track_basis_cap_is_on_n_max_alone(self, tmp_path):
         # the default n_probe of n_max 90000 is 101250, above the cap, but track never reads it
         payload = {**track_config(str(tmp_path)), "numeric": {"n_max": 90_000}}

@@ -11,7 +11,6 @@ from kerrspec.eigensolve import (
     eigen,
     eigenpair,
     eigenvalue,
-    sturm_certifiable,
 )
 from kerrspec.fock import (
     BandedSymMatrix,
@@ -236,7 +235,7 @@ class TestCertify:
     def test_flags_equal_probe_diagonalization(self, case):
         spec, n_max, n_probe, counted = self.CASES[case]
         k, vals, probe = self.sectors(spec, n_max, n_probe)
-        assert all(sturm_certifiable(b) == counted for b in probe)
+        assert all((b.bandwidth == 1) == counted for b in probe)
         tol = 1e-8
         flags = certify(vals, probe, tol)
         for v, b, f in zip(vals, probe, flags):
@@ -284,6 +283,38 @@ class TestCertify:
             np.testing.assert_array_equal(cs.converged[cs.residues == r], probe_flags(v, b, 1e-8))
 
 
+class TestBandwidthDecidesTheSolver:
+    """A block stored with a zero second diagonal is its tridiagonal twin, solver for solver."""
+
+    @staticmethod
+    def padded(block):
+        """``block`` (tridiagonal) with an all-zero second diagonal stored after it."""
+        pad = np.zeros(block.dim - 2)
+        return BandedSymMatrix(block.dim, 2, (block.diagonal, block.diagonals[1], pad))
+
+    def test_zero_second_diagonal_solves_and_certifies_bit_equal(self):
+        poly = standard_hamiltonian(HamiltonianSpec(eta=2.7, xi=1.5))
+        probe = sector_blocks(poly, 160, 2)[1]
+        main = sector_blocks(poly, 120, 2)[1]
+        assert (probe.bandwidth, main.bandwidth) == (1, 1)
+        wide_probe, wide_main = self.padded(probe), self.padded(main)
+        assert (wide_probe.bandwidth, wide_main.bandwidth) == (1, 1)
+
+        vals = eigen(main)
+        np.testing.assert_array_equal(eigen(wide_main), vals)
+        for i in (0, 1, 7, 30, main.dim - 1):
+            assert eigenvalue(wide_main, i) == eigenvalue(main, i)
+            e, v = eigenpair(wide_main, i)
+            e0, v0 = eigenpair(main, i)
+            assert e == e0
+            np.testing.assert_array_equal(v, v0)
+        for tol in (1e-8, 1e-12):
+            [flags] = certify([vals], [wide_probe], tol)
+            [flags0] = certify([vals], [probe], tol)
+            np.testing.assert_array_equal(flags, flags0)
+            assert flags.any() and not flags.all()
+
+
 def plain_sturm_counts(blocks, shifts):
     """The Sturm recurrence of ``_sturm_counts`` run over every row, never stopped early."""
     rows = max(b.dim for b in blocks)
@@ -294,7 +325,8 @@ def plain_sturm_counts(blocks, shifts):
     for j, (block, shift) in enumerate(zip(blocks, shifts)):
         top = rows - block.dim
         a[top:, j, 0] = block.diagonal
-        e2[top + 1 :, j, 0] = block.diagonals[1] ** 2
+        if block.bandwidth >= 1:
+            e2[top + 1 :, j, 0] = block.diagonals[1] ** 2
         x[j, : len(shift)] = shift
     d = np.ones_like(x)
     count = np.zeros(x.shape, dtype=np.int32)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrspec.fock import (
+    COUPLING_DERIVATIVES,
+    COUPLING_FIELDS,
     BandedSymMatrix,
     FockSpace,
     HamiltonianSpec,
@@ -236,7 +238,53 @@ class TestCommutators:
         assert np.max(np.abs(full[19:, 19:])) > 1.0
 
 
+# dH/d(field) of standard_hamiltonian written out by hand, the reference for the
+# derived COUPLING_DERIVATIVES table
+HAND_DERIVATIVES = {
+    "eta": number_poly((0.0, -1.0)),
+    "xi": pairing_poly(2, -1.0),
+    "xi3": pairing_poly(3, -1.0),
+    "xi4": pairing_poly(4, -1.0),
+    "xi2p": OperatorPoly(
+        (OperatorTerm(-1.0, 2, 0, (0.0, 1.0)), OperatorTerm(-1.0, 0, 2, (0.0, 1.0)))
+    ),
+}
+
+
+class TestCouplingDerivatives:
+    def test_every_field_has_one(self):
+        assert set(COUPLING_DERIVATIVES) == set(HAND_DERIVATIVES) == set(COUPLING_FIELDS)
+
+    @pytest.mark.parametrize("field", COUPLING_FIELDS)
+    @pytest.mark.parametrize("n", [5, 40, 900, 5000])
+    def test_blocks_equal_the_hand_written_ones_bit_for_bit(self, field, n):
+        got = assemble(COUPLING_DERIVATIVES[field], FockSpace(n))
+        want = assemble(HAND_DERIVATIVES[field], FockSpace(n))
+        assert got.bandwidth == want.bandwidth
+        for g, w in zip(got.diagonals, want.diagonals, strict=True):
+            assert g.tobytes() == w.tobytes()  # signed zeros included
+
+
 class TestBandedSymMatrix:
+    def test_trailing_zero_diagonals_are_dropped(self):
+        a = np.array([1.0, 2.0, 3.0])
+        zero_last = BandedSymMatrix(3, 2, (a, np.array([0.5, -0.5]), np.zeros(1)))
+        assert zero_last.bandwidth == 1 and len(zero_last.diagonals) == 2
+        assert BandedSymMatrix(3, 2, (a, np.zeros(2), np.zeros(1))).bandwidth == 0
+        # a 2-state block stores empty diagonals beyond offset 1
+        empty_last = BandedSymMatrix(2, 3, (a[:2], np.array([0.5]), np.zeros(0), np.zeros(0)))
+        assert empty_last.bandwidth == 1
+        assert BandedSymMatrix(1, 2, (a[:1], np.zeros(0), np.zeros(0))).bandwidth == 0
+        # a zero diagonal below a nonzero one stays
+        inner_zero = BandedSymMatrix(3, 2, (a, np.zeros(2), np.array([0.5])))
+        assert inner_zero.bandwidth == 2
+        assert (inner_zero.element(1, 0), inner_zero.element(0, 2)) == (0.0, 0.5)
+
+    def test_leading_block_reports_its_own_bandwidth(self):
+        m = assemble(standard_hamiltonian(HamiltonianSpec(xi=1.0, xi4=0.2)), FockSpace(10))
+        assert m.bandwidth == 4
+        assert [m.leading(d).bandwidth for d in (1, 2, 3, 4, 5)] == [0, 0, 2, 2, 4]
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             BandedSymMatrix(2, 0, (np.array([1.0, np.nan]),))

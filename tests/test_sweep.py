@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -80,6 +81,36 @@ class TestSweepPlan:
         )
         for m in moduli:
             assert type(m) is int and m == k
+
+
+class TestBasisSettings:
+    """Plans and single points take n_probe's default and their basis checks from one rule."""
+
+    def test_default_probe_grows_with_n_max(self):
+        for n_max, n_probe in ((1000, 1125), (800, 900), (40, 90), (0, 50)):
+            assert SweepPlan(varying="xi", grid=(0.0, 0.1), n_max=n_max).n_probe == n_probe
+        assert SweepPlan(varying="xi", grid=(0.0, 0.1)).n_probe == 900
+
+    def test_point_above_the_old_fixed_probe_runs(self):
+        cs = converged_spectrum(HamiltonianSpec(xi=1.0), n_max=1000)
+        assert cs.n_levels == 1001 and cs.n_converged > 100
+
+    @pytest.mark.parametrize(
+        "setting, numeric",
+        [
+            ("n_max", dict(n_max=-1)),
+            ("n_max", dict(n_max=40.0)),
+            ("n_probe", dict(n_max=40, n_probe=40)),
+            ("tol_conv", dict(tol_conv=-1.0)),
+            ("tol_conv", dict(tol_conv=math.nan)),
+            ("tol_conv", dict(tol_conv=math.inf)),
+        ],
+    )
+    def test_bad_settings_raise_naming_them(self, setting, numeric):
+        with pytest.raises(ValueError, match=f"^{setting}"):
+            SweepPlan(varying="xi", grid=(0.0, 0.1), **numeric)
+        with pytest.raises(ValueError, match=f"^{setting}"):
+            converged_spectrum(HamiltonianSpec(xi=1.0), **numeric)
 
 
 class TestRunSweep:
