@@ -1,22 +1,31 @@
 """Spectra of banded symmetric blocks and their truncation certificate.
 
 Every solver branches on the block's ``bandwidth`` alone: diagonal blocks
-(0) are read off exactly, and the others go to banded LAPACK drivers.
-:func:`certify` decides, level by level, whether a block's eigenvalues at
-n_max agree with those of the same sector at a larger probe basis to
-tol * max(1, |E|); for tridiagonal probe blocks (1) it decides by Sturm
-counts, without diagonalizing them.  :func:`check_basis` is the one rule for
-the basis settings n_max, n_probe and tol_conv.  Turning a Hamiltonian into
-certified sector levels is :mod:`kerrspec.sweep`'s job.
+(0) are read off exactly, and the others go to banded LAPACK drivers:
+``dsbevd`` for whole spectra, ``dsbevx`` for one level of a banded block,
+and ``dstebz`` then ``dstein`` for one eigenpair of a tridiagonal block.
+They are called straight from scipy's compiled ``_flapack`` extension,
+with the arguments that scipy's ``eig_banded`` and ``eigh_tridiagonal``
+pass, so the results are theirs bit for bit without the cost of importing
+scipy's linalg package (see :func:`_load_lapack`).  :func:`certify`
+decides, level by level, whether a block's eigenvalues at n_max agree with
+those of the same sector at a larger probe basis to tol * max(1, |E|); for
+tridiagonal probe blocks (1) it decides by Sturm counts, without
+diagonalizing them.  :func:`check_basis` is the one rule for the basis
+settings n_max, n_probe and tol_conv.  Turning a Hamiltonian into certified
+sector levels is :mod:`kerrspec.sweep`'s job.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import sys
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .fock import BandedSymMatrix
 
@@ -39,19 +48,69 @@ class EigenSolverError(RuntimeError):
     """The eigensolver failed to converge; never silently truncated."""
 
 
+def _load_lapack():
+    """scipy's compiled LAPACK wrappers, without running scipy.linalg's __init__.
+
+    Importing scipy.linalg costs about 0.3 s and 20 MiB, mostly its array-API
+    layer; the extension alone loads in milliseconds.  It is loaded under a
+    private name: loading registers it in ``sys.modules``, and under scipy's
+    own name a later ``import scipy.linalg`` would leave its ``_flapack``
+    unbound.  An already imported scipy.linalg is reused, and where the file
+    is absent (a meson-python editable install of scipy) it is imported.
+    """
+    linalg = sys.modules.get("scipy.linalg")
+    if linalg is not None:
+        return linalg._flapack
+    import scipy  # on Windows, registers the directory of scipy's bundled OpenBLAS
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("kerrspec._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from scipy.linalg import _flapack
+
+    return _flapack
+
+
+_lapack = _load_lapack()
+# LAPACK's dlamch("S"); scipy passes twice it as the absolute bisection tolerance.
+_ABSTOL = 2 * np.finfo(float).tiny
+
+
+def _check_info(info: int, driver: str) -> None:
+    """Raise on a LAPACK failure as scipy's wrappers do, non-convergence as EigenSolverError."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {driver}")
+    if info > 0:
+        raise EigenSolverError(
+            f"banded eigensolver failed: {driver} did not converge (LAPACK info={info})"
+        )
+
+
+def _is_integer(n) -> bool:
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def check_basis(
     n_max: int, n_probe: int | None = None, tol_conv: float = DEFAULT_TOL_CONV
 ) -> int:
     """Validate the basis settings of a certified spectrum; returns n_probe.
 
     Raises ValueError, naming the setting, unless n_max is a non-negative
-    integer, n_probe exceeds it and tol_conv is finite and not negative.  An
-    omitted n_probe is n_max + max(50, n_max // 8): 900 at n_max 800.
+    integer, n_probe is an integer above it and tol_conv is finite and not
+    negative.  An omitted n_probe is n_max + max(50, n_max // 8): 900 at
+    n_max 800.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
+    if not _is_integer(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     if n_probe is None:
         n_probe = n_max + max(50, n_max // 8)
+    elif not _is_integer(n_probe):
+        raise ValueError(f"n_probe must be an integer, got {n_probe!r}")
     elif not n_probe > n_max:
         raise ValueError(f"n_probe={n_probe} must exceed n_max={n_max}")
     if not (math.isfinite(tol_conv) and tol_conv >= 0):
@@ -63,46 +122,42 @@ def eigen(matrix: BandedSymMatrix) -> np.ndarray:
     """Ascending eigenvalues of a banded real symmetric matrix, read-only.
 
     Diagonal matrices return their diagonal, stably sorted, exactly.
-    Otherwise the banded LAPACK driver is used; a LAPACK convergence failure
-    raises EigenSolverError.
+    Otherwise the banded LAPACK driver ``dsbevd`` is used; a LAPACK
+    convergence failure raises EigenSolverError.
     """
     if matrix.bandwidth == 0:
         w = np.sort(matrix.diagonal, kind="stable")
     else:
-        try:
-            w = scipy.linalg.eig_banded(
-                matrix.band_lower(), lower=True, eigvals_only=True, check_finite=False
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise EigenSolverError(f"banded eigensolver failed: {exc}") from exc
+        w, _, info = _lapack.dsbevd(matrix.band_lower(), compute_v=0, lower=1)
+        _check_info(info, "dsbevd")
     w.flags.writeable = False
     return w
+
+
+def _sbevx(matrix: BandedSymMatrix, index: int, compute_v: int):
+    """``dsbevx`` for the single level ``index`` (0-based): (values, vectors)."""
+    w, v, _, _, info = _lapack.dsbevx(
+        matrix.band_lower(), 0.0, 1.0, index + 1, index + 1, compute_v=compute_v,
+        range=2, lower=1, abstol=_ABSTOL, mmax=1,
+    )
+    _check_info(info, "dsbevx")
+    return w, v
 
 
 def eigenvalue(matrix: BandedSymMatrix, index: int) -> float:
     """The ``index``-th smallest eigenvalue (0-based) alone.
 
     Diagonal matrices read their sorted diagonal.  Otherwise the banded
-    LAPACK driver computes only the selected eigenvalue, by bisection to
-    absolute accuracy 2 * safmin on the reduced tridiagonal form; it agrees
-    with ``eigen(matrix)[index]`` to the backward error of the full solve,
-    at a fraction of its cost.
+    LAPACK driver ``dsbevx`` computes only the selected eigenvalue, by
+    bisection to absolute accuracy 2 * safmin on the reduced tridiagonal
+    form; it agrees with ``eigen(matrix)[index]`` to the backward error of
+    the full solve, at a fraction of its cost.
     """
     if not 0 <= index < matrix.dim:
         raise IndexError(f"level {index} outside a {matrix.dim}-state block")
     if matrix.bandwidth == 0:
         return float(np.partition(matrix.diagonal, index)[index])
-    try:
-        w = scipy.linalg.eig_banded(
-            matrix.band_lower(),
-            lower=True,
-            eigvals_only=True,
-            select="i",
-            select_range=(index, index),
-            check_finite=False,
-        )
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"banded eigensolver failed: {exc}") from exc
+    w, _ = _sbevx(matrix, index, compute_v=0)
     return float(w[0])
 
 
@@ -111,9 +166,10 @@ def eigenpair(matrix: BandedSymMatrix, index: int) -> tuple[float, np.ndarray]:
 
     Diagonal matrices read off the value and the exact unit vector of the
     ``index``-th entry in stable sorted order.  Tridiagonal ones bisect for
-    the value, as :func:`eigenvalue` does, and inverse-iterate for the
-    vector; wider bands reduce to tridiagonal form first.  The value is the
-    one :func:`eigenvalue` returns.
+    the value with ``dstebz``, as :func:`eigenvalue` does, and
+    inverse-iterate for the vector with ``dstein``; wider bands go to
+    ``dsbevx``, which reduces them to tridiagonal form first.  The value is
+    the one :func:`eigenvalue` returns.
     """
     if not 0 <= index < matrix.dim:
         raise IndexError(f"level {index} outside a {matrix.dim}-state block")
@@ -122,26 +178,16 @@ def eigenpair(matrix: BandedSymMatrix, index: int) -> tuple[float, np.ndarray]:
         v = np.zeros(matrix.dim)
         v[n] = 1.0
         return float(matrix.diagonal[n]), v
-    try:
-        if matrix.bandwidth == 1:
-            w, v = scipy.linalg.eigh_tridiagonal(
-                matrix.diagonal,
-                matrix.diagonals[1],
-                select="i",
-                select_range=(index, index),
-                check_finite=False,
-                tol=2 * np.finfo(float).tiny,
-            )
-        else:
-            w, v = scipy.linalg.eig_banded(
-                matrix.band_lower(),
-                lower=True,
-                select="i",
-                select_range=(index, index),
-                check_finite=False,
-            )
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"banded eigensolver failed: {exc}") from exc
+    if matrix.bandwidth > 1:
+        w, v = _sbevx(matrix, index, compute_v=1)
+        return float(w[0]), v[:, 0]
+    d, e = matrix.diagonal, matrix.diagonals[1]
+    m, w, iblock, isplit, info = _lapack.dstebz(
+        d, e, 2, 0.0, 1.0, index + 1, index + 1, _ABSTOL, "B"
+    )
+    _check_info(info, "dstebz")
+    v, info = _lapack.dstein(d, e, w[:m], iblock, isplit)
+    _check_info(info, "dstein")
     return float(w[0]), v[:, 0]
 
 

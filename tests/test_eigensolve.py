@@ -1,11 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kerrspec.eigensolve
 from kerrspec import converged_spectrum
 from kerrspec.eigensolve import (
+    EigenSolverError,
     _sturm_counts,
     certify,
     eigen,
@@ -198,6 +202,82 @@ class TestSingleLevel:
             e, v = eigenpair(m, i)
             assert e == eigen(m)[i]
             np.testing.assert_array_equal(v, np.eye(m.dim)[order[i]])
+
+
+def reference_blocks():
+    """Parity blocks at n_max 800 (both residues) and one band-2 P2+P4 sector."""
+    for xi in (0.3, 1.0, 20.0):
+        blocks = sector_blocks(standard_hamiltonian(HamiltonianSpec(xi=xi)), 800, 2)
+        for residue, block in blocks.items():
+            yield f"xi={xi},r={residue}", block
+    poly = standard_hamiltonian(HamiltonianSpec(eta=2.0, xi=1.0, xi4=0.2))
+    yield "xi4", sector_blocks(poly, 800, 2)[0]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestScipyReference:
+    """The direct LAPACK calls return what scipy.linalg's wrappers of them return, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, block", list(reference_blocks()), ids=lambda x: x if isinstance(x, str) else ""
+    )
+    def test_bit_equal_to_scipy_linalg(self, name, block):
+        ab = block.band_lower()
+        assert block.bandwidth == (2 if name == "xi4" else 1)
+        assert same_bits(eigen(block), scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True))
+        for i in (0, block.dim // 2, block.dim - 1):
+            select = dict(lower=True, select="i", select_range=(i, i))
+            value = scipy.linalg.eig_banded(ab, eigvals_only=True, **select)[0]
+            assert same_bits(eigenvalue(block, i), value), (name, i)
+            if block.bandwidth == 1:
+                w, v = scipy.linalg.eigh_tridiagonal(
+                    block.diagonal, block.diagonals[1], select="i", select_range=(i, i),
+                    tol=2 * np.finfo(float).tiny,
+                )
+            else:
+                w, v = scipy.linalg.eig_banded(ab, **select)
+            e, u = eigenpair(block, i)
+            assert same_bits(e, w[0]) and same_bits(u, v[:, 0]), (name, i)
+
+
+# the drivers each solver calls, for the blocks it sends to LAPACK
+_SOLVES = {
+    "dsbevd": [("eigen", 1), ("eigen", 2)],
+    "dsbevx": [("eigenvalue", 1), ("eigenvalue", 2), ("eigenpair", 2)],
+    "dstebz": [("eigenpair", 1)],
+    "dstein": [("eigenpair", 1)],
+}
+
+
+class TestLapackInfo:
+    """A LAPACK info above 0 raises EigenSolverError and one below 0 ValueError, as in scipy."""
+
+    @staticmethod
+    def reporting(driver, info):
+        """The real drivers, except that ``driver`` reports ``info``."""
+        real = kerrspec.eigensolve._lapack
+
+        def call(*args, **kwargs):
+            *out, _ = getattr(real, driver)(*args, **kwargs)
+            return (*out, info)
+
+        return SimpleNamespace(**({name: getattr(real, name) for name in _SOLVES} | {driver: call}))
+
+    @pytest.mark.parametrize("info, error", [(1, EigenSolverError), (-1, ValueError)])
+    @pytest.mark.parametrize("driver", sorted(_SOLVES))
+    def test_info_raises(self, monkeypatch, driver, info, error):
+        poly = standard_hamiltonian(HamiltonianSpec(eta=2.0, xi=1.0))
+        blocks = {1: sector_blocks(poly, 40, 2)[0], 2: assemble(poly, FockSpace(40))}
+        assert [b.bandwidth for b in blocks.values()] == [1, 2]
+        monkeypatch.setattr(kerrspec.eigensolve, "_lapack", self.reporting(driver, info))
+        for solve, width in _SOLVES[driver]:
+            args = (blocks[width],) if solve == "eigen" else (blocks[width], 3)
+            with pytest.raises(error, match=driver):
+                getattr(kerrspec.eigensolve, solve)(*args)
 
 
 def probe_flags(vals, probe_block, tol):

@@ -1,9 +1,11 @@
-"""What ``import kerrspec`` loads: never scipy.optimize, not even once a crossing is refined.
+"""What ``import kerrspec`` loads: never scipy.optimize nor scipy.linalg, whatever runs.
 
 Crossing refinement and ``track`` find their roots with the package's own
-Brent iteration, so importing scipy.optimize would only add start-up time
-and memory.  Each check runs in a fresh interpreter, since any other test
-module may already have imported scipy.optimize into this one.
+Brent iteration, and the eigensolvers call the LAPACK drivers of scipy's
+compiled ``_flapack`` extension directly, so importing scipy.optimize or
+scipy.linalg would only add start-up time and memory.  Each check runs in a
+fresh interpreter, since any other test module may already have imported
+them into this one.
 """
 
 import json
@@ -19,7 +21,7 @@ import json, sys, tempfile
 from pathlib import Path
 
 def loaded():
-    return "scipy.optimize" in sys.modules
+    return {m: f"scipy.{m}" in sys.modules for m in ("optimize", "linalg")}
 
 import kerrspec, kerrspec.cli
 seen = {"import": loaded()}
@@ -57,23 +59,57 @@ with tempfile.TemporaryDirectory() as tmp:
         path.write_text(json.dumps({**base, "command": command, **extra}))
         code = kerrspec.cli.main(["--config", str(path), "--out", tmp, "--threads", "1"])
         rows = len((Path(tmp) / f"{command}.csv").read_text().splitlines()) - 1
-        seen[command] = {"exit": code, "rows": rows, "optimize": loaded()}
+        seen[command] = {"exit": code, "rows": rows, "loaded": loaded()}
 print(json.dumps(seen))
 """
 
 
-def test_no_command_imports_scipy_optimize():
+def fresh(code: str):
+    """The JSON that ``code`` prints, run in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=300,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
-    seen = json.loads(proc.stdout)
-    assert seen.pop("import") is False
+    return json.loads(proc.stdout)
+
+
+def test_no_command_imports_scipy_optimize_or_linalg():
+    seen = fresh(_PROBE)
+    assert seen.pop("import") == {"optimize": False, "linalg": False}
     for command, run in seen.items():
         assert run["exit"] == 0 and run["rows"] > 0, (command, run)
     assert sorted(seen) == ["casimir", "crossings", "esqpt", "spectrum", "sweep", "track"]
-    assert [c for c, run in seen.items() if run["optimize"]] == []
+    assert [c for c, run in seen.items() if any(run["loaded"].values())] == []
+
+
+def test_imported_scipy_linalg_is_reused():
+    assert fresh(
+        "import json, scipy.linalg, kerrspec.eigensolve as E\n"
+        "print(json.dumps(E._lapack is scipy.linalg._flapack))"
+    )
+
+
+def test_scipy_linalg_imported_after_kerrspec_still_works():
+    seen = fresh(
+        "import json, numpy as np, kerrspec, scipy.linalg\n"
+        "ab = np.array([[2.0, 2.0], [1.0, 0.0]])\n"
+        "w = scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True)\n"
+        "print(json.dumps([scipy.linalg._flapack.__name__, w.tolist()]))"
+    )
+    assert seen == ["scipy.linalg._flapack", [1.0, 3.0]]
+
+
+def test_without_the_extension_file_scipy_linalg_is_imported():
+    # as in an editable install of scipy, where the extension lives in a build tree
+    assert fresh(
+        "import importlib.machinery, json, sys, kerrspec.eigensolve as E\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "importlib.machinery.EXTENSION_SUFFIXES = []\n"
+        "lapack = E._load_lapack()\n"
+        "import scipy.linalg\n"
+        "print(json.dumps(lapack is scipy.linalg._flapack))"
+    )
