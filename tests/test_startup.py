@@ -77,7 +77,8 @@ def fresh(code: str):
     return json.loads(proc.stdout)
 
 
-def test_no_command_imports_scipy_optimize_or_linalg():
+def test_no_command_imports_scipy_optimize():
+    # nor scipy.linalg: the LAPACK drivers are loaded without its Python layer
     seen = fresh(_PROBE)
     assert seen.pop("import") == {"optimize": False, "linalg": False}
     for command, run in seen.items():

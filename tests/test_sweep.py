@@ -101,12 +101,12 @@ class TestBasisSettings:
             ("n_max", dict(n_max=-1)),
             ("n_max", dict(n_max=40.0)),
             ("n_probe", dict(n_max=40, n_probe=40)),
-            ("n_probe", dict(n_max=40, n_probe=60.5)),
-            ("n_probe", dict(n_max=40, n_probe=60.0)),
-            ("n_probe", dict(n_max=40, n_probe=True)),
             ("tol_conv", dict(tol_conv=-1.0)),
             ("tol_conv", dict(tol_conv=math.nan)),
             ("tol_conv", dict(tol_conv=math.inf)),
+            ("n_probe", dict(n_max=40, n_probe=60.5)),
+            ("n_probe", dict(n_max=40, n_probe=60.0)),
+            ("n_probe", dict(n_max=40, n_probe=True)),
         ],
     )
     def test_bad_settings_raise_naming_them(self, setting, numeric):
