@@ -22,7 +22,6 @@ import importlib.machinery
 import importlib.util
 import math
 import numbers
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +54,10 @@ def _load_lapack():
     layer; the extension alone loads in milliseconds.  It is loaded under a
     private name: loading registers it in ``sys.modules``, and under scipy's
     own name a later ``import scipy.linalg`` would leave its ``_flapack``
-    unbound.  An already imported scipy.linalg is reused, and where the file
-    is absent (a meson-python editable install of scipy) it is imported.
+    unbound; under its own it lives beside scipy's copy, whichever is loaded
+    first.  Where the file is absent (a meson-python editable install of
+    scipy) it is imported from scipy.linalg.
     """
-    linalg = sys.modules.get("scipy.linalg")
-    if linalg is not None:
-        return linalg._flapack
     import scipy  # on Windows, registers the directory of scipy's bundled OpenBLAS
 
     folder = Path(scipy.__file__).parent / "linalg"

@@ -87,11 +87,18 @@ def test_no_command_imports_scipy_optimize():
     assert [c for c, run in seen.items() if any(run["loaded"].values())] == []
 
 
-def test_imported_scipy_linalg_is_reused():
-    assert fresh(
-        "import json, scipy.linalg, kerrspec.eigensolve as E\n"
-        "print(json.dumps(E._lapack is scipy.linalg._flapack))"
+def test_scipy_linalg_imported_before_kerrspec_still_works():
+    # kerrspec loads its own copy of the extension beside scipy's
+    seen = fresh(
+        "import json, numpy as np, scipy.linalg, kerrspec.eigensolve as E\n"
+        "from kerrspec.fock import BandedSymMatrix\n"
+        "ab = np.array([[2.0, 2.0], [1.0, 0.0]])\n"
+        "w = scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True)\n"
+        "m = BandedSymMatrix(2, 1, (np.array([2.0, 2.0]), np.array([1.0])))\n"
+        "print(json.dumps([E._lapack.__name__, scipy.linalg._flapack.__name__,\n"
+        "                  w.tolist(), E.eigen(m).tolist()]))"
     )
+    assert seen == ["kerrspec._flapack", "scipy.linalg._flapack", [1.0, 3.0], [1.0, 3.0]]
 
 
 def test_scipy_linalg_imported_after_kerrspec_still_works():
