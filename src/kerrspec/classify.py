@@ -37,6 +37,7 @@ from .fock import assemble  # noqa: F401
 from .sectors import split  # noqa: F401
 
 __all__ = [
+    "DEFAULT_MAX_LEVELS",
     "DEFAULT_TOL_DEG",
     "QuasiSpinLabel",
     "TwoBosonState",
@@ -57,6 +58,9 @@ __all__ = [
 # True splittings in the braiding region sit orders of magnitude above the
 # eigensolver backward error at the default basis size.
 DEFAULT_TOL_DEG = 1e-6
+
+# Curves per sector that the crossing scan compares, by default.
+DEFAULT_MAX_LEVELS = 12
 
 # Bracket width, in the swept parameter, at which a crossing root is accepted;
 # the relative part of the tolerance is ROOT_RTOL |t|.
@@ -298,21 +302,25 @@ def _gap_minimum(plan: SweepPlan, k, r: int, i: int, slopes, lo: float, hi: floa
     return t, abs(gaps[t])
 
 
-def _warn_if_unconverged(grid: SpectrumGrid, g: int, r: int, i: int, t: float) -> None:
-    flags = grid.converged[r]
-    lo, hi = max(g - 1, 0), min(g + 2, flags.shape[0])
-    if not flags[lo:hi, i].all():
-        warnings.warn(
-            f"crossing near param={t:.6g} involves an unconverged level "
-            f"(sector {r}, index {i})",
-            UnconvergedCrossingWarning,
-            stacklevel=3,
-        )
+def _report(events: list[CrossingEvent], grid: SpectrumGrid, event: CrossingEvent, g: int) -> None:
+    """Append ``event``, located at or next to grid node ``g``, and warn about
+    each of its levels that is not certified within one grid step of it."""
+    events.append(event)
+    ra, ia, rb, ib = event.level_pair
+    for r, i in ((ra, ia), (rb, ib)):
+        flags = grid.converged[r]
+        if not flags[max(g - 1, 0) : g + 2, i].all():
+            warnings.warn(
+                f"crossing near param={event.param_value:.6g} involves an unconverged level "
+                f"(sector {r}, index {i})",
+                UnconvergedCrossingWarning,
+                stacklevel=3,
+            )
 
 
 def detect_crossings(
     grid: SpectrumGrid,
-    max_levels: int | None = 30,
+    max_levels: int | None = DEFAULT_MAX_LEVELS,
 ) -> list[CrossingEvent]:
     """Locate true (inter-sector) and avoided (intra-sector) crossings.
 
@@ -332,48 +340,40 @@ def detect_crossings(
     at its grid node with the grid's gap, with an
     :class:`UnrefinedCrossingWarning`.  ``min_gap`` is |E_a - E_b| at the
     returned parameter.  At most ``max_levels`` curves per sector are scanned.
+    Each level of an event that is not certified within one grid step of it
+    gets an :class:`UnconvergedCrossingWarning`.
+
+    Each sector's levels are compared with the columns of all later sectors
+    at once, taken in slices so that no comparison array holds more than
+    G x (the levels scanned in this sector and all later ones) elements,
+    G being the grid length.
     """
     params = grid.params
     events: list[CrossingEvent] = []
-    residues = grid.residues
+    curves = [grid.curves[r][:, :max_levels] for r in grid.residues]
+    later = np.concatenate(curves, axis=1)
+    columns = [(r, j) for r, c in zip(grid.residues, curves) for j in range(c.shape[1])]
 
-    for xa in range(len(residues)):
-        for xb in range(xa + 1, len(residues)):
-            ra, rb = residues[xa], residues[xb]
-            A = grid.curves[ra][:, :max_levels]
-            B = grid.curves[rb][:, :max_levels]
-            diff = A[:, :, None] - B[:, None, :]
+    for ra, A in zip(grid.residues, curves):
+        later, columns = later[:, A.shape[1] :], columns[A.shape[1] :]
+        width = 1 + len(columns) // max(A.shape[1], 1)  # La * width <= La + len(columns)
+        for c0 in range(0, len(columns), width):
+            diff = A[:, :, None] - later[:, None, c0 : c0 + width]
             sign = np.sign(diff)
-            node_hits = np.argwhere(sign == 0)
-            for g, i, jj in node_hits:
-                events.append(
-                    CrossingEvent(
-                        "true_crossing",
-                        float(params[g]),
-                        (ra, int(i), rb, int(jj)),
-                        0.0,
-                    )
-                )
-                _warn_if_unconverged(grid, int(g), ra, int(i), float(params[g]))
-            flips = np.argwhere(sign[:-1] * sign[1:] < 0)
-            for g, i, jj in flips:
-                f = _pair_gap(grid.plan, grid.modulus, ra, int(i), rb, int(jj))
-                root, gap = _brent(
-                    f,
-                    float(params[g]),
-                    float(params[g + 1]),
-                    float(diff[g, i, jj]),
-                    float(diff[g + 1, i, jj]),
-                )
-                events.append(
-                    CrossingEvent("true_crossing", root, (ra, int(i), rb, int(jj)), abs(gap))
-                )
-                _warn_if_unconverged(grid, int(g), ra, int(i), root)
-                _warn_if_unconverged(grid, int(g), rb, int(jj), root)
+            for g, i, c in np.argwhere(sign == 0):
+                rb, jb = columns[c0 + c]
+                event = CrossingEvent("true_crossing", float(params[g]), (ra, int(i), rb, jb), 0.0)
+                _report(events, grid, event, int(g))
+            for g, i, c in np.argwhere(sign[:-1] * sign[1:] < 0):
+                rb, jb = columns[c0 + c]
+                f = _pair_gap(grid.plan, grid.modulus, ra, int(i), rb, jb)
+                lo, hi = float(params[g]), float(params[g + 1])
+                root, gap = _brent(f, lo, hi, float(diff[g, i, c]), float(diff[g + 1, i, c]))
+                event = CrossingEvent("true_crossing", root, (ra, int(i), rb, jb), abs(gap))
+                _report(events, grid, event, int(g))
 
     slopes = None  # sector blocks of dH/d(param), built at the first gap minimum
-    for r in residues:
-        C = grid.curves[r][:, :max_levels]
+    for r, C in zip(grid.residues, curves):
         if C.shape[1] < 2:
             continue
         gaps = C[:, 1:] - C[:, :-1]
@@ -397,9 +397,8 @@ def detect_crossings(
                         stacklevel=2,
                     )
                 t, gap = found or (float(params[m]), float(g[m]))
-                events.append(CrossingEvent("avoided_crossing", t, (r, i + 1, r, i), gap))
-                _warn_if_unconverged(grid, int(m), r, i, t)
-                _warn_if_unconverged(grid, int(m), r, i + 1, t)
+                event = CrossingEvent("avoided_crossing", t, (r, i + 1, r, i), gap)
+                _report(events, grid, event, int(m))
 
     events.sort(key=lambda e: (e.param_value, e.level_pair))
     return events

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
+    DEFAULT_MAX_LEVELS,
     CrossingEvent,
     LevelPair,
     TrackedCrossing,
@@ -294,7 +295,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("track.pair must be [residue_a, index_a, residue_b, index_b]")
     pair = LevelPair(*(_as_count(x, "track.pair entry") for x in pair))
     v_max = _integer(esq, "v_max", 12, "esqpt")
-    crossings_max_levels = _integer(cro, "max_levels", 12, "crossings")
+    crossings_max_levels = _integer(cro, "max_levels", DEFAULT_MAX_LEVELS, "crossings")
     # at 0 there is nothing to estimate (pairs v >= 1), scan or plot
     for key, n in (("esqpt.v_max", v_max), ("crossings.max_levels", crossings_max_levels),
                    ("svg.max_levels", style.max_levels)):

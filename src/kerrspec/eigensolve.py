@@ -2,8 +2,9 @@
 
 Every solver branches on the block's ``bandwidth`` alone: diagonal blocks
 (0) are read off exactly, and the others go to banded LAPACK drivers:
-``dsbevd`` for whole spectra, ``dsbevx`` for one level of a banded block,
-and ``dstebz`` then ``dstein`` for one eigenpair of a tridiagonal block.
+``dsbevd`` for whole spectra; for one level, ``dstebz`` (then ``dstein``
+for its vector) on a tridiagonal block and ``dsbevx`` on bandwidths of 2
+or more.
 They are called straight from scipy's compiled ``_flapack`` extension,
 with the arguments that scipy's ``eig_banded`` and ``eigh_tridiagonal``
 pass, so the results are theirs bit for bit without the cost of importing
@@ -131,61 +132,54 @@ def eigen(matrix: BandedSymMatrix) -> np.ndarray:
     return w
 
 
-def _sbevx(matrix: BandedSymMatrix, index: int, compute_v: int):
-    """``dsbevx`` for the single level ``index`` (0-based): (values, vectors)."""
-    w, v, _, _, info = _lapack.dsbevx(
-        matrix.band_lower(), 0.0, 1.0, index + 1, index + 1, compute_v=compute_v,
-        range=2, lower=1, abstol=_ABSTOL, mmax=1,
-    )
-    _check_info(info, "dsbevx")
-    return w, v
+def _level(
+    matrix: BandedSymMatrix, index: int, compute_v: bool
+) -> tuple[float, np.ndarray | None]:
+    """Level ``index`` (0-based) and, if ``compute_v``, a unit eigenvector (else None)."""
+    if not 0 <= index < matrix.dim:
+        raise IndexError(f"level {index} outside a {matrix.dim}-state block")
+    if matrix.bandwidth == 0:
+        n = np.argsort(matrix.diagonal, kind="stable")[index]
+        return float(matrix.diagonal[n]), (np.eye(1, matrix.dim, n)[0] if compute_v else None)
+    if matrix.bandwidth > 1:
+        w, v, _, _, info = _lapack.dsbevx(
+            matrix.band_lower(), 0.0, 1.0, index + 1, index + 1, compute_v=int(compute_v),
+            range=2, lower=1, abstol=_ABSTOL, mmax=1,
+        )
+        _check_info(info, "dsbevx")
+    else:
+        d, e = matrix.diagonal, matrix.diagonals[1]
+        m, w, iblock, isplit, info = _lapack.dstebz(
+            d, e, 2, 0.0, 1.0, index + 1, index + 1, _ABSTOL, "B"
+        )
+        _check_info(info, "dstebz")
+        if compute_v:
+            v, info = _lapack.dstein(d, e, w[:m], iblock, isplit)
+            _check_info(info, "dstein")
+    return float(w[0]), (v[:, 0] if compute_v else None)
 
 
 def eigenvalue(matrix: BandedSymMatrix, index: int) -> float:
     """The ``index``-th smallest eigenvalue (0-based) alone.
 
-    Diagonal matrices read their sorted diagonal.  Otherwise the banded
-    LAPACK driver ``dsbevx`` computes only the selected eigenvalue, by
-    bisection to absolute accuracy 2 * safmin on the reduced tridiagonal
-    form; it agrees with ``eigen(matrix)[index]`` to the backward error of
-    the full solve, at a fraction of its cost.
+    Diagonal matrices read their stably sorted diagonal.  Otherwise LAPACK
+    computes only the selected eigenvalue, by bisection to absolute accuracy
+    2 * safmin: ``dstebz`` on a tridiagonal block, ``dsbevx`` (which reduces
+    the band to tridiagonal form first) on a wider one.  It agrees with
+    ``eigen(matrix)[index]`` to the backward error of the full solve, at a
+    fraction of its cost.
     """
-    if not 0 <= index < matrix.dim:
-        raise IndexError(f"level {index} outside a {matrix.dim}-state block")
-    if matrix.bandwidth == 0:
-        return float(np.partition(matrix.diagonal, index)[index])
-    w, _ = _sbevx(matrix, index, compute_v=0)
-    return float(w[0])
+    return _level(matrix, index, compute_v=False)[0]
 
 
 def eigenpair(matrix: BandedSymMatrix, index: int) -> tuple[float, np.ndarray]:
     """The ``index``-th smallest eigenvalue (0-based) and a unit eigenvector.
 
-    Diagonal matrices read off the value and the exact unit vector of the
-    ``index``-th entry in stable sorted order.  Tridiagonal ones bisect for
-    the value with ``dstebz``, as :func:`eigenvalue` does, and
-    inverse-iterate for the vector with ``dstein``; wider bands go to
-    ``dsbevx``, which reduces them to tridiagonal form first.  The value is
-    the one :func:`eigenvalue` returns.
+    The value is the one :func:`eigenvalue` returns, from the same driver;
+    diagonal matrices give the exact unit vector of the entry they read, and
+    tridiagonal ones inverse-iterate for the vector with ``dstein``.
     """
-    if not 0 <= index < matrix.dim:
-        raise IndexError(f"level {index} outside a {matrix.dim}-state block")
-    if matrix.bandwidth == 0:
-        n = np.argsort(matrix.diagonal, kind="stable")[index]
-        v = np.zeros(matrix.dim)
-        v[n] = 1.0
-        return float(matrix.diagonal[n]), v
-    if matrix.bandwidth > 1:
-        w, v = _sbevx(matrix, index, compute_v=1)
-        return float(w[0]), v[:, 0]
-    d, e = matrix.diagonal, matrix.diagonals[1]
-    m, w, iblock, isplit, info = _lapack.dstebz(
-        d, e, 2, 0.0, 1.0, index + 1, index + 1, _ABSTOL, "B"
-    )
-    _check_info(info, "dstebz")
-    v, info = _lapack.dstein(d, e, w[:m], iblock, isplit)
-    _check_info(info, "dstein")
-    return float(w[0]), v[:, 0]
+    return _level(matrix, index, compute_v=True)
 
 
 def _level_flags(vals: np.ndarray, probe_vals: np.ndarray, tol: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from kerrspec.classify import (
     TwoBosonState,
     UnconvergedCrossingWarning,
     _brent,
+    _pair_gap,
     check_track_pair,
     degeneracy_groups,
     detect_crossings,
@@ -245,6 +247,114 @@ class TestUnconvergedWarning:
                     and f"(sector {r}, index {level})" in str(w.message)
                 ]
                 assert len(named) == 1, (e, level)
+
+
+def diagonal_integer_grid():
+    """MOD_ALL sweep over eta = 0, 1, ..., 6, where one-state sectors cross on the nodes."""
+    plan = SweepPlan(
+        varying="eta", grid=tuple(float(e) for e in range(7)),
+        fixed=HamiltonianSpec(), n_max=20, n_probe=30,
+    )
+    return run_sweep(plan)
+
+
+class TestUnconvergedOnNodesAndCallers:
+    def test_node_hit_warns_about_either_level(self):
+        grid = diagonal_integer_grid()
+        assert grid.modulus == 0
+        # E_n = -eta n + n(n - 1): the one-state sectors 0 and 1 meet at eta = 0
+        hit = CrossingEvent("true_crossing", 0.0, (0, 0, 1, 0), 0.0)
+        assert hit in detect_crossings(grid)
+        for r, level in ((0, 0), (1, 0)):
+            flags = {q: f.copy() for q, f in grid.converged.items()}
+            flags[r][:, level] = False
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                detect_crossings(dataclasses.replace(grid, converged=flags))
+            named = [
+                w for w in caught
+                if w.category is UnconvergedCrossingWarning
+                and "param=0 " in str(w.message)
+                and f"(sector {r}, index {level})" in str(w.message)
+            ]
+            assert len(named) == 1, (r, level)
+
+    def test_warnings_point_at_the_caller(self):
+        driven = run_sweep(SweepPlan(
+            varying="eta", grid=tuple(0.05 + 0.1 * k for k in range(40)),
+            fixed=HamiltonianSpec(xi=1.0), n_max=40, n_probe=60,
+        ))
+        for grid in (diagonal_integer_grid(), driven):
+            flags = {q: np.zeros_like(f) for q, f in grid.converged.items()}
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                events = detect_crossings(dataclasses.replace(grid, converged=flags), 6)
+            assert {e.kind for e in events} >= {"true_crossing"}
+            assert len(caught) >= 2 * len(events)
+            assert {w.filename for w in caught} == {__file__}
+
+
+def per_pair_true_crossings(grid, max_levels):
+    """True crossings by a plain scan over every pair of sectors, one pair at a time."""
+    events = []
+    for xa, ra in enumerate(grid.residues):
+        for rb in grid.residues[xa + 1 :]:
+            A = grid.curves[ra][:, :max_levels]
+            B = grid.curves[rb][:, :max_levels]
+            diff = A[:, :, None] - B[:, None, :]
+            sign = np.sign(diff)
+            for g, i, j in np.argwhere(sign == 0):
+                pair = (ra, int(i), rb, int(j))
+                events.append(CrossingEvent("true_crossing", float(grid.params[g]), pair, 0.0))
+            for g, i, j in np.argwhere(sign[:-1] * sign[1:] < 0):
+                f = _pair_gap(grid.plan, grid.modulus, ra, int(i), rb, int(j))
+                lo, hi = float(grid.params[g]), float(grid.params[g + 1])
+                root, gap = _brent(f, lo, hi, float(diff[g, i, j]), float(diff[g + 1, i, j]))
+                events.append(CrossingEvent("true_crossing", root, (ra, int(i), rb, int(j)), abs(gap)))
+    return sorted(events, key=lambda e: (e.param_value, e.level_pair))
+
+
+class TestScan:
+    FIXED = {
+        0: HamiltonianSpec(),
+        2: HamiltonianSpec(xi=1.0),
+        3: HamiltonianSpec(xi3=0.3),
+        4: HamiltonianSpec(xi4=0.05),
+    }
+
+    @pytest.mark.parametrize("max_levels", [1, 12, None])
+    @pytest.mark.parametrize("modulus", sorted(FIXED))
+    def test_events_equal_per_sector_pair_scan(self, modulus, max_levels):
+        grid = run_sweep(SweepPlan(
+            varying="eta", grid=tuple(0.25 * k for k in range(25)),
+            fixed=self.FIXED[modulus], n_max=40, n_probe=60,
+        ))
+        assert grid.modulus == modulus
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            events = detect_crossings(grid, max_levels)
+            want = per_pair_true_crossings(grid, max_levels)
+        assert want
+        assert [e for e in events if e.kind == "true_crossing"] == want
+
+    def test_memory_peak_within_a_small_multiple_of_the_curves(self):
+        # all 201 levels of both parity sectors; a comparison array of every
+        # level pair at once would take 100 times the curves' bytes
+        grid = run_sweep(SweepPlan(
+            varying="eta", grid=tuple(0.05 + 0.1 * k for k in range(61)),
+            fixed=HamiltonianSpec(xi=1.0), n_max=200, n_probe=240,
+        ))
+        curve_bytes = sum(c.nbytes for c in grid.curves.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tracemalloc.start()
+            try:
+                events = detect_crossings(grid, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert events
+        assert peak <= 8 * curve_bytes, (peak, curve_bytes)
 
 
 class TestTrackCrossing:

@@ -186,11 +186,13 @@ class TestSingleLevel:
         for name, block in self.blocks():
             widths.add(block.bandwidth)
             dense = block.to_dense()
-            for i in list(range(min(25, block.dim))) + [block.dim - 1]:
+            checked = set(range(min(25, block.dim))) | {block.dim - 1}
+            for i in range(block.dim):
                 e, v = eigenpair(block, i)
-                assert e == eigenvalue(block, i), (name, i)
-                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-                assert np.linalg.norm(dense @ v - e * v) <= 1e-10 * max(1.0, abs(e)), (name, i)
+                assert same_bits(e, eigenvalue(block, i)), (name, i)
+                if i in checked:
+                    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+                    assert np.linalg.norm(dense @ v - e * v) <= 1e-10 * max(1.0, abs(e)), (name, i)
         assert widths == {0, 1, 2, 4}
 
     def test_diagonal_eigenpair_is_an_exact_unit_vector(self):
@@ -247,8 +249,8 @@ class TestScipyReference:
 # the drivers each solver calls, for the blocks it sends to LAPACK
 _SOLVES = {
     "dsbevd": [("eigen", 1), ("eigen", 2)],
-    "dsbevx": [("eigenvalue", 1), ("eigenvalue", 2), ("eigenpair", 2)],
-    "dstebz": [("eigenpair", 1)],
+    "dsbevx": [("eigenvalue", 2), ("eigenpair", 2)],
+    "dstebz": [("eigenvalue", 1), ("eigenpair", 1)],
     "dstein": [("eigenpair", 1)],
 }
 
