@@ -346,8 +346,11 @@ def detect_crossings(
     Each sector's levels are compared with the columns of all later sectors
     at once, taken in slices so that no comparison array holds more than
     G x (the levels scanned in this sector and all later ones) elements,
-    G being the grid length.
+    G being the grid length.  ``max_levels`` is None (every level) or at
+    least 1; anything else raises ValueError.
     """
+    if max_levels is not None and max_levels < 1:
+        raise ValueError(f"max_levels must be None or at least 1, got {max_levels!r}")
     params = grid.params
     events: list[CrossingEvent] = []
     curves = [grid.curves[r][:, :max_levels] for r in grid.residues]

@@ -117,6 +117,16 @@ class SvgStyle:
     y_max: float | None = None
     separatrices: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if min(self.width, self.height) <= 2 * self.margin:
+            raise ValueError("width and height must each exceed 2 * margin")
+        if None not in (self.y_min, self.y_max) and not 0 < self.y_max - self.y_min < math.inf:
+            raise ValueError("y_min must be below y_max, a finite range apart")
+        if self.max_levels is not None and self.max_levels < 1:
+            raise ValueError("max_levels must be at least 1")
+        for kind in self.separatrices:
+            SeparatrixModel(kind)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -264,23 +274,15 @@ def load_config(path: str | Path) -> RunConfig:
     seps = sv.get("separatrices", [])
     if not isinstance(seps, list):
         raise ConfigError("svg.separatrices must be a list")
-    for s in seps:
-        if s not in SeparatrixModel._KINDS:
-            raise ConfigError(f"unknown separatrix kind {s!r}")
-    style = SvgStyle(
-        **{
-            k: float(_as_number(v, f"svg.{k}"))
-            if k in ("y_min", "y_max")
-            else _as_count(v, f"svg.{k}")
-            for k, v in sv.items()
-            if k != "separatrices"
-        },
-        separatrices=tuple(seps),
-    )
-    if min(style.width, style.height) <= 2 * style.margin:
-        raise ConfigError("svg.width and svg.height must each exceed 2 * svg.margin")
-    if None not in (style.y_min, style.y_max) and not 0 < style.y_max - style.y_min < math.inf:
-        raise ConfigError("svg.y_min must be below svg.y_max, a finite range apart")
+    settings = {
+        k: float(_as_number(v, f"svg.{k}")) if k in ("y_min", "y_max") else _as_count(v, f"svg.{k}")
+        for k, v in sv.items()
+        if k != "separatrices"
+    }
+    try:
+        style = SvgStyle(**settings, separatrices=tuple(seps))
+    except ValueError as exc:
+        raise ConfigError(f"svg: {exc}") from exc
 
     esq, cas, trk, cro = (raw.get(s, {}) for s in ("esqpt", "casimir", "track", "crossings"))
     _check_keys(esq, {"v_max"}, "esqpt")
@@ -296,9 +298,8 @@ def load_config(path: str | Path) -> RunConfig:
     pair = LevelPair(*(_as_count(x, "track.pair entry") for x in pair))
     v_max = _integer(esq, "v_max", 12, "esqpt")
     crossings_max_levels = _integer(cro, "max_levels", DEFAULT_MAX_LEVELS, "crossings")
-    # at 0 there is nothing to estimate (pairs v >= 1), scan or plot
-    for key, n in (("esqpt.v_max", v_max), ("crossings.max_levels", crossings_max_levels),
-                   ("svg.max_levels", style.max_levels)):
+    # at 0 there is nothing to estimate (pairs v >= 1) or scan
+    for key, n in (("esqpt.v_max", v_max), ("crossings.max_levels", crossings_max_levels)):
         if n == 0:
             raise ConfigError(f"{key} must be at least 1")
 
@@ -499,11 +500,7 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     blocks = []  # (color, the sector's plotted level curves as columns)
     for r in grid.residues:
         color = _PALETTES[coloring][_color_class(coloring, r, grid.modulus)]
-        stop = _level_stop(grid, r, style.max_levels)
-        if stop:
-            blocks.append((color, grid.curves[r][:, :stop]))
-    if not blocks:
-        raise ValueError("nothing to plot")
+        blocks.append((color, grid.curves[r][:, : _level_stop(grid, r, style.max_levels)]))
 
     y_lo = style.y_min if style.y_min is not None else min(float(b.min()) for _, b in blocks)
     y_hi = style.y_max if style.y_max is not None else max(float(b.max()) for _, b in blocks)

@@ -10,9 +10,9 @@ with the arguments that scipy's ``eig_banded`` and ``eigh_tridiagonal``
 pass, so the results are theirs bit for bit without the cost of importing
 scipy's linalg package (see :func:`_load_lapack`).  :func:`certify`
 decides, level by level, whether a block's eigenvalues at n_max agree with
-those of the same sector at a larger probe basis to tol * max(1, |E|); for
-tridiagonal probe blocks (1) it decides by Sturm counts, without
-diagonalizing them.  :func:`check_basis` is the one rule for the basis
+those of the same sector at a larger probe basis to tol * max(1, |E|); it
+decides by Sturm counts, without diagonalizing them, for probe blocks of
+bandwidth 0 or 1.  :func:`check_basis` is the one rule for the basis
 settings n_max, n_probe and tol_conv.  Turning a Hamiltonian into certified
 sector levels is :mod:`kerrspec.sweep`'s job.
 """
@@ -222,15 +222,16 @@ def _settle_bounds(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _sturm_counts(
     blocks: list[BandedSymMatrix], shifts: list[np.ndarray]
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Eigenvalues of each tridiagonal block below each of its shifts.
+    """Eigenvalues of each block of bandwidth 0 or 1 below each of its shifts.
 
     One Sturm sequence per (block, shift), the pivots of LDL^T of T - x,
 
         d_k = (a_k - x) - e_{k-1}^2 / d_{k-1},
 
     run for all of them at once, row by row; the count is the number of
-    negative pivots.  A zero pivot is left to IEEE arithmetic (e^2 / 0 is
-    infinite and the next pivot finite again), as LAPACK ``dlaneg`` does.
+    negative pivots, and a diagonal block is the tridiagonal one with e = 0.
+    A zero pivot is left to IEEE arithmetic (e^2 / 0 is infinite and the
+    next pivot finite again), as LAPACK ``dlaneg`` does.
     Shorter blocks are padded in front with decoupled +inf rows, and absent
     shifts are -inf; neither ever gives a negative pivot.  Returns the counts
     and, per block, whether some sequence met 0/0 (a zero pivot at a zero
@@ -290,40 +291,30 @@ def _sturm_counts(
     return [out[j, : len(shift)] for j, shift in enumerate(shifts)], failed
 
 
-def certify(
-    main: list[np.ndarray], probe: list[BandedSymMatrix | np.ndarray], tol: float
-) -> list[np.ndarray]:
+def certify(main: list[np.ndarray], probe: list[BandedSymMatrix], tol: float) -> list[np.ndarray]:
     """Truncation-convergence flags of sector levels against the probe basis.
 
-    ``main[j]`` holds the ascending eigenvalues of one sector block at n_max;
-    ``probe[j]`` is the same sector's block at the probe basis, or its
-    ascending eigenvalues when they are already known.  Level i is converged
-    when |E_main[i] - E_probe[i]| <= tol * max(1, |E_main[i]|).
+    ``main[j]`` holds the ascending eigenvalues of one sector block at n_max
+    and ``probe[j]`` is the same sector's block at the probe basis.  Level i
+    is converged when |E_main[i] - E_probe[i]| <= tol * max(1, |E_main[i]|).
 
     The n_max block is the leading principal submatrix of the probe block
     (assembly is exact and normal-ordered), so Cauchy interlacing gives
     E_probe[i] <= E_main[i], and the test holds exactly when fewer than i + 1
     probe eigenvalues lie below E_main[i] - tol * max(1, |E_main[i]|).  For
-    tridiagonal probe blocks that count is a Sturm sequence, batched over
-    every level of every block.  Diagonal blocks are read off exactly, and
-    wider bands have no reliable unpivoted LDL^T inertia, so those, and
-    blocks whose sequence meets 0/0, are compared against their probe
-    spectrum.
+    probe blocks of bandwidth 0 or 1 that count is a Sturm sequence, batched
+    over every level of every such block.  Wider bands have no reliable
+    unpivoted LDL^T inertia, so those, and blocks whose sequence meets 0/0,
+    are compared against their diagonalized probe spectrum.
     """
-    flags: list[np.ndarray | None] = [None] * len(main)
-    batch = []
-    for j, (vals, p) in enumerate(zip(main, probe)):
-        if isinstance(p, BandedSymMatrix) and p.bandwidth == 1:
-            batch.append(j)
-        else:
-            probe_vals = p if isinstance(p, np.ndarray) else eigen(p)
-            flags[j] = _level_flags(vals, probe_vals, tol)
-    if batch:
-        shifts = [main[j] - tol * np.maximum(1.0, np.abs(main[j])) for j in batch]
-        counts, failed = _sturm_counts([probe[j] for j in batch], shifts)
-        for j, count, bad in zip(batch, counts, failed):
-            if bad:
-                flags[j] = _level_flags(main[j], eigen(probe[j]), tol)
-            else:
-                flags[j] = count <= np.arange(len(count))
-    return flags
+    counted = [j for j, p in enumerate(probe) if p.bandwidth <= 1]
+    counts: list[np.ndarray | None] = [None] * len(main)
+    if counted:
+        shifts = [main[j] - tol * np.maximum(1.0, np.abs(main[j])) for j in counted]
+        found, failed = _sturm_counts([probe[j] for j in counted], shifts)
+        for j, count, bad in zip(counted, found, failed):
+            counts[j] = None if bad else count
+    return [
+        _level_flags(vals, eigen(p), tol) if count is None else count <= np.arange(len(count))
+        for vals, p, count in zip(main, probe, counts)
+    ]

@@ -238,7 +238,7 @@ class SeparatrixModel:
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}")
+            raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
 
     def evaluate(self, eta=0.0, xi=0.0):
         eta = np.asarray(eta, dtype=float)

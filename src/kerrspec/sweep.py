@@ -206,9 +206,8 @@ def _certified_levels(
     n_max blocks are the leading principal sub-blocks of the probe blocks
     (assembly is exact and normal-ordered, so they are bit-equal to blocks
     assembled at n_max), and residues with no state up to n_max are skipped.
-    Probe blocks that are not tridiagonal, which :func:`certify` cannot
-    count on, are solved after the main blocks; one :func:`certify` call
-    then flags the levels of every polynomial.
+    One :func:`certify` call then flags the levels of every polynomial
+    against their probe blocks.
     """
     points, main, probe = [], [], []
     for poly in polys:
@@ -220,8 +219,7 @@ def _certified_levels(
                 levels[r] = eigen(b.leading(dim))
         points.append(levels)
         main.extend(levels.values())
-        kept = [blocks[r] for r in levels]
-        probe.extend(b if b.bandwidth == 1 else eigen(b) for b in kept)
+        probe.extend(blocks[r] for r in levels)
     flags = iter(certify(main, probe, tol))
     return [(levels, {r: next(flags) for r in levels}) for levels in points]
 

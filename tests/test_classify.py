@@ -337,6 +337,19 @@ class TestScan:
         assert want
         assert [e for e in events if e.kind == "true_crossing"] == want
 
+    def test_cap_below_one_refused(self):
+        # -1 once scanned all but each sector's top level, and 0 nothing
+        grid = run_sweep(SweepPlan(
+            varying="eta", grid=tuple(0.25 * k for k in range(17)),
+            fixed=HamiltonianSpec(xi=1.0), n_max=10, n_probe=20,
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert len(detect_crossings(grid, None)) == 7
+        for max_levels in (0, -1):
+            with pytest.raises(ValueError, match="max_levels"):
+                detect_crossings(grid, max_levels)
+
     def test_memory_peak_within_a_small_multiple_of_the_curves(self):
         # all 201 levels of both parity sectors; a comparison array of every
         # level pair at once would take 100 times the curves' bytes

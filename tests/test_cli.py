@@ -162,6 +162,7 @@ class TestMalformedConfigExitTwo:
         "formats not a list": lambda d: sweep_config(d, output={"directory": d, "formats": 5}),
         "directory not a string": lambda d: sweep_config(d, output={"directory": 5}),
         "separatrices not a list": lambda d: sweep_config(d, svg={"separatrices": None}),
+        "unknown separatrix kind": lambda d: sweep_config(d, svg={"separatrices": ["bogus"]}),
         "svg.max_levels zero": lambda d: sweep_config(
             d, output={"directory": d, "formats": ["csv", "svg"]}, svg={"max_levels": 0}
         ),
@@ -516,6 +517,24 @@ class TestSvg:
             run_sweep(plan), SvgStyle(max_levels=2), tmp_path / "m3.svg", coloring="mod3"
         ).read_text()
         assert all(color in text for color in ("#1b7837", "#5aae61", "#a6dba0"))
+
+
+    INVALID_STYLES = {
+        "frame narrower than its margins": dict(width=100, height=100, margin=70),
+        "height of twice its margin": dict(height=140),
+        "y_min above y_max": dict(y_min=10.0, y_max=0.0),
+        "empty y range": dict(y_min=1.0, y_max=1.0),
+        "y range wider than a float": dict(y_min=-1e308, y_max=1e308),
+        "NaN y_max": dict(y_min=0.0, y_max=math.nan),
+        "max_levels zero": dict(max_levels=0),
+        "unknown separatrix": dict(separatrices=("kerr", "bogus")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INVALID_STYLES))
+    def test_invalid_style_refused(self, case):
+        # a frame of margin 70 in a 100 px square was once drawn -40 px wide
+        with pytest.raises(ValueError):
+            SvgStyle(**self.INVALID_STYLES[case])
 
 
 class TestCommands:

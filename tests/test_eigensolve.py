@@ -302,13 +302,16 @@ class TestCertify:
         "xi3 alone": (HamiltonianSpec(eta=1.0, xi3=0.5), 120, 160, True),
         "xi4 alone": (HamiltonianSpec(eta=0.5, xi4=0.1), 120, 160, True),
         "xi + xi4, band 2": (HamiltonianSpec(eta=2.0, xi=1.0, xi4=0.05), 100, 140, False),
-        "MOD_ALL": (HamiltonianSpec(eta=4.0), 60, 80, False),
+        "MOD_ALL": (HamiltonianSpec(eta=4.0), 60, 80, True),
+        "eta=60 parity, bandwidth 0": (HamiltonianSpec(eta=60.0), 20, 40, True),
     }
+    # cases split by a modulus other than the detected one
+    MODULUS = {"eta=60 parity, bandwidth 0": 2}
 
     @staticmethod
-    def sectors(spec, n_max, n_probe):
+    def sectors(spec, n_max, n_probe, k=None):
         poly = standard_hamiltonian(spec)
-        k = detect_modulus(poly)
+        k = detect_modulus(poly) if k is None else k
         main = split(assemble(poly, FockSpace(n_max)), k).sectors
         probe = {s.residue: s.block for s in split(assemble(poly, FockSpace(n_probe)), k).sectors}
         return k, [eigen(s.block) for s in main], [probe[s.residue] for s in main]
@@ -316,8 +319,8 @@ class TestCertify:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_flags_equal_probe_diagonalization(self, case):
         spec, n_max, n_probe, counted = self.CASES[case]
-        k, vals, probe = self.sectors(spec, n_max, n_probe)
-        assert all((b.bandwidth == 1) == counted for b in probe)
+        k, vals, probe = self.sectors(spec, n_max, n_probe, self.MODULUS.get(case))
+        assert all((b.bandwidth <= 1) == counted for b in probe)
         tol = 1e-8
         flags = certify(vals, probe, tol)
         for v, b, f in zip(vals, probe, flags):
@@ -327,14 +330,11 @@ class TestCertify:
             assert every.sum() > 0 and (~every).sum() >= 10
         if case == "MOD_ALL":
             assert k == MOD_ALL
+        if case == "eta=60 parity, bandwidth 0":
+            assert [b.bandwidth for b in probe] == [0, 0]
+            assert not every.any()
         if case == "xi2p alone":
             assert probe[0].diagonals[1][0] == 0.0  # <2|a^dag^2 n|0> vanishes
-
-    def test_precomputed_probe_spectrum(self):
-        _, vals, probe = self.sectors(HamiltonianSpec(eta=1.0, xi=3.0), 60, 90)
-        spectra = [eigen(b) for b in probe]
-        for f, g in zip(certify(vals, spectra, 1e-8), certify(vals, probe, 1e-8)):
-            np.testing.assert_array_equal(f, g)
 
     def test_zero_pivot_at_zero_off_diagonal_falls_back(self):
         # n_max block diag(3, 4, 10): level 1 gets the shift 4 - 0.25 * 4 = 3, so
@@ -343,18 +343,24 @@ class TestCertify:
         probe = BandedSymMatrix(
             7, 1, (np.array([3.0, 4.0, 10.0, 10.0, 10.0, 10.0, 10.0]), np.array([0, 0, 8.0, 8, 8, 8]))
         )
+        # the diagonal probe diag(3, 4, 10, 1, 1) meets 0/0 at the same pivot; its
+        # two added levels at 1 lie below every shift, so every level fails
+        diagonal = BandedSymMatrix(5, 0, (np.array([3.0, 4.0, 10.0, 1.0, 1.0]),))
         vals = np.array([3.0, 4.0, 10.0])
-        _, failed = _sturm_counts([probe], [vals - 0.25 * vals])
-        assert failed.tolist() == [True]
-        # a sound block certified in the same batch keeps its own counts
+        _, failed = _sturm_counts([probe, diagonal], [vals - 0.25 * vals] * 2)
+        assert failed.tolist() == [True, True]
+        # sound blocks certified in the same batch keep their own counts
         _, p2_vals, p2_probe = self.sectors(HamiltonianSpec(eta=0.0, xi=2.0), 40, 60)
-        flags = certify([vals, *p2_vals], [probe, *p2_probe], 0.25)
-        assert flags[0].tolist() == [False, False, False]
-        np.testing.assert_array_equal(flags[0], probe_flags(vals, probe, 0.25))
-        for v, b, f in zip(p2_vals, p2_probe, flags[1:]):
+        _, d_vals, d_probe = self.sectors(HamiltonianSpec(eta=6.0), 20, 30, 2)
+        assert [b.bandwidth for b in d_probe] == [0, 0]
+        main = [vals, vals, *p2_vals, *d_vals]
+        blocks = [probe, diagonal, *p2_probe, *d_probe]
+        flags = certify(main, blocks, 0.25)
+        assert flags[0].tolist() == flags[1].tolist() == [False, False, False]
+        for v, b, f in zip(main, blocks, flags):
             np.testing.assert_array_equal(f, probe_flags(v, b, 0.25))
-        shifts = [v - 0.25 * np.maximum(1.0, np.abs(v)) for v in [vals, *p2_vals]]
-        assert_counts_equal_plain([probe, *p2_probe], shifts)
+        shifts = [v - 0.25 * np.maximum(1.0, np.abs(v)) for v in main]
+        assert_counts_equal_plain(blocks, shifts)
 
     def test_converged_spectrum_uses_the_same_flags(self):
         spec = HamiltonianSpec(eta=1.0, xi=2.0)
