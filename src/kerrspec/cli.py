@@ -318,8 +318,7 @@ def load_config(path: str | Path) -> RunConfig:
         if grid.step <= 0:
             raise ConfigError("grid.step must be positive")
         try:
-            plan = SweepPlan(grid.varying, grid.values(), spec, n_max, n_probe, tol_conv,
-                             raw.get("normalize", "excitation"))
+            plan = SweepPlan(grid.varying, grid.values(), spec, n_max, n_probe, tol_conv)
             if "esqpt" in sections:
                 check_gap_sweep(plan, plan_modulus(plan), v_max)
         except ValueError as exc:
@@ -396,12 +395,6 @@ _GRID_HEADER = [
 ]
 
 
-def _level_stop(grid: SpectrumGrid, residue: int, max_levels: int | None) -> int:
-    """Levels of one sector that are emitted: all, or the first ``max_levels``."""
-    n = grid.n_levels(residue)
-    return n if max_levels is None else min(max_levels, n)
-
-
 # record type -> (CSV header, row of one record)
 _TABLES = {
     CrossingEvent: (
@@ -440,20 +433,24 @@ def emit_csv(
     """Write a sweep grid as deterministic CSV, one grid point at a time.
 
     Rows are in (param, sector, level) order, with all levels of each sector
-    or the first ``max_levels``.  Everything that does not change along the
-    grid (level fields, color class, flag strings, absolute and excitation
-    arrays) is prepared once per sector; energies are formatted from Python
-    floats with ``.12g``, exactly as :func:`_fmt` formats each value.
+    or the first ``max_levels``, which must be None or at least 1.  Each row
+    carries the absolute energy and the excitation energy E - E0.  Everything
+    that does not change along the grid (level fields, color class, flag
+    strings, absolute and excitation arrays) is prepared once per sector;
+    energies are formatted from Python floats with ``.12g``, exactly as
+    :func:`_fmt` formats each value.
     """
+    if max_levels is not None and max_levels < 1:
+        raise ValueError("max_levels must be at least 1")
     path = Path(path)
     sectors = []
     for r in grid.residues:
-        n = _level_stop(grid, r, max_levels)
+        excitation = grid.excitation(r)[:, :max_levels]
         sectors.append((
-            [f"{r},{lvl}," for lvl in range(n)],
-            grid.absolute(r)[:, :n],
-            grid.excitation(r)[:, :n],
-            np.where(grid.converged[r][:, :n], "1", "0"),
+            [f"{r},{lvl}," for lvl in range(excitation.shape[1])],
+            grid.absolute(r)[:, :max_levels],
+            excitation,
+            np.where(grid.converged[r][:, :max_levels], "1", "0"),
             f",{_color_class(coloring, r, grid.modulus)}\n",
         ))
     with path.open("w") as fh:
@@ -500,7 +497,7 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     blocks = []  # (color, the sector's plotted level curves as columns)
     for r in grid.residues:
         color = _PALETTES[coloring][_color_class(coloring, r, grid.modulus)]
-        blocks.append((color, grid.curves[r][:, : _level_stop(grid, r, style.max_levels)]))
+        blocks.append((color, grid.curves[r][:, :style.max_levels]))
 
     y_lo = style.y_min if style.y_min is not None else min(float(b.min()) for _, b in blocks)
     y_hi = style.y_max if style.y_max is not None else max(float(b.max()) for _, b in blocks)
@@ -601,9 +598,7 @@ def _spectrum(cfg: RunConfig, csv_path: Path) -> None:
 def _sweep(cfg: RunConfig, csv_path: Path) -> None:
     grid = run_sweep(cfg.plan, threads=cfg.threads)
     max_levels = cfg.svg_style.max_levels
-    _require_converged(
-        [grid.converged[r][:, : _level_stop(grid, r, max_levels)] for r in grid.residues], cfg
-    )
+    _require_converged([grid.converged[r][:, :max_levels] for r in grid.residues], cfg)
     if "csv" in cfg.formats:
         emit_csv(grid, csv_path, cfg.coloring, max_levels)
     if "svg" in cfg.formats:
@@ -628,7 +623,7 @@ def _esqpt(cfg: RunConfig, csv_path: Path) -> None:
 # only a command that reads svg may write it.
 _COMMANDS = {
     "spectrum": (("hamiltonian", "numeric", "window", "coloring"), _spectrum),
-    "sweep": (("hamiltonian", "numeric", "grid", "normalize", "coloring", "svg"), _sweep),
+    "sweep": (("hamiltonian", "numeric", "grid", "coloring", "svg"), _sweep),
     "crossings": (
         ("hamiltonian", "numeric", "grid", "crossings"),
         lambda cfg, csv_path: _write_table(csv_path, CrossingEvent, detect_crossings(

@@ -87,8 +87,10 @@ def check_gap_sweep(plan: SweepPlan, modulus: int, v_max: int) -> None:
     """Raise ValueError unless :func:`gap_curves` can pair v = 0..v_max on this sweep.
 
     That needs an undetuned two-photon sweep with parity sectors (``modulus``
-    from ``plan_modulus``) and v_max below the number of odd levels.
+    from ``plan_modulus``) and 0 <= v_max below the number of odd levels.
     """
+    if v_max < 0:
+        raise ValueError(f"v_max must be >= 0, got {v_max}")
     if plan.varying != "xi":
         raise ValueError("gap curves require a sweep in the two-photon coupling")
     if plan.fixed.eta != 0.0:

@@ -40,7 +40,6 @@ from .fock import (
 from .sectors import detect_modulus, sector_dim, split
 
 __all__ = [
-    "NORMALIZE_MODES",
     "ConvergedSpectrum",
     "SweepPlan",
     "SpectrumGrid",
@@ -52,8 +51,6 @@ __all__ = [
     "spec_levels",
 ]
 
-NORMALIZE_MODES = ("absolute", "excitation")
-
 # Consecutive grid points whose probe blocks share one batched Sturm count.
 CHUNK = 16
 
@@ -63,6 +60,8 @@ class SweepPlan:
     """One varying parameter over a strictly increasing grid.
 
     The basis settings pass :func:`check_basis`, which sets the default n_probe.
+    :func:`run_sweep` of a plan always yields excitation curves plus the
+    ground energy (see :class:`SpectrumGrid`).
     """
 
     varying: str
@@ -71,7 +70,6 @@ class SweepPlan:
     n_max: int = DEFAULT_N_MAX
     n_probe: int | None = None
     tol_conv: float = DEFAULT_TOL_CONV
-    normalize: str = "excitation"
 
     def __post_init__(self) -> None:
         if self.varying not in COUPLING_FIELDS:
@@ -83,8 +81,6 @@ class SweepPlan:
             raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if self.normalize not in NORMALIZE_MODES:
-            raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
         n_probe = check_basis(self.n_max, self.n_probe, self.tol_conv)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "n_probe", n_probe)
@@ -153,12 +149,11 @@ def sector_levels_at(
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """Per-sector level curves over the grid, in the plan's normalization.
+    """Per-sector level curves over the grid: it holds E - E0 and the ground energy.
 
     ``curves[r]`` has shape (grid length, levels in sector r) and ascends in
     the level index at every point.  ``ground_energy`` keeps the absolute
-    per-point minimum, so absolute and excitation energies are always both
-    recoverable.
+    per-point minimum E0, from which :meth:`absolute` recovers E.
     """
 
     plan: SweepPlan
@@ -183,17 +178,10 @@ class SpectrumGrid:
     def residues(self) -> tuple[int, ...]:
         return tuple(sorted(self.curves))
 
-    def n_levels(self, residue: int) -> int:
-        return self.curves[residue].shape[1]
-
     def excitation(self, residue: int) -> np.ndarray:
-        if self.plan.normalize == "excitation":
-            return self.curves[residue]
-        return self.curves[residue] - self.ground_energy[:, None]
+        return self.curves[residue]
 
     def absolute(self, residue: int) -> np.ndarray:
-        if self.plan.normalize == "absolute":
-            return self.curves[residue]
         return self.curves[residue] + self.ground_energy[:, None]
 
 
@@ -267,9 +255,8 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
             fill(pool.map(work, starts))
 
     ground = np.min([c[:, 0] for c in curves.values()], axis=0)
-    if plan.normalize == "excitation":
-        for c in curves.values():
-            c -= ground[:, None]
+    for c in curves.values():
+        c -= ground[:, None]
     return SpectrumGrid(plan, k, values, curves, flags, ground)
 
 
@@ -329,8 +316,11 @@ def converged_spectrum(
     compared sector by sector in sorted order.  The point runs the same code
     as one grid point of :func:`run_sweep`, so both give the same levels and
     flags, and its basis settings pass the same :func:`check_basis`.
-    ``window`` restricts the returned levels to an excitation-energy range.
+    ``window`` restricts the returned levels to an excitation-energy range
+    (low, high); a window with low above high or a NaN end raises ValueError.
     """
+    if window is not None and not window[0] <= window[1]:
+        raise ValueError(f"window must be a (low, high) pair with low <= high, got {window}")
     n_probe = check_basis(n_max, n_probe, tol_conv)
     poly = standard_hamiltonian(spec)
     k = detect_modulus(poly)

@@ -64,7 +64,6 @@ def esqpt_sweep():
         n_max=800,
         n_probe=900,
         tol_conv=1e-8,
-        normalize="excitation",
     )
     return run_sweep(plan, threads=0)
 

@@ -338,7 +338,7 @@ class TestMalformedConfigExitTwo:
 # command -> the top-level sections it reads besides schema_version, command and output
 READS = {
     "spectrum": {"hamiltonian", "numeric", "window", "coloring"},
-    "sweep": {"hamiltonian", "numeric", "grid", "normalize", "coloring", "svg"},
+    "sweep": {"hamiltonian", "numeric", "grid", "coloring", "svg"},
     "crossings": {"hamiltonian", "numeric", "grid", "crossings"},
     "esqpt": {"hamiltonian", "numeric", "grid", "esqpt"},
     "casimir": {"casimir"},
@@ -471,13 +471,25 @@ class TestCsv:
         with pytest.raises(ConfigError):
             emit_csv(run_sweep(plan), tmp_path / "x.csv", coloring="mod3")
 
+    @pytest.mark.parametrize("max_levels", [0, -1])
+    def test_level_cap_below_one_refused(self, max_levels, tmp_path):
+        # such a cap used to write a header-only table without a word
+        plan = SweepPlan(
+            varying="eta", grid=(0.0, 0.5), fixed=HamiltonianSpec(xi=1.0),
+            n_max=15, n_probe=25,
+        )
+        path = tmp_path / "capped.csv"
+        with pytest.raises(ValueError, match="max_levels"):
+            emit_csv(run_sweep(plan), path, max_levels=max_levels)
+        assert not path.exists()
+
 
 class TestSvg:
     def test_flat_level_single_polyline(self, tmp_path):
-        # the vacuum level of the undriven oscillator stays at zero for all eta
+        # at eta <= 0 the vacuum is the undriven ground state: its excitation stays 0
         plan = SweepPlan(
-            varying="eta", grid=(0.0, 0.5, 1.0), fixed=HamiltonianSpec(),
-            n_max=6, n_probe=12, normalize="absolute",
+            varying="eta", grid=(-1.0, -0.5, 0.0), fixed=HamiltonianSpec(),
+            n_max=6, n_probe=12,
         )
         grid = run_sweep(plan)
         path = emit_svg(
@@ -833,11 +845,8 @@ ORACLE_CASES = {
         dict(varying="eta", grid=np.arange(0.0, 3.01, 0.1), fixed=HamiltonianSpec(xi=1.0)),
         "parity", None, SvgStyle(y_min=0.0, y_max=12.0, separatrices=BOTH_SEPARATRICES),
     ),
-    "parity absolute, y range unset": (
-        dict(
-            varying="eta", grid=np.arange(-1.0, 2.01, 0.15), fixed=HamiltonianSpec(xi=0.7),
-            normalize="absolute",
-        ),
+    "parity, y range unset": (
+        dict(varying="eta", grid=np.arange(-1.0, 2.01, 0.15), fixed=HamiltonianSpec(xi=0.7)),
         "parity", None, SvgStyle(separatrices=BOTH_SEPARATRICES),
     ),
     "max_levels below the block size": (
@@ -853,7 +862,7 @@ ORACLE_CASES = {
         "mod4", None, SvgStyle(y_min=-1.0),
     ),
     "MOD_ALL diagonal sweep": (
-        dict(varying="eta", grid=np.arange(0.0, 4.01, 0.2), normalize="absolute"),
+        dict(varying="eta", grid=np.arange(0.0, 4.01, 0.2)),
         "parity", 1, SvgStyle(max_levels=1, separatrices=BOTH_SEPARATRICES),
     ),
 }

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,6 +137,11 @@ class TestConvergedSpectrum:
         )
         assert np.all(cs.excitations <= 6.0)
         assert cs.converged_levels().n_levels == cs.n_converged
+
+    @pytest.mark.parametrize("window", [(5.0, 1.0), (math.nan, 6.0), (0.0, math.nan)])
+    def test_bad_window_refused(self, window):
+        with pytest.raises(ValueError, match="window"):
+            converged_spectrum(HamiltonianSpec(eta=4), n_max=30, n_probe=40, window=window)
 
     def test_residue_tags_partition_levels(self):
         spec = HamiltonianSpec(eta=1, xi=0.4)

@@ -5,6 +5,7 @@ from kerrspec.classify import degeneracy_groups
 from kerrspec.esqpt import (
     GapCurve,
     SeparatrixModel,
+    check_gap_sweep,
     gap_curves,
     separatrix_from_estimates,
     xi_c_difference_bound,
@@ -58,6 +59,13 @@ class TestGapCurves:
         )
         with pytest.raises(ValueError):
             gap_curves(run_sweep(detuned), 1)
+
+    def test_negative_v_max_refused(self, xi_sweep):
+        # gap_curves(grid, -1) used to return no curve without an error
+        with pytest.raises(ValueError, match="v_max"):
+            gap_curves(xi_sweep, -1)
+        with pytest.raises(ValueError, match="v_max"):
+            check_gap_sweep(xi_sweep.plan, xi_sweep.modulus, -1)
 
     def test_unconverged_pairs_refused(self):
         plan = SweepPlan(

@@ -53,8 +53,6 @@ class TestSweepPlan:
             SweepPlan(varying="eta", grid=(1.0, 0.5))
         with pytest.raises(ValueError):
             SweepPlan(varying="eta", grid=(0.0, np.inf))
-        with pytest.raises(ValueError):
-            SweepPlan(varying="eta", grid=(0.0, 1.0), normalize="shifted")
 
     def test_modulus_combines_special_points(self):
         # the xi = 0 grid point is diagonal but must not break the parity split
@@ -123,27 +121,13 @@ class TestRunSweep:
             assert np.all(np.diff(grid.curves[r], axis=1) >= 0)
 
     def test_excitation_normalization(self):
-        grid = run_sweep(small_plan(normalize="excitation"))
+        grid = run_sweep(small_plan())
         minima = np.array(
             [min(grid.curves[r][g, 0] for r in grid.residues) for g in range(len(grid.params))]
         )
         np.testing.assert_array_equal(minima, np.zeros(len(grid.params)))
         for r in grid.residues:
             assert np.all(grid.curves[r] >= 0)
-
-    def test_normalization_is_a_shift(self):
-        exc = run_sweep(small_plan(normalize="excitation"))
-        absolute = run_sweep(small_plan(normalize="absolute"))
-        for r in exc.residues:
-            np.testing.assert_allclose(
-                np.diff(exc.curves[r], axis=1),
-                np.diff(absolute.curves[r], axis=1),
-                atol=1e-12,
-            )
-            # reconstructing absolute energies reintroduces only rounding
-            np.testing.assert_allclose(
-                exc.absolute(r), absolute.curves[r], rtol=1e-14, atol=1e-10
-            )
 
     def test_undriven_point_matches_exact_multiplet(self):
         plan = SweepPlan(
@@ -168,15 +152,16 @@ class TestRunSweep:
         # 37 points: two full chunks and a short one
         plan = small_plan(
             varying="xi", grid=tuple(0.1 * (i + 1) for i in range(37)),
-            fixed=HamiltonianSpec(eta=1.0), n_max=30, n_probe=46, normalize="absolute",
+            fixed=HamiltonianSpec(eta=1.0), n_max=30, n_probe=46,
         )
         assert len(plan.grid) % CHUNK != 0
         grid = run_sweep(plan, threads=threads)
         unconverged = 0
         for i, value in enumerate(plan.grid):
             cs = converged_spectrum(plan.spec_at(value), plan.n_max, plan.n_probe, plan.tol_conv)
+            assert grid.ground_energy[i] == cs.ground_energy
             for r in grid.residues:
-                np.testing.assert_array_equal(grid.curves[r][i], cs.energies[cs.residues == r])
+                np.testing.assert_array_equal(grid.curves[r][i], cs.excitations[cs.residues == r])
                 np.testing.assert_array_equal(grid.converged[r][i], cs.converged[cs.residues == r])
             unconverged += int((~cs.converged).sum())
         assert unconverged > 0
