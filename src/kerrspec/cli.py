@@ -47,7 +47,7 @@ from .fock import (
     NumericFailure,
     standard_hamiltonian,
 )
-from .sectors import detect_modulus
+from .sectors import MOD_ALL, detect_modulus
 from .sweep import (
     SpectrumGrid,
     SweepPlan,
@@ -61,15 +61,14 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "run", "emit_csv", "emit_s
 
 SCHEMA_VERSION = 1
 
-# coloring -> the residue modulus it colors by; it needs a sector modulus that it divides
-_DIVISORS = {"parity": 2, "mod3": 3, "mod4": 4}
-COLORINGS = tuple(_DIVISORS)
-
+# coloring -> one color per residue mod d, for its divisor d; it needs a
+# sector modulus that d divides
 _PALETTES = {
     "parity": {"even": "#e66101", "odd": "#1f78b4"},
     "mod3": {"0": "#1b7837", "1": "#5aae61", "2": "#a6dba0"},
     "mod4": {"0": "#08519c", "1": "#cb181d", "2": "#6baed6", "3": "#fb6a4a"},
 }
+COLORINGS = tuple(_PALETTES)
 
 
 # Largest grid a configuration may ask for; every point is a full eigensolve.
@@ -246,8 +245,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"numeric.{key}={n} is above the {MAX_BASIS}-state basis cap")
 
     coloring = raw.get("coloring", "parity")
-    if coloring not in COLORINGS:
-        raise ConfigError(f"coloring must be one of {COLORINGS}")
+    _check_coloring(coloring, MOD_ALL)  # every divisor divides MOD_ALL: checks the name
 
     out = raw.get("output", {})
     _check_keys(out, {"directory", "formats", "basename"}, "output")
@@ -359,13 +357,15 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _check_coloring(coloring: str, modulus: int) -> None:
     """A coloring by residue mod d needs sectors of a modulus that d divides (MOD_ALL is 0)."""
-    if modulus % _DIVISORS[coloring]:
+    if coloring not in COLORINGS:
+        raise ConfigError(f"coloring must be one of {COLORINGS}, got {coloring!r}")
+    if modulus % len(_PALETTES[coloring]):
         raise ConfigError(f"coloring {coloring!r} incompatible with sector modulus {modulus}")
 
 
 def _color_class(coloring: str, residue: int, modulus: int) -> str:
     _check_coloring(coloring, modulus)
-    r = residue % _DIVISORS[coloring]
+    r = residue % len(_PALETTES[coloring])
     if coloring == "parity":
         return "even" if r == 0 else "odd"
     return str(r)
@@ -496,8 +496,8 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
 
     blocks = []  # (color, the sector's plotted level curves as columns)
     for r in grid.residues:
-        color = _PALETTES[coloring][_color_class(coloring, r, grid.modulus)]
-        blocks.append((color, grid.curves[r][:, :style.max_levels]))
+        color_class = _color_class(coloring, r, grid.modulus)  # refuses an unknown coloring
+        blocks.append((_PALETTES[coloring][color_class], grid.curves[r][:, :style.max_levels]))
 
     y_lo = style.y_min if style.y_min is not None else min(float(b.min()) for _, b in blocks)
     y_hi = style.y_max if style.y_max is not None else max(float(b.max()) for _, b in blocks)

@@ -92,21 +92,21 @@ class OperatorTerm:
         return self.p - self.q
 
 
-def _poly_eval(coeffs: tuple[float, ...], x) -> float:
-    """Horner evaluation of a weight polynomial; works on scalars and arrays."""
-    acc = coeffs[-1] if np.isscalar(x) else np.full_like(x, coeffs[-1], dtype=float)
+def _poly_eval(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """Horner evaluation of a weight polynomial at every entry of an array."""
+    acc = np.full_like(x, coeffs[-1], dtype=float)
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
 
 
-def _ladder_amplitude(p: int, q: int, n):
-    """sqrt factor of a^dag^p a^q on |n> (n scalar or integer array).
+def _ladder_amplitude(p: int, q: int, n: np.ndarray):
+    """sqrt factor of a^dag^p a^q on each |n> of an integer array.
 
-    The lowering and raising products are accumulated separately so the
-    scalar and vectorized paths round identically.  For p = q the two
-    products coincide and the sqrt is skipped, keeping diagonal elements
-    exact.
+    It is sqrt(n!/(n-q)!) * sqrt((n-q+p)!/(n-q)!), the lowering and the
+    raising product each rooted on its own.  For p = q the two products
+    coincide and the sqrt is skipped, so diagonal elements are exact:
+    sqrt(x)^2 need not round back to x.
     """
     k = n - q
     lowering = 1.0
@@ -120,6 +120,19 @@ def _ladder_amplitude(p: int, q: int, n):
     return np.sqrt(lowering) * np.sqrt(raising)
 
 
+def _entries(term: OperatorTerm, space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Columns n = q, q + 1, ... that ``term`` keeps inside the basis, and its entries there.
+
+    Column n holds <n + p - q| coeff a^dag^p w(n) a^q |n>.  Columns below q
+    are annihilated and columns above n_max - (p - q) leave the basis, so
+    the columns may be empty.
+    """
+    n = np.arange(term.q, space.n_max - max(term.step, 0) + 1)
+    return n, term.coeff * _poly_eval(term.weight, n - term.q) * _ladder_amplitude(
+        term.p, term.q, n
+    )
+
+
 def matrix_element(
     term: OperatorTerm, n: int, space: FockSpace
 ) -> tuple[int, float] | None:
@@ -130,12 +143,10 @@ def matrix_element(
     """
     if not 0 <= n <= space.n_max:
         raise ValueError(f"n={n} outside basis 0..{space.n_max}")
-    k = n - term.q
-    row = n + term.step
-    if k < 0 or row > space.n_max:
+    cols, values = _entries(term, space)
+    if not 0 <= n - term.q < len(cols):
         return None
-    value = term.coeff * _poly_eval(term.weight, k) * _ladder_amplitude(term.p, term.q, n)
-    return row, float(value)
+    return n + term.step, float(values[n - term.q])
 
 
 @dataclass(frozen=True)
@@ -386,15 +397,8 @@ def assemble(poly: OperatorPoly, space: FockSpace) -> BandedSymMatrix:
     for term in poly.terms:
         if term.coeff == 0.0 or term.p < term.q:
             continue
-        d = term.step
-        n_lo, n_hi = term.q, space.n_max - d
-        if n_hi < n_lo:
-            continue
-        n = np.arange(n_lo, n_hi + 1)
-        values = term.coeff * _poly_eval(term.weight, n - term.q) * _ladder_amplitude(
-            term.p, term.q, n
-        )
-        diags[d][n_lo : n_hi + 1] += values
+        n, values = _entries(term, space)
+        diags[term.step][term.q : term.q + len(n)] += values
     return BandedSymMatrix(dim, b, tuple(diags))
 
 
@@ -408,11 +412,8 @@ def poly_to_dense(poly: OperatorPoly, space: FockSpace) -> np.ndarray:
     for term in poly.terms:
         if term.coeff == 0.0:
             continue
-        for n in range(space.dim):
-            hit = matrix_element(term, n, space)
-            if hit is not None:
-                row, value = hit
-                out[row, n] += value
+        n, values = _entries(term, space)
+        out[n + term.step, n] += values
     return out
 
 

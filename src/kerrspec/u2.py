@@ -18,6 +18,7 @@ import numpy as np
 
 from .eigensolve import eigen
 from .fock import BandedSymMatrix, HamiltonianSpec, NumericFailure, pairing_poly
+from .sectors import split
 from .sweep import converged_spectrum, sector_blocks
 
 __all__ = [
@@ -79,54 +80,40 @@ def _pair_amplitude(n, N: int):
 
 def so2_generator(rep: U2Rep) -> np.ndarray:
     """Dense symmetric matrix of a^dag s + s^dag a on |[N], n>."""
-    N = rep.N
-    g = np.zeros((rep.dim, rep.dim))
-    n = np.arange(N)
-    amp = np.sqrt((n + 1.0) * (N - n))
-    g[n + 1, n] = amp
-    g[n, n + 1] = amp
-    return g
+    n = np.arange(rep.N)
+    amp = np.sqrt((n + 1.0) * (rep.N - n))
+    return BandedSymMatrix(rep.dim, 1, (np.zeros(rep.dim), amp)).to_dense()
 
 
-def _casimir_diagonals(rep: U2Rep) -> tuple[np.ndarray, np.ndarray]:
-    """Casimir entries <n|C2|n> = 2n(N - n) + N and <n+2|C2|n>, n = 0..N."""
+def _casimir(rep: U2Rep) -> BandedSymMatrix:
+    """Casimir band: <n|C2|n> = 2n(N - n) + N and <n+2|C2|n>, n = 0..N."""
     N = rep.N
     n = np.arange(rep.dim, dtype=float)
-    return 2.0 * n * (N - n) + N, _pair_amplitude(np.arange(N - 1), N)
+    amp = _pair_amplitude(np.arange(N - 1), N)
+    return BandedSymMatrix(rep.dim, 2, (2.0 * n * (N - n) + N, np.zeros(N), amp))
 
 
 def casimir_matrix(rep: U2Rep) -> np.ndarray:
     """Quadratic so(2) Casimir (a^dag s + s^dag a)^2 from its boson expansion."""
-    diag, amp = _casimir_diagonals(rep)
-    c = np.diag(diag)
-    m = np.arange(rep.N - 1)
-    c[m + 2, m] = amp
-    c[m, m + 2] = amp
-    return c
+    return _casimir(rep).to_dense()
 
 
-def _parity_blocks(diag, off) -> tuple[BandedSymMatrix, BandedSymMatrix]:
-    """A matrix coupling n to n + 2 only, on even and on odd n: two tridiagonal blocks."""
-    return tuple(
-        BandedSymMatrix(len(diag[p::2]), 1, (diag[p::2], off[p::2])) for p in (0, 1)
-    )
-
-
-def _pairing_diagonals(rep: U2Rep) -> tuple[np.ndarray, np.ndarray]:
-    """Pairing entries <n|P2'|n> = n(n - 1) + (N - n)(N - n - 1) and <n+2|P2'|n>."""
+def _pairing(rep: U2Rep) -> BandedSymMatrix:
+    """Pairing band: <n|P2'|n> = n(n - 1) + (N - n)(N - n - 1) and <n+2|P2'|n>."""
     N = rep.N
     n = np.arange(rep.dim, dtype=float)
-    return n * (n - 1.0) + (N - n) * (N - n - 1.0), -_pair_amplitude(np.arange(N - 1), N)
+    amp = _pair_amplitude(np.arange(N - 1), N)
+    return BandedSymMatrix(rep.dim, 2, (n * (n - 1.0) + (N - n) * (N - n - 1.0), np.zeros(N), -amp))
 
 
 def pairing_prime_matrix(rep: U2Rep) -> np.ndarray:
     """su(2) pairing operator from its four-term boson definition."""
-    diag, off = _pairing_diagonals(rep)
-    p = np.diag(diag)
-    m = np.arange(rep.N - 1)
-    p[m + 2, m] = off
-    p[m, m + 2] = off
-    return p
+    return _pairing(rep).to_dense()
+
+
+def _parity_eigenvalues(band: BandedSymMatrix) -> np.ndarray:
+    """Eigenvalues of a band coupling n to n + 2 only: its even block's, then its odd block's."""
+    return np.concatenate([eigen(s.block) for s in split(band, 2).sectors])
 
 
 def u2_generators(rep: U2Rep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,8 +138,7 @@ def casimir_spectrum(rep: U2Rep, tol: float = 1e-6) -> list[CasimirLevel]:
     O(N) memory.
     """
     N = rep.N
-    vals = np.concatenate([eigen(b) for b in _parity_blocks(*_casimir_diagonals(rep))])
-    vals = np.sort(vals)[::-1]  # largest first: v = 0 pair leads
+    vals = np.sort(_parity_eigenvalues(_casimir(rep)))[::-1]  # largest first: v = 0 pair leads
     out: list[CasimirLevel] = []
     pos = 0
     for v in range(N // 2 + 1):
@@ -178,11 +164,13 @@ def pairing_prime_spectrum(rep: U2Rep) -> list[PairingLevel]:
     solved as tridiagonal matrices, in O(N) memory.
     """
     N = rep.N
-    diag, off = _pairing_diagonals(rep)
-    c_diag, c_off = _casimir_diagonals(rep)
-    if not (np.array_equal(diag, N * N - c_diag) and np.array_equal(off, -c_off)):
+    pairing, casimir = _pairing(rep), _casimir(rep)
+    from_casimir = [N * N - casimir.diagonal] + [-d for d in casimir.diagonals[1:]]
+    if len(pairing.diagonals) != len(from_casimir) or not all(
+        map(np.array_equal, pairing.diagonals, from_casimir)
+    ):
         raise ValueError("pairing operator: boson form and N^2 - C2 disagree")
-    vals = np.sort(np.concatenate([eigen(b) for b in _parity_blocks(diag, off)]))
+    vals = np.sort(_parity_eigenvalues(pairing))
     out: list[PairingLevel] = []
     pos = 0
     for v in range(N // 2 + 1):
@@ -238,6 +226,8 @@ def classify_pairing_sp2(n_max: int) -> RepClassification:
     the straight line -2m between -N and +N, but the approach is very slow
     and is not asserted here.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1 (both parities need a state), got {n_max}")
     N = n_max
     blocks = sector_blocks(pairing_poly(2, -1.0), N, 2)
     branches = {}

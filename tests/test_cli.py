@@ -471,6 +471,21 @@ class TestCsv:
         with pytest.raises(ConfigError):
             emit_csv(run_sweep(plan), tmp_path / "x.csv", coloring="mod3")
 
+    @pytest.mark.parametrize("emit", ["csv", "svg"])
+    def test_unknown_coloring_refused(self, emit, tmp_path):
+        # an unknown name used to surface as a KeyError from the palette lookup
+        plan = SweepPlan(
+            varying="eta", grid=(0.0, 0.5), fixed=HamiltonianSpec(xi=1.0),
+            n_max=15, n_probe=25,
+        )
+        grid, path = run_sweep(plan), tmp_path / f"bogus.{emit}"
+        with pytest.raises(ValueError, match=r"one of \('parity', 'mod3', 'mod4'\)"):
+            if emit == "csv":
+                emit_csv(grid, path, coloring="bogus")
+            else:
+                emit_svg(grid, SvgStyle(), path, coloring="bogus")
+        assert not path.exists()
+
     @pytest.mark.parametrize("max_levels", [0, -1])
     def test_level_cap_below_one_refused(self, max_levels, tmp_path):
         # such a cap used to write a header-only table without a word

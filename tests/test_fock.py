@@ -56,16 +56,20 @@ class TestMatrixElement:
     @pytest.mark.parametrize("q", range(5))
     @pytest.mark.parametrize("weight", [(1.0,), (0.5, -1.0), (0.0, 1.0, 0.25), (2.0, 0.0, -0.5, 0.125)])
     def test_all_term_shapes_match_dense_oracle(self, p, q, weight):
-        # every shape p, q <= 4, weight degree <= 3, on n_max <= 12
+        # every shape p, q <= 4, weight degree <= 3, on n_max <= 12, built
+        # element by element and as a whole matrix
+        term = OperatorTerm(0.7, p, q, weight)
         for n_max in (5, 12):
             space = FockSpace(n_max)
             built = np.zeros((n_max + 1, n_max + 1))
             for n in range(n_max + 1):
-                hit = matrix_element(OperatorTerm(0.7, p, q, weight), n, space)
+                hit = matrix_element(term, n, space)
                 if hit is not None:
                     built[hit[0], n] += hit[1]
             expected = dense_term_oracle(0.7, p, q, weight, n_max)
             np.testing.assert_allclose(built, expected, rtol=1e-12, atol=1e-12)
+            whole = poly_to_dense(OperatorPoly((term,)), space)
+            np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestAssemble:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kerrspec.fock import HamiltonianSpec
+from kerrspec.sectors import split
 from kerrspec.u2 import (
     U2Rep,
     casimir_matrix,
@@ -16,7 +17,7 @@ from kerrspec.u2 import (
     u2_generators,
     u2_hamiltonian,
 )
-from kerrspec.u2 import _casimir_diagonals, _parity_blocks
+from kerrspec.u2 import _casimir
 
 
 class TestSo2Generator:
@@ -71,11 +72,17 @@ class TestCasimir:
 
     def test_parity_blocks_are_the_matrix_split_by_parity(self):
         rep = U2Rep(9)
-        even, odd = _parity_blocks(*_casimir_diagonals(rep))
+        even, odd = (s.block for s in split(_casimir(rep), 2).sectors)
         dense = casimir_matrix(rep)
         np.testing.assert_array_equal(even.to_dense(), dense[0::2, 0::2])
         np.testing.assert_array_equal(odd.to_dense(), dense[1::2, 1::2])
         assert not np.any(dense[0::2, 1::2])
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 9, 50])
+    def test_matrix_is_generator_squared_entry_by_entry(self, N):
+        rep = U2Rep(N)
+        g = so2_generator(rep)
+        np.testing.assert_allclose(casimir_matrix(rep), g @ g, rtol=1e-14, atol=1e-12 * N * N)
 
     def test_casimir_commutes_with_generator(self):
         rep = U2Rep(50)
@@ -143,6 +150,11 @@ class TestRepresentationDoubling:
         for branch in (rc.even, rc.odd):
             e = np.array([l.energy for l in branch.levels])
             np.testing.assert_allclose(e, -e[::-1], atol=1e-9)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_refuses_a_basis_without_an_odd_state(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            classify_pairing_sp2(n_max)
 
     def test_v_m_labels(self):
         rc = classify_pairing_sp2(50)
