@@ -65,7 +65,7 @@ DEFAULT_MAX_LEVELS = 12
 # Bracket width, in the swept parameter, at which a crossing root is accepted;
 # the relative part of the tolerance is ROOT_RTOL |t|.
 ROOT_XTOL = 1e-12
-ROOT_RTOL = 4 * np.finfo(float).eps
+ROOT_RTOL = 4 * float(np.finfo(float).eps)
 ROOT_MAXITER = 100
 
 
@@ -201,19 +201,14 @@ def degeneracy_groups(
 class CrossingEvent:
     """A located degeneracy (inter-sector) or gap minimum (intra-sector)."""
 
-    kind: str  # "true_crossing" | "avoided_crossing"
     param_value: float
     level_pair: tuple[int, int, int, int]  # residue_a, index_a, residue_b, index_b
     min_gap: float
 
-    def __post_init__(self) -> None:
-        ra, _, rb, _ = self.level_pair
-        if self.kind == "true_crossing" and ra == rb:
-            raise ValueError("true crossings join different sectors")
-        if self.kind == "avoided_crossing" and ra != rb:
-            raise ValueError("avoided crossings stay within one sector")
-        if self.kind not in ("true_crossing", "avoided_crossing"):
-            raise ValueError(f"unknown crossing kind {self.kind!r}")
+    @property
+    def kind(self) -> str:
+        """``avoided_crossing`` for two levels of one sector, else ``true_crossing``."""
+        return "avoided_crossing" if self.level_pair[0] == self.level_pair[2] else "true_crossing"
 
 
 def _pair_gap(plan: SweepPlan, k, ra: int, ia: int, rb: int, ib: int):
@@ -365,14 +360,14 @@ def detect_crossings(
             sign = np.sign(diff)
             for g, i, c in np.argwhere(sign == 0):
                 rb, jb = columns[c0 + c]
-                event = CrossingEvent("true_crossing", float(params[g]), (ra, int(i), rb, jb), 0.0)
+                event = CrossingEvent(float(params[g]), (ra, int(i), rb, jb), 0.0)
                 _report(events, grid, event, int(g))
             for g, i, c in np.argwhere(sign[:-1] * sign[1:] < 0):
                 rb, jb = columns[c0 + c]
                 f = _pair_gap(grid.plan, grid.modulus, ra, int(i), rb, jb)
                 lo, hi = float(params[g]), float(params[g + 1])
                 root, gap = _brent(f, lo, hi, float(diff[g, i, c]), float(diff[g + 1, i, c]))
-                event = CrossingEvent("true_crossing", root, (ra, int(i), rb, jb), abs(gap))
+                event = CrossingEvent(root, (ra, int(i), rb, jb), abs(gap))
                 _report(events, grid, event, int(g))
 
     slopes = None  # sector blocks of dH/d(param), built at the first gap minimum
@@ -400,7 +395,7 @@ def detect_crossings(
                         stacklevel=2,
                     )
                 t, gap = found or (float(params[m]), float(g[m]))
-                event = CrossingEvent("avoided_crossing", t, (r, i + 1, r, i), gap)
+                event = CrossingEvent(t, (r, i + 1, r, i), gap)
                 _report(events, grid, event, int(m))
 
     events.sort(key=lambda e: (e.param_value, e.level_pair))

@@ -280,20 +280,16 @@ def standard_hamiltonian(spec: HamiltonianSpec) -> OperatorPoly:
         deg -= 1
     terms: list[OperatorTerm] = [OperatorTerm(1.0, 0, 0, w[: deg + 1])]
 
-    two_photon = -spec.xi + h.squeeze3
-    if two_photon != 0.0:
-        terms += [OperatorTerm(two_photon, 2, 0), OperatorTerm(two_photon, 0, 2)]
-    if spec.xi3 != 0.0:
-        terms += [OperatorTerm(-spec.xi3, 3, 0), OperatorTerm(-spec.xi3, 0, 3)]
-    four_photon = -spec.xi4 + h.quad_squeeze4
-    if four_photon != 0.0:
-        terms += [OperatorTerm(four_photon, 4, 0), OperatorTerm(four_photon, 0, 4)]
-    number_squeeze = -spec.xi2p + h.number_squeeze3
-    if number_squeeze != 0.0:
-        terms += [
-            OperatorTerm(number_squeeze, 2, 0, (0.0, 1.0)),
-            OperatorTerm(number_squeeze, 0, 2, (0.0, 1.0)),
-        ]
+    # (coefficient, photon number k, weight) of each pairing drive
+    # coeff * (a^dag^k w(n) + w(n) a^k), in term order
+    for coeff, k, weight in (
+        (-spec.xi + h.squeeze3, 2, (1.0,)),
+        (-spec.xi3, 3, (1.0,)),
+        (-spec.xi4 + h.quad_squeeze4, 4, (1.0,)),
+        (-spec.xi2p + h.number_squeeze3, 2, (0.0, 1.0)),
+    ):
+        if coeff != 0.0:
+            terms += [OperatorTerm(coeff, k, 0, weight), OperatorTerm(coeff, 0, k, weight)]
     return OperatorPoly(tuple(terms))
 
 
@@ -309,25 +305,26 @@ COUPLING_DERIVATIVES = {
 class BandedSymMatrix:
     """Real symmetric matrix stored by its lower diagonals.
 
-    ``diagonals[d][i] = M[i + d, i]``; entries beyond offset ``bandwidth``
-    vanish.  Trailing diagonals with no nonzero entry (empty ones included)
-    are dropped on construction, so ``bandwidth`` is the true one: 0 means
-    diagonal and 1 tridiagonal.  Storage is immutable after construction.
+    It is built from ``diagonals`` alone, ``diagonals[d][i] = M[i + d, i]``:
+    ``dim`` is the length of diagonal 0, and diagonal d must hold
+    max(dim - d, 0) entries.  Trailing diagonals with no nonzero entry
+    (empty ones included) are dropped on construction, so ``bandwidth`` is
+    the true one: 0 means diagonal and 1 tridiagonal.  Storage is immutable
+    after construction.
     """
 
-    dim: int
-    bandwidth: int
     diagonals: tuple[np.ndarray, ...] = field(repr=False)
+    dim: int = field(init=False)
+    bandwidth: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if len(self.diagonals) != self.bandwidth + 1:
-            raise ValueError("need one stored diagonal per offset 0..bandwidth")
+        dim = len(self.diagonals[0]) if self.diagonals else 0
+        if dim < 1:
+            raise ValueError("diagonal 0 must hold at least one entry")
         frozen = []
         for d, diag in enumerate(self.diagonals):
             diag = np.asarray(diag, dtype=float)
-            want = max(self.dim - d, 0)
+            want = max(dim - d, 0)
             if diag.shape != (want,):
                 raise ValueError(f"diagonal {d} must have length {want}")
             if not np.all(np.isfinite(diag)):
@@ -337,6 +334,7 @@ class BandedSymMatrix:
             frozen.append(diag)
         while len(frozen) > 1 and not np.any(frozen[-1]):
             frozen.pop()
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "bandwidth", len(frozen) - 1)
         object.__setattr__(self, "diagonals", tuple(frozen))
 
@@ -370,9 +368,7 @@ class BandedSymMatrix:
         """The leading principal ``dim`` x ``dim`` submatrix."""
         if dim == self.dim:
             return self
-        return BandedSymMatrix(
-            dim, self.bandwidth, tuple(d[: max(dim - i, 0)] for i, d in enumerate(self.diagonals))
-        )
+        return BandedSymMatrix(tuple(d[: max(dim - i, 0)] for i, d in enumerate(self.diagonals)))
 
     def band_lower(self) -> np.ndarray:
         """LAPACK lower-banded storage: ab[d, i] = M[i + d, i], zero padded."""
@@ -399,7 +395,7 @@ def assemble(poly: OperatorPoly, space: FockSpace) -> BandedSymMatrix:
             continue
         n, values = _entries(term, space)
         diags[term.step][term.q : term.q + len(n)] += values
-    return BandedSymMatrix(dim, b, tuple(diags))
+    return BandedSymMatrix(tuple(diags))
 
 
 def poly_to_dense(poly: OperatorPoly, space: FockSpace) -> np.ndarray:

@@ -82,12 +82,11 @@ def split(matrix: BandedSymMatrix, k: int) -> SectorDecomposition:
     _check_zero_offsets(
         matrix, (d for d in range(1, matrix.bandwidth + 1) if d % stride != 0)
     )
-    local_b = matrix.bandwidth // stride
     sectors = []
     for r in range(min(stride, matrix.dim)):
         # local diagonal dd of sector r: every stride-th entry of diagonal dd * stride
-        diags = tuple(matrix.diagonals[dd * stride][r::stride] for dd in range(local_b + 1))
-        sectors.append(Sector(r, BandedSymMatrix(sector_dim(matrix.dim, k, r), local_b, diags)))
+        diags = tuple(diag[r::stride] for diag in matrix.diagonals[::stride])
+        sectors.append(Sector(r, BandedSymMatrix(diags)))
     return SectorDecomposition(tuple(sectors))
 
 

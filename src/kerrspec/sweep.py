@@ -153,18 +153,20 @@ class SpectrumGrid:
 
     ``curves[r]`` has shape (grid length, levels in sector r) and ascends in
     the level index at every point.  ``ground_energy`` keeps the absolute
-    per-point minimum E0, from which :meth:`absolute` recovers E.
+    per-point minimum E0, from which :meth:`absolute` recovers E.  ``params``
+    is ``plan.grid``, the points where the curves were solved, as a read-only
+    array.
     """
 
     plan: SweepPlan
     modulus: int
-    params: np.ndarray
     curves: dict[int, np.ndarray]
     converged: dict[int, np.ndarray]
     ground_energy: np.ndarray
+    params: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.params, dtype=float)
+        p = np.asarray(self.plan.grid, dtype=float)
         p.flags.writeable = False
         object.__setattr__(self, "params", p)
         for bundle in (self.curves, self.converged):
@@ -257,7 +259,7 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     ground = np.min([c[:, 0] for c in curves.values()], axis=0)
     for c in curves.values():
         c -= ground[:, None]
-    return SpectrumGrid(plan, k, values, curves, flags, ground)
+    return SpectrumGrid(plan, k, curves, flags, ground)
 
 
 @dataclass(frozen=True)

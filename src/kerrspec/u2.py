@@ -17,7 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigensolve import eigen
-from .fock import BandedSymMatrix, HamiltonianSpec, NumericFailure, pairing_poly
+from .fock import (
+    BandedSymMatrix,
+    HamiltonianSpec,
+    HigherOrderCorrections,
+    NumericFailure,
+    pairing_poly,
+)
 from .sectors import split
 from .sweep import converged_spectrum, sector_blocks
 
@@ -82,7 +88,7 @@ def so2_generator(rep: U2Rep) -> np.ndarray:
     """Dense symmetric matrix of a^dag s + s^dag a on |[N], n>."""
     n = np.arange(rep.N)
     amp = np.sqrt((n + 1.0) * (rep.N - n))
-    return BandedSymMatrix(rep.dim, 1, (np.zeros(rep.dim), amp)).to_dense()
+    return BandedSymMatrix((np.zeros(rep.dim), amp)).to_dense()
 
 
 def _casimir(rep: U2Rep) -> BandedSymMatrix:
@@ -90,7 +96,7 @@ def _casimir(rep: U2Rep) -> BandedSymMatrix:
     N = rep.N
     n = np.arange(rep.dim, dtype=float)
     amp = _pair_amplitude(np.arange(N - 1), N)
-    return BandedSymMatrix(rep.dim, 2, (2.0 * n * (N - n) + N, np.zeros(N), amp))
+    return BandedSymMatrix((2.0 * n * (N - n) + N, np.zeros(N), amp))
 
 
 def casimir_matrix(rep: U2Rep) -> np.ndarray:
@@ -103,7 +109,7 @@ def _pairing(rep: U2Rep) -> BandedSymMatrix:
     N = rep.N
     n = np.arange(rep.dim, dtype=float)
     amp = _pair_amplitude(np.arange(N - 1), N)
-    return BandedSymMatrix(rep.dim, 2, (n * (n - 1.0) + (N - n) * (N - n - 1.0), np.zeros(N), -amp))
+    return BandedSymMatrix((n * (n - 1.0) + (N - n) * (N - n - 1.0), np.zeros(N), -amp))
 
 
 def pairing_prime_matrix(rep: U2Rep) -> np.ndarray:
@@ -259,7 +265,7 @@ def u2_hamiltonian(eta: float, xi: float, N: int) -> BandedSymMatrix:
     eps2 = xi / N
     m = np.arange(N - 1)
     diag2 = -eps2 * _pair_amplitude(m, N)
-    return BandedSymMatrix(N + 1, 2, (diag0, np.zeros(N), diag2))
+    return BandedSymMatrix((diag0, np.zeros(N), diag2))
 
 
 def contraction_check(spec: HamiltonianSpec, N: int, n_levels: int) -> float:
@@ -269,7 +275,7 @@ def contraction_check(spec: HamiltonianSpec, N: int, n_levels: int) -> float:
     probe basis certifying convergence of the compared levels.  The deviation
     must shrink as N grows.
     """
-    if spec.xi3 or spec.xi4 or spec.xi2p or spec.higher is not None:
+    if spec.xi3 or spec.xi4 or spec.xi2p or spec.higher not in (None, HigherOrderCorrections()):
         raise ValueError("contraction check is defined for the two-photon drive only")
     if not 0 < n_levels <= N:
         raise ValueError("need 0 < n_levels <= N")

@@ -125,14 +125,6 @@ class TestDegeneracyGroups:
 
 
 class TestCrossingEvents:
-    def test_kind_sector_consistency(self):
-        with pytest.raises(ValueError):
-            CrossingEvent("true_crossing", 1.0, (0, 0, 0, 1), 0.0)
-        with pytest.raises(ValueError):
-            CrossingEvent("avoided_crossing", 1.0, (0, 0, 1, 0), 0.1)
-        with pytest.raises(ValueError):
-            CrossingEvent("saddle", 1.0, (0, 0, 1, 0), 0.1)
-
     def test_diagonal_sweep_crossings_at_integers(self):
         # level curves of the squeeze-free Hamiltonian cross exactly at integer eta
         plan = SweepPlan(
@@ -164,6 +156,19 @@ class TestCrossingEvents:
         for e in events:
             if e.kind == "true_crossing":
                 assert e.min_gap < 1e-9
+
+    def test_numeric_fields_are_python_floats(self):
+        # the avoided crossing near eta 0.4127 ends its root search on a tolerance step
+        plan = SweepPlan(
+            varying="eta", grid=tuple(0.05 * i for i in range(61)),
+            fixed=HamiltonianSpec(xi=1.0), n_max=60, n_probe=90,
+        )
+        events = detect_crossings(run_sweep(plan), 4)
+        assert {e.kind for e in events} == {"true_crossing", "avoided_crossing"}
+        assert any(abs(e.param_value - 0.41270331154216117) < 1e-12 for e in events)
+        for e in events:
+            assert type(e.param_value) is float and type(e.min_gap) is float, e
+            assert all(type(x) is int for x in e.level_pair), e
 
     def test_refinement_tightens_gap(self):
         plan = SweepPlan(
@@ -263,7 +268,7 @@ class TestUnconvergedOnNodesAndCallers:
         grid = diagonal_integer_grid()
         assert grid.modulus == 0
         # E_n = -eta n + n(n - 1): the one-state sectors 0 and 1 meet at eta = 0
-        hit = CrossingEvent("true_crossing", 0.0, (0, 0, 1, 0), 0.0)
+        hit = CrossingEvent(0.0, (0, 0, 1, 0), 0.0)
         assert hit in detect_crossings(grid)
         for r, level in ((0, 0), (1, 0)):
             flags = {q: f.copy() for q, f in grid.converged.items()}
@@ -305,12 +310,12 @@ def per_pair_true_crossings(grid, max_levels):
             sign = np.sign(diff)
             for g, i, j in np.argwhere(sign == 0):
                 pair = (ra, int(i), rb, int(j))
-                events.append(CrossingEvent("true_crossing", float(grid.params[g]), pair, 0.0))
+                events.append(CrossingEvent(float(grid.params[g]), pair, 0.0))
             for g, i, j in np.argwhere(sign[:-1] * sign[1:] < 0):
                 f = _pair_gap(grid.plan, grid.modulus, ra, int(i), rb, int(j))
                 lo, hi = float(grid.params[g]), float(grid.params[g + 1])
                 root, gap = _brent(f, lo, hi, float(diff[g, i, j]), float(diff[g + 1, i, j]))
-                events.append(CrossingEvent("true_crossing", root, (ra, int(i), rb, int(j)), abs(gap)))
+                events.append(CrossingEvent(root, (ra, int(i), rb, int(j)), abs(gap)))
     return sorted(events, key=lambda e: (e.param_value, e.level_pair))
 
 
@@ -427,3 +432,15 @@ class TestTrackCrossing:
             bracket_halfwidth=0.2,
         )
         assert not points[0].found and points[0].eta_star is None
+
+    def test_numeric_fields_are_python_floats(self):
+        # a numpy scalar among the tolerances would leak into the roots it ends on
+        found = track_crossing_location(LevelPair(0, 0, 1, 0), "P2", [0.5, 8.0], 2, n_max=40)
+        lost = track_crossing_location(
+            LevelPair(0, 1, 0, 0), "P2", [1.0], 6, n_max=120, max_expand=0,
+            bracket_halfwidth=0.2,
+        )
+        assert [p.found for p in found + lost] == [True, True, False]
+        for p in found + lost:
+            fields = (p.coupling_value, p.gap) + ((p.eta_star,) if p.found else ())
+            assert all(type(x) is float for x in fields), p

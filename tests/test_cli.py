@@ -32,9 +32,9 @@ from kerrspec.cli import (
 )
 from kerrspec.classify import LevelPair, TrackedCrossing, track_crossing_location
 from kerrspec.esqpt import SeparatrixModel, SeparatrixPoint
-from kerrspec.fock import HamiltonianSpec
+from kerrspec.fock import HamiltonianSpec, HigherOrderCorrections
 from kerrspec.sectors import MOD_ALL
-from kerrspec.sweep import SpectrumGrid, SweepPlan, run_sweep
+from kerrspec.sweep import SpectrumGrid, SweepPlan, converged_spectrum, run_sweep
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -146,7 +146,7 @@ class TestMalformedConfigExitTwo:
         "unknown coupling": lambda d: track_config(d, coupling="P9"),
         "coupling not a string": lambda d: track_config(d, coupling=["P2"]),
         "pair entry not an integer": lambda d: track_config(d, pair=[0, "a", 1, 0]),
-        "window entry not a number": lambda d: sweep_config(d, window=["a", 1]),
+        "window entry not a number": lambda d: spectrum_config(d, window=["a", 1]),
         "hamiltonian not an object": lambda d: sweep_config(d, hamiltonian=[]),
         "numeric not an object": lambda d: sweep_config(d, numeric="fast"),
         "grid not an object": lambda d: sweep_config(d, grid=[0, 1]),
@@ -229,6 +229,16 @@ class TestMalformedConfigExitTwo:
         "svg y range wider than a float": lambda d: sweep_config(
             d, svg={"y_min": -1e308, "y_max": 1e308}
         ),
+        "top level not an object": lambda d: [spectrum_config(d)],
+        "window of three entries": lambda d: spectrum_config(d, window=[0, 1, 2]),
+        "window not a list": lambda d: spectrum_config(d, window=5),
+        "track pair of three entries": lambda d: track_config(d, pair=[0, 0, 1]),
+        "grid step zero": lambda d: sweep_config(
+            d, grid={"varying": "eta", "start": 0.0, "stop": 2.0, "step": 0}
+        ),
+        "grid step negative": lambda d: sweep_config(
+            d, grid={"varying": "eta", "start": 2.0, "stop": 0.0, "step": -0.5}
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -240,6 +250,15 @@ class TestMalformedConfigExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_json_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"schema_version": 1, "command": "spectrum",')
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(cfg)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON")
         assert not (tmp_path / "out").exists()
 
     def test_track_refuses_any_hamiltonian(self, tmp_path, capsys):
@@ -593,6 +612,28 @@ class TestCommands:
         excitations = [float(ln.split(",")[4]) for ln in lines[1:]]
         assert excitations == [0, 0, 2, 2, 6, 6]
 
+    def test_spectrum_with_higher_order_terms(self, tmp_path):
+        higher = {"cubic4": 0.001, "squeeze3": 0.01}
+        payload = spectrum_config(str(tmp_path / "ho"))
+        payload["hamiltonian"]["higher_order"] = higher
+        assert run(load_config(write_config(tmp_path, payload))) == 0
+        spec = HamiltonianSpec(eta=0.0, xi=1.0, higher=HigherOrderCorrections(**higher))
+        want = converged_spectrum(spec, 30, 45)
+        lines = (tmp_path / "ho" / "spectrum.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [r[3] for r in rows] == [format(e, ".12g") for e in want.energies.tolist()]
+        assert [r[4] for r in rows] == [format(x, ".12g") for x in want.excitations.tolist()]
+        plain = converged_spectrum(HamiltonianSpec(eta=0.0, xi=1.0), 30, 45)
+        assert not np.array_equal(want.energies, plain.energies)
+
+    def test_empty_higher_order_writes_the_same_bytes(self, tmp_path):
+        outputs = []
+        for name, ham in (("without", {"xi": 1.0}), ("empty", {"xi": 1.0, "higher_order": {}})):
+            payload = spectrum_config(str(tmp_path / name), hamiltonian=ham)
+            assert run(load_config(write_config(tmp_path, payload))) == 0
+            outputs.append((tmp_path / name / "spectrum.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_casimir_command(self, tmp_path):
         payload = {
             "schema_version": 1,
@@ -904,7 +945,7 @@ class TestWriterOracle:
         ramp = np.arange(801) * 0.075 + params[:, None] * 0.2
         curves = {0: ramp[:, 0::2].copy(), 1: ramp[:, 1::2].copy()}
         flags = {r: np.ones(c.shape, dtype=bool) for r, c in curves.items()}
-        grid = SpectrumGrid(plan, 2, params, curves, flags, np.zeros(len(params)))
+        grid = SpectrumGrid(plan, 2, curves, flags, np.zeros(len(params)))
         style = SvgStyle(y_min=0.0, y_max=60.0, separatrices=BOTH_SEPARATRICES)
         tracemalloc.start()
         try:

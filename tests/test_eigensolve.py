@@ -65,7 +65,7 @@ class TestEigen:
         assert not w.flags.writeable
 
     def test_two_by_two_analytic(self):
-        m = BandedSymMatrix(2, 1, (np.zeros(2), np.array([-np.sqrt(2)])))
+        m = BandedSymMatrix((np.zeros(2), np.array([-np.sqrt(2)])))
         w = eigen(m)
         np.testing.assert_allclose(w, [-np.sqrt(2), np.sqrt(2)], atol=1e-14)
         assert not w.flags.writeable  # LAPACK path, as the diagonal one
@@ -162,7 +162,7 @@ class TestSingleLevel:
             return split(assemble(poly, FockSpace(n_max)), detect_modulus(poly)).sectors[residue].block
 
         yield "diagonal", assemble(standard_hamiltonian(HamiltonianSpec(eta=4)), FockSpace(60))
-        yield "stored zero band", BandedSymMatrix(4, 1, (np.array([3.0, -1.0, 2.0, -1.0]), np.zeros(3)))
+        yield "stored zero band", BandedSymMatrix((np.array([3.0, -1.0, 2.0, -1.0]), np.zeros(3)))
         yield "tridiagonal P2 sector", sector(HamiltonianSpec(eta=3.3, xi=1.0), 300, 1)
         yield "band 2 P2+P4 sector", sector(HamiltonianSpec(eta=2.0, xi=1.0, xi4=0.2), 300, 0)
         yield "band 4 unsplit P4", assemble(
@@ -180,7 +180,7 @@ class TestSingleLevel:
         assert widths == {0, 1, 2, 4}
 
     def test_index_out_of_range(self):
-        m = BandedSymMatrix(2, 1, (np.zeros(2), np.array([1.0])))
+        m = BandedSymMatrix((np.zeros(2), np.array([1.0])))
         for solve in (eigenvalue, eigenpair):
             with pytest.raises(IndexError):
                 solve(m, 2)
@@ -347,11 +347,11 @@ class TestCertify:
         # the first probe pivot is 3 - 3 = 0 at a zero off-diagonal (0/0); two
         # eigenvalues of the coupled probe tail lie below 3, so level 1 fails
         probe = BandedSymMatrix(
-            7, 1, (np.array([3.0, 4.0, 10.0, 10.0, 10.0, 10.0, 10.0]), np.array([0, 0, 8.0, 8, 8, 8]))
+            (np.array([3.0, 4.0, 10.0, 10.0, 10.0, 10.0, 10.0]), np.array([0, 0, 8.0, 8, 8, 8]))
         )
         # the diagonal probe diag(3, 4, 10, 1, 1) meets 0/0 at the same pivot; its
         # two added levels at 1 lie below every shift, so every level fails
-        diagonal = BandedSymMatrix(5, 0, (np.array([3.0, 4.0, 10.0, 1.0, 1.0]),))
+        diagonal = BandedSymMatrix((np.array([3.0, 4.0, 10.0, 1.0, 1.0]),))
         vals = np.array([3.0, 4.0, 10.0])
         _, failed = _sturm_counts([probe, diagonal], [vals - 0.25 * vals] * 2)
         assert failed.tolist() == [True, True]
@@ -384,7 +384,7 @@ class TestBandwidthDecidesTheSolver:
     def padded(block):
         """``block`` (tridiagonal) with an all-zero second diagonal stored after it."""
         pad = np.zeros(block.dim - 2)
-        return BandedSymMatrix(block.dim, 2, (block.diagonal, block.diagonals[1], pad))
+        return BandedSymMatrix((block.diagonal, block.diagonals[1], pad))
 
     def test_zero_second_diagonal_solves_and_certifies_bit_equal(self):
         poly = standard_hamiltonian(HamiltonianSpec(eta=2.7, xi=1.5))
@@ -455,7 +455,7 @@ def tridiagonal_batches(draw):
         a = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
         a += np.arange(n) ** 2 * draw(st.sampled_from([0.0, 0.05, 1.0]))
         e = np.array(draw(st.lists(st.one_of(st.just(0.0), entries), min_size=n - 1, max_size=n - 1)))
-        block = BandedSymMatrix(n, 1, (a, e))
+        block = BandedSymMatrix((a, e))
         x = _near(eigen(block))
         x = np.concatenate([x, draw(st.lists(st.floats(-100, 5000), max_size=5))])
         blocks.append(block)
@@ -505,7 +505,7 @@ class TestSturmCountsStopEarly:
         c = float.fromhex("0x1.6fd5555555554p+0")
         assert (c * c) / c > c
         block = BandedSymMatrix(
-            18, 1, (np.array([10.0] * 15 + [c, c + 2.0, 2.0]), np.array([0.0] * 15 + [c, 2.0]))
+            (np.array([10.0] * 15 + [c, c + 2.0, 2.0]), np.array([0.0] * 15 + [c, 2.0]))
         )
         shift = np.array([-1e-300])
         assert [n.tolist() for n in _sturm_counts([block], [shift])[0]] == [[1]]
@@ -517,7 +517,7 @@ class TestSturmCountsStopEarly:
         # holds from row 16 on with room to spare for the relative margin
         e = 2e-162
         assert (e * e) / e > 1.2 * e
-        block = BandedSymMatrix(17, 1, (np.array([10.0] * 15 + [e, e]), np.array([0.0] * 15 + [e])))
+        block = BandedSymMatrix((np.array([10.0] * 15 + [e, e]), np.array([0.0] * 15 + [e])))
         shift = np.array([-1e-170])
         assert [n.tolist() for n in _sturm_counts([block], [shift])[0]] == [[1]]
         assert_counts_equal_plain([block], [shift])

@@ -3,6 +3,7 @@ import pytest
 
 from kerrspec.classify import degeneracy_groups
 from kerrspec.esqpt import (
+    CriticalPointEstimate,
     GapCurve,
     SeparatrixModel,
     check_gap_sweep,
@@ -12,8 +13,8 @@ from kerrspec.esqpt import (
     xi_c_linear_extrapolation,
     xi_c_max_rate,
 )
-from kerrspec.fock import HamiltonianSpec
-from kerrspec.sweep import SweepPlan, run_sweep
+from kerrspec.fock import HamiltonianSpec, NumericFailure
+from kerrspec.sweep import SpectrumGrid, SweepPlan, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,19 @@ class TestGapCurves:
         with pytest.raises(ValueError, match="unconverged"):
             gap_curves(grid, 8)
 
+    def test_gap_oriented_by_its_first_nonzero_value(self):
+        # a hand-built parity grid whose odd level 0 sits below the even one
+        plan = SweepPlan(varying="xi", grid=(0.0, 0.5, 1.0), n_max=4, n_probe=6)
+        even = np.array([[0.0, 2.0], [0.3, 2.0], [0.1, 2.0]])
+        odd = np.array([[0.0, 4.0], [0.0, 3.0], [0.0, 2.5]])
+        flags = {r: np.ones((3, 2), dtype=bool) for r in (0, 1)}
+        grid = SpectrumGrid(plan, 2, {0: even, 1: odd}, flags, np.zeros(3))
+        np.testing.assert_array_equal(grid.params, [0.0, 0.5, 1.0])
+        flipped, kept = gap_curves(grid, 1)
+        np.testing.assert_array_equal(flipped.gap, [0.0, 0.3, 0.1])
+        np.testing.assert_array_equal(kept.gap, [2.0, 1.0, 0.5])
+        np.testing.assert_array_equal(flipped.mean_energy, [0.0, 0.15, 0.05])
+
     def test_orientation_guard(self):
         with pytest.raises(ValueError, match="pairing convention"):
             GapCurve(0, np.arange(3.0), np.array([0.1, -0.2, 0.1]), np.ones(3))
@@ -125,6 +139,16 @@ class TestLinearExtrapolation:
         curve = GapCurve(0, xi, np.array([1.0, 0.9, 0.8, 0.7]), np.ones(4))
         assert xi_c_linear_extrapolation(curve) is None
 
+    def test_rising_fit_gives_none(self):
+        # a straight line has a flat rate, so its maximum is the reference
+        xi = np.linspace(0, 1, 51)
+        assert xi_c_linear_extrapolation(GapCurve(1, xi, 0.1 + 0.9 * xi, np.ones(51))) is None
+
+    def test_root_beyond_the_grid_gives_none(self):
+        # the falling line 1 - xi / 2 reaches zero at xi = 2, past the grid end
+        xi = np.linspace(0, 1, 51)
+        assert xi_c_linear_extrapolation(GapCurve(1, xi, 1 - 0.5 * xi, np.ones(51))) is None
+
     def test_small_v_lands_nearest_the_bound_method(self, curves):
         lin = xi_c_linear_extrapolation(curves[1])
         bound = xi_c_difference_bound(curves[1])
@@ -144,6 +168,11 @@ class TestDifferenceBound:
         semi = np.ones(6)
         est = xi_c_difference_bound(GapCurve(1, xi, gap, semi), fraction=0.005)
         assert est.xi_c > xi[3]
+
+    def test_bound_holding_from_the_first_point(self):
+        xi = np.linspace(0.5, 2.0, 4)
+        est = xi_c_difference_bound(GapCurve(1, xi, np.zeros(4), np.array([3.0, 2, 1, 1])))
+        assert (est.xi_c, est.E_c) == (0.5, 3.0)
 
     def test_monotone_in_v(self, curves):
         xs = [xi_c_difference_bound(c).xi_c for c in curves[1:]]
@@ -173,6 +202,11 @@ class TestSeparatrix:
     def test_requires_three_estimates(self):
         with pytest.raises(ValueError):
             separatrix_from_estimates([])
+
+    def test_estimate_at_zero_coupling_refused(self):
+        ests = [CriticalPointEstimate(v, "max_rate", float(v), 1.0) for v in (0, 1, 2)]
+        with pytest.raises(NumericFailure, match=r"xi_c=0 \(v=0\)"):
+            separatrix_from_estimates(ests)
 
     def test_points_carry_square_law_deviation(self, curves):
         ests = [xi_c_max_rate(c) for c in curves[1:]]

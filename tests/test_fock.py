@@ -272,15 +272,15 @@ class TestCouplingDerivatives:
 class TestBandedSymMatrix:
     def test_trailing_zero_diagonals_are_dropped(self):
         a = np.array([1.0, 2.0, 3.0])
-        zero_last = BandedSymMatrix(3, 2, (a, np.array([0.5, -0.5]), np.zeros(1)))
+        zero_last = BandedSymMatrix((a, np.array([0.5, -0.5]), np.zeros(1)))
         assert zero_last.bandwidth == 1 and len(zero_last.diagonals) == 2
-        assert BandedSymMatrix(3, 2, (a, np.zeros(2), np.zeros(1))).bandwidth == 0
+        assert BandedSymMatrix((a, np.zeros(2), np.zeros(1))).bandwidth == 0
         # a 2-state block stores empty diagonals beyond offset 1
-        empty_last = BandedSymMatrix(2, 3, (a[:2], np.array([0.5]), np.zeros(0), np.zeros(0)))
+        empty_last = BandedSymMatrix((a[:2], np.array([0.5]), np.zeros(0), np.zeros(0)))
         assert empty_last.bandwidth == 1
-        assert BandedSymMatrix(1, 2, (a[:1], np.zeros(0), np.zeros(0))).bandwidth == 0
+        assert BandedSymMatrix((a[:1], np.zeros(0), np.zeros(0))).bandwidth == 0
         # a zero diagonal below a nonzero one stays
-        inner_zero = BandedSymMatrix(3, 2, (a, np.zeros(2), np.array([0.5])))
+        inner_zero = BandedSymMatrix((a, np.zeros(2), np.array([0.5])))
         assert inner_zero.bandwidth == 2
         assert (inner_zero.element(1, 0), inner_zero.element(0, 2)) == (0.0, 0.5)
 
@@ -291,7 +291,19 @@ class TestBandedSymMatrix:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            BandedSymMatrix(2, 0, (np.array([1.0, np.nan]),))
+            BandedSymMatrix((np.array([1.0, np.nan]),))
+
+    def test_shape_comes_from_the_diagonals(self):
+        m = BandedSymMatrix((np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0]), np.array([0.25])))
+        assert (m.dim, m.bandwidth) == (3, 2)
+        with pytest.raises(ValueError, match="diagonal 0 must hold at least one entry"):
+            BandedSymMatrix((np.zeros(0),))
+        with pytest.raises(ValueError, match="diagonal 0 must hold at least one entry"):
+            BandedSymMatrix(())
+        with pytest.raises(ValueError, match="diagonal 1 must have length 2"):
+            BandedSymMatrix((np.zeros(3), np.zeros(3)))
+        with pytest.raises(ValueError, match="diagonal 3 must have length 0"):
+            BandedSymMatrix((np.zeros(2), np.zeros(1), np.zeros(0), np.zeros(1)))
 
     def test_element_accessor(self):
         m = assemble(pairing_poly(2, -1.0), FockSpace(4))

@@ -94,7 +94,7 @@ def test_scipy_linalg_imported_before_kerrspec_still_works():
         "from kerrspec.fock import BandedSymMatrix\n"
         "ab = np.array([[2.0, 2.0], [1.0, 0.0]])\n"
         "w = scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True)\n"
-        "m = BandedSymMatrix(2, 1, (np.array([2.0, 2.0]), np.array([1.0])))\n"
+        "m = BandedSymMatrix((np.array([2.0, 2.0]), np.array([1.0])))\n"
         "print(json.dumps([E._lapack.__name__, scipy.linalg._flapack.__name__,\n"
         "                  w.tolist(), E.eigen(m).tolist()]))"
     )

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kerrspec.fock import HamiltonianSpec
+from kerrspec.fock import HamiltonianSpec, HigherOrderCorrections
 from kerrspec.sectors import split
 from kerrspec.u2 import (
     U2Rep,
@@ -190,3 +190,12 @@ class TestContraction:
     def test_rejects_other_couplings(self):
         with pytest.raises(ValueError):
             contraction_check(HamiltonianSpec(eta=0.0, xi3=1.0), 100, 3)
+        spec = HamiltonianSpec(xi=1.0, higher=HigherOrderCorrections(kerr3=0.1))
+        with pytest.raises(ValueError, match="two-photon drive only"):
+            contraction_check(spec, 100, 3)
+
+    def test_all_zero_corrections_are_no_corrections(self):
+        # standard_hamiltonian expands both specs to the same polynomial
+        plain = contraction_check(HamiltonianSpec(xi=1.0), 100, 5)
+        zero = contraction_check(HamiltonianSpec(xi=1.0, higher=HigherOrderCorrections()), 100, 5)
+        assert zero == plain and 0.0 < plain < 0.1
