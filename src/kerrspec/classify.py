@@ -68,6 +68,11 @@ ROOT_XTOL = 1e-12
 ROOT_RTOL = 4 * float(np.finfo(float).eps)
 ROOT_MAXITER = 100
 
+# track_crossing_location's first bracket half-width in eta around the previous
+# location, and how many times it doubles the bracket before giving up.
+BRACKET_HALFWIDTH = 0.5
+BRACKET_WIDENINGS = 3
+
 
 class UnconvergedCrossingWarning(UserWarning):
     """A located crossing sits within one grid step of an unconverged level."""
@@ -128,22 +133,18 @@ class KerrLevel(NamedTuple):
     state: TwoBosonState
 
 
-def kerr_exact_levels(eta: int, count: int | None = None) -> list[KerrLevel]:
+def kerr_exact_levels(eta: int) -> list[KerrLevel]:
     """Exact excitation spectrum of -eta n + n(n-1) at integer eta.
 
     The multiplet spans Fock occupations n1 = 0..eta+1 with m = (n2 - n1)/2;
     energies are m^2 - 1/4 for even eta and m^2 for odd eta, in integer
-    arithmetic.  Levels are sorted by (energy, n1).
+    arithmetic.  All eta + 2 levels are returned, sorted by (energy, n1).
     """
     if eta < 0 or int(eta) != eta:
         raise ValueError(f"eta must be a non-negative integer, got {eta}")
     eta = int(eta)
     N = eta + 1
     j = Fraction(N, 2)
-    if count is None:
-        count = N + 1
-    if not 0 < count <= N + 1:
-        raise ValueError(f"count must be in 1..{N + 1} (multiplet size)")
     entries = []
     for n1 in range(N + 1):
         state = TwoBosonState(n1, N - n1)
@@ -153,7 +154,7 @@ def kerr_exact_levels(eta: int, count: int | None = None) -> list[KerrLevel]:
         label = QuasiSpinLabel(j=j, m=m, parity=state.parity)
         entries.append(KerrLevel(int(exc), label, state))
     entries.sort(key=lambda lv: (lv.energy, lv.state.n1))
-    return entries[:count]
+    return entries
 
 
 @dataclass(frozen=True)
@@ -445,21 +446,19 @@ def track_crossing_location(
     xi_grid,
     eta0: int,
     n_max: int = DEFAULT_N_MAX,
-    bracket_halfwidth: float = 0.5,
-    max_expand: int = 3,
 ) -> list[TrackedCrossing]:
     """Follow the detuning eta*(xi) where a level pair stays degenerate.
 
     ``coupling`` is one of P2, P3, P4, nP2; at xi = 0 the pair crosses at
     eta0.  Each step brackets the signed pair difference in eta around the
-    previous location, widening the bracket up to ``max_expand`` times, and
-    refines the root with Brent's method to ``ROOT_XTOL`` + ``ROOT_RTOL``
-    |eta|.  Each evaluation solves only the two levels of the pair at
-    ``n_max``; the bracket ends are not solved twice, and ``gap`` is
-    |E_a - E_b| at the root.  A bracket that
-    never changes sign (the pair has merged into the avoided regime) is
-    reported as not found.  A pair that :func:`check_track_pair` refuses
-    raises ValueError before anything is solved.
+    previous location, ``BRACKET_HALFWIDTH`` either side, doubling the
+    bracket up to ``BRACKET_WIDENINGS`` times, and refines the root with
+    Brent's method to ``ROOT_XTOL`` + ``ROOT_RTOL`` |eta|.  Each evaluation
+    solves only the two levels of the pair at ``n_max``; the bracket ends
+    are not solved twice, and ``gap`` is |E_a - E_b| at the root.  A
+    bracket that never changes sign (the pair has merged into the avoided
+    regime) is reported as not found.  A pair that :func:`check_track_pair`
+    refuses raises ValueError before anything is solved.
     """
     k = check_track_pair(pair, coupling, n_max)
     field_name = COUPLING_KINDS[coupling]
@@ -476,19 +475,16 @@ def track_crossing_location(
     for xi in xi_grid:
         xi = float(xi)
         f = functools.partial(level_diff, xi=xi)
-        w = bracket_halfwidth
-        found = False
-        for _ in range(max_expand + 1):
+        w = BRACKET_HALFWIDTH
+        for _ in range(BRACKET_WIDENINGS + 1):
             lo, hi = center - w, center + w
             f_lo, f_hi = f(lo), f(hi)
             if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
                 root, gap = _brent(f, lo, hi, f_lo, f_hi)
-                found = True
+                out.append(TrackedCrossing(xi, float(root), True, abs(gap)))
+                center = float(root)
                 break
             w *= 2.0
-        if found:
-            out.append(TrackedCrossing(xi, float(root), True, abs(gap)))
-            center = float(root)
         else:
             out.append(TrackedCrossing(xi, None, False, min(abs(f_lo), abs(f_hi))))
     return out

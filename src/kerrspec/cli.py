@@ -45,9 +45,7 @@ from .fock import (
     HamiltonianSpec,
     HigherOrderCorrections,
     NumericFailure,
-    standard_hamiltonian,
 )
-from .sectors import MOD_ALL, detect_modulus
 from .sweep import (
     SpectrumGrid,
     SweepPlan,
@@ -61,14 +59,15 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "run", "emit_csv", "emit_s
 
 SCHEMA_VERSION = 1
 
-# coloring -> one color per residue mod d, for its divisor d; it needs a
-# sector modulus that d divides
+# coloring -> one color per residue mod d, for its divisor d; _ALL_COLOR draws
+# the class "all" of a sector whose modulus is coprime to d (see _color_class)
 _PALETTES = {
     "parity": {"even": "#e66101", "odd": "#1f78b4"},
     "mod3": {"0": "#1b7837", "1": "#5aae61", "2": "#a6dba0"},
     "mod4": {"0": "#08519c", "1": "#cb181d", "2": "#6baed6", "3": "#fb6a4a"},
 }
 COLORINGS = tuple(_PALETTES)
+_ALL_COLOR = "#4d4d4d"
 
 
 # Largest grid a configuration may ask for; every point is a full eigensolve.
@@ -117,8 +116,8 @@ class SvgStyle:
     separatrices: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if min(self.width, self.height) <= 2 * self.margin:
-            raise ValueError("width and height must each exceed 2 * margin")
+        if self.margin < 0 or min(self.width, self.height) <= 2 * self.margin:
+            raise ValueError("width and height must each exceed 2 * margin, which is >= 0")
         if None not in (self.y_min, self.y_max) and not 0 < self.y_max - self.y_min < math.inf:
             raise ValueError("y_min must be below y_max, a finite range apart")
         if self.max_levels is not None and self.max_levels < 1:
@@ -245,7 +244,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"numeric.{key}={n} is above the {MAX_BASIS}-state basis cap")
 
     coloring = raw.get("coloring", "parity")
-    _check_coloring(coloring, MOD_ALL)  # every divisor divides MOD_ALL: checks the name
+    _check_coloring(coloring)
 
     out = raw.get("output", {})
     _check_keys(out, {"directory", "formats", "basename"}, "output")
@@ -330,9 +329,6 @@ def load_config(path: str | Path) -> RunConfig:
             check_track_pair(pair, _TRACKED[plan.varying], n_max)
         except ValueError as exc:
             raise ConfigError(f"track.{exc}") from exc
-    if "coloring" in sections:
-        modulus = plan_modulus(plan) if plan else detect_modulus(standard_hamiltonian(spec))
-        _check_coloring(coloring, modulus)
 
     return RunConfig(
         command=command,
@@ -355,17 +351,19 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-def _check_coloring(coloring: str, modulus: int) -> None:
-    """A coloring by residue mod d needs sectors of a modulus that d divides (MOD_ALL is 0)."""
+def _check_coloring(coloring: str) -> None:
     if coloring not in COLORINGS:
         raise ConfigError(f"coloring must be one of {COLORINGS}, got {coloring!r}")
-    if modulus % len(_PALETTES[coloring]):
-        raise ConfigError(f"coloring {coloring!r} incompatible with sector modulus {modulus}")
 
 
 def _color_class(coloring: str, residue: int, modulus: int) -> str:
-    _check_coloring(coloring, modulus)
-    r = residue % len(_PALETTES[coloring])
+    """The class of sector ``residue``: its residue mod gcd(d, modulus), d the
+    coloring's divisor (MOD_ALL is 0, so gcd(d, 0) = d), or "all" where the gcd is 1."""
+    _check_coloring(coloring)
+    g = math.gcd(len(_PALETTES[coloring]), modulus)
+    if g == 1:
+        return "all"
+    r = residue % g
     if coloring == "parity":
         return "even" if r == 0 else "odd"
     return str(r)
@@ -434,11 +432,13 @@ def emit_csv(
 
     Rows are in (param, sector, level) order, with all levels of each sector
     or the first ``max_levels``, which must be None or at least 1.  Each row
-    carries the absolute energy and the excitation energy E - E0.  Everything
-    that does not change along the grid (level fields, color class, flag
-    strings, absolute and excitation arrays) is prepared once per sector;
-    energies are formatted from Python floats with ``.12g``, exactly as
-    :func:`_fmt` formats each value.
+    carries the absolute energy, the excitation energy E - E0 and the sector's
+    color class (see :func:`_color_class`: ``all`` where the coloring's
+    divisor is coprime to the modulus, as under parity for a xi3 or xi + xi3
+    sweep).  Everything that does not change along the grid (level fields,
+    color class, flag strings, absolute and excitation arrays) is prepared
+    once per sector; energies are formatted from Python floats with
+    ``.12g``, exactly as :func:`_fmt` formats each value.
     """
     if max_levels is not None and max_levels < 1:
         raise ValueError("max_levels must be at least 1")
@@ -497,7 +497,8 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     blocks = []  # (color, the sector's plotted level curves as columns)
     for r in grid.residues:
         color_class = _color_class(coloring, r, grid.modulus)  # refuses an unknown coloring
-        blocks.append((_PALETTES[coloring][color_class], grid.curves[r][:, :style.max_levels]))
+        color = _PALETTES[coloring].get(color_class, _ALL_COLOR)
+        blocks.append((color, grid.curves[r][:, :style.max_levels]))
 
     y_lo = style.y_min if style.y_min is not None else min(float(b.min()) for _, b in blocks)
     y_hi = style.y_max if style.y_max is not None else max(float(b.max()) for _, b in blocks)

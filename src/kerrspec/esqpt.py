@@ -176,16 +176,14 @@ def xi_c_linear_extrapolation(curve: GapCurve) -> CriticalPointEstimate | None:
     return CriticalPointEstimate(curve.v, "linear_extrapolation", xi_c, e_c)
 
 
-def xi_c_difference_bound(
-    curve: GapCurve, fraction: float = DIFF_BOUND_FRACTION
-) -> CriticalPointEstimate | None:
-    """First coupling where gap <= fraction * (pair mean energy), persistently.
+def xi_c_difference_bound(curve: GapCurve) -> CriticalPointEstimate | None:
+    """First coupling where gap <= DIFF_BOUND_FRACTION * (pair mean energy), persistently.
 
     The condition must hold from the reported point to the end of the grid,
     which suppresses spurious early triggers; the crossing is interpolated
     linearly between the bracketing samples.
     """
-    h = curve.gap - fraction * curve.mean_energy
+    h = curve.gap - DIFF_BOUND_FRACTION * curve.mean_energy
     ok = h <= 0.0
     if not ok[-1]:
         return None

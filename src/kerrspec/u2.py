@@ -136,8 +136,8 @@ def u2_generators(rep: U2Rep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fp, fp.T.copy(), fz
 
 
-def casimir_spectrum(rep: U2Rep, tol: float = 1e-6) -> list[CasimirLevel]:
-    """Casimir eigenvalues labeled (v, pi_prime), checked against (N - 2v)^2.
+def casimir_spectrum(rep: U2Rep) -> list[CasimirLevel]:
+    """Casimir eigenvalues labeled (v, pi_prime), checked against (N - 2v)^2 to 1e-6 N^2.
 
     Values are doubly degenerate in the branch sign, except sigma = 0 for
     even N.  The two parity blocks are solved as tridiagonal matrices, in
@@ -153,7 +153,7 @@ def casimir_spectrum(rep: U2Rep, tol: float = 1e-6) -> list[CasimirLevel]:
         signs = (1, -1) if sigma > 0 else (0,)
         for sign in signs:
             got = float(vals[pos])
-            if abs(got - expect) > tol * max(1.0, N * N):
+            if abs(got - expect) > 1e-6 * max(1.0, N * N):
                 raise NumericFailure(
                     f"Casimir eigenvalue {got} does not match sigma^2={expect} at v={v}"
                 )

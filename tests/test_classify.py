@@ -52,11 +52,12 @@ class TestKerrExactLevels:
         assert {lv.state.n1 for lv in levels} == {0, 1}
 
     def test_count_truncates_and_validates(self):
-        assert len(kerr_exact_levels(4, count=4)) == 4
-        with pytest.raises(ValueError):
-            kerr_exact_levels(4, count=7)
+        # the whole multiplet n1 = 0..eta + 1 comes back; a caller wanting fewer slices it
+        assert len(kerr_exact_levels(4)) == 6
         with pytest.raises(ValueError):
             kerr_exact_levels(-1)
+        with pytest.raises(ValueError):
+            kerr_exact_levels(2.5)
 
     @pytest.mark.parametrize("eta", range(9))
     def test_energy_identities(self, eta):
@@ -427,19 +428,13 @@ class TestTrackCrossing:
 
     def test_lost_crossing_reported(self):
         # same-parity pair never changes sign: no root to find
-        points = track_crossing_location(
-            LevelPair(0, 1, 0, 0), "P2", [1.0], 6, n_max=120, max_expand=0,
-            bracket_halfwidth=0.2,
-        )
+        points = track_crossing_location(LevelPair(0, 1, 0, 0), "P2", [1.0], 6, n_max=120)
         assert not points[0].found and points[0].eta_star is None
 
     def test_numeric_fields_are_python_floats(self):
         # a numpy scalar among the tolerances would leak into the roots it ends on
         found = track_crossing_location(LevelPair(0, 0, 1, 0), "P2", [0.5, 8.0], 2, n_max=40)
-        lost = track_crossing_location(
-            LevelPair(0, 1, 0, 0), "P2", [1.0], 6, n_max=120, max_expand=0,
-            bracket_halfwidth=0.2,
-        )
+        lost = track_crossing_location(LevelPair(0, 1, 0, 0), "P2", [1.0], 6, n_max=120)
         assert [p.found for p in found + lost] == [True, True, False]
         for p in found + lost:
             fields = (p.coupling_value, p.gap) + ((p.eta_star,) if p.found else ())

@@ -19,6 +19,7 @@ from kerrspec.cli import (
     ConfigError,
     GridConfig,
     SvgStyle,
+    _ALL_COLOR,
     _COMMANDS,
     _PALETTES,
     _color_class,
@@ -216,8 +217,6 @@ class TestMalformedConfigExitTwo:
         "esqpt detuned": lambda d: esqpt_config(d, hamiltonian={"eta": 1.0}),
         "esqpt without parity sectors": lambda d: esqpt_config(d, hamiltonian={"xi3": 0.1}),
         "esqpt v_max beyond the odd levels": lambda d: esqpt_config(d, esqpt={"v_max": 30}),
-        "mod3 coloring of a parity sweep": lambda d: sweep_config(d, coloring="mod3"),
-        "mod3 coloring of a parity spectrum": lambda d: spectrum_config(d, coloring="mod3"),
         "n_max above the basis cap": lambda d: with_numeric(d, n_max=MAX_BASIS + 1),
         "track n_max above the basis cap": lambda d: {
             **track_config(d), "numeric": {"n_max": MAX_BASIS + 1}
@@ -483,12 +482,13 @@ class TestCsv:
         assert classes == {"0", "1", "2", "3"}
 
     def test_coloring_modulus_mismatch(self, tmp_path):
+        # gcd(3, 2) = 1: a mod3 coloring of parity sectors is the single class "all"
         plan = SweepPlan(
             varying="eta", grid=(0.0, 0.5), fixed=HamiltonianSpec(xi=1.0),
             n_max=15, n_probe=25,
         )
-        with pytest.raises(ConfigError):
-            emit_csv(run_sweep(plan), tmp_path / "x.csv", coloring="mod3")
+        path = emit_csv(run_sweep(plan), tmp_path / "x.csv", coloring="mod3")
+        assert {ln.split(",")[6] for ln in path.read_text().splitlines()[1:]} == {"all"}
 
     @pytest.mark.parametrize("emit", ["csv", "svg"])
     def test_unknown_coloring_refused(self, emit, tmp_path):
@@ -516,6 +516,57 @@ class TestCsv:
         with pytest.raises(ValueError, match="max_levels"):
             emit_csv(run_sweep(plan), path, max_levels=max_levels)
         assert not path.exists()
+
+
+# name -> (fixed couplings of an eta sweep, its sector modulus)
+COLORED_HAMILTONIANS = {
+    "xi": ({"xi": 1.0}, 2),
+    "xi3": ({"xi3": 0.3}, 3),
+    "xi4": ({"xi4": 0.05}, 4),
+    "xi + xi3": ({"xi": 1.0, "xi3": 0.1}, 1),
+    "diagonal": ({}, MOD_ALL),
+}
+
+
+class TestColorClasses:
+    """A sector's class is its residue mod gcd(d, k), d the coloring's divisor and k
+    the modulus (gcd(d, 0) = d), named even/odd under parity, or "all" where the gcd is 1."""
+
+    @pytest.mark.parametrize("coloring", COLORINGS)
+    @pytest.mark.parametrize("hamiltonian", sorted(COLORED_HAMILTONIANS))
+    def test_class_is_the_residue_mod_the_gcd(self, hamiltonian, coloring, tmp_path):
+        fixed, k = COLORED_HAMILTONIANS[hamiltonian]
+        plan = SweepPlan(varying="eta", grid=(0.0, 0.5), fixed=HamiltonianSpec(**fixed),
+                         n_max=15, n_probe=25)
+        grid = run_sweep(plan)
+        assert grid.modulus == k
+        g = math.gcd({"parity": 2, "mod3": 3, "mod4": 4}[coloring], k)
+        names = ("even", "odd") if coloring == "parity" else ("0", "1", "2", "3")
+        path = emit_csv(grid, tmp_path / "classes.csv", coloring)
+        rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
+        for row in rows:
+            assert row[6] == ("all" if g == 1 else names[int(row[1]) % g]), row
+        assert len({row[6] for row in rows}) == min(g, len(grid.residues))
+
+    # configs whose sector modulus is coprime to the coloring's divisor
+    RUNS = {
+        "mod3 coloring of a parity sweep": lambda d: sweep_config(d, coloring="mod3"),
+        "mod3 coloring of a parity spectrum": lambda d: spectrum_config(d, coloring="mod3"),
+        "xi3 sweep without coloring": lambda d: sweep_config(
+            d, hamiltonian={"xi3": 0.3}, output={"directory": d, "formats": ["csv", "svg"]}
+        ),
+        "xi + xi3 spectrum": lambda d: spectrum_config(d, hamiltonian={"xi": 1.0, "xi3": 0.1}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    def test_runs_as_one_class(self, case, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self.RUNS[case](str(out)))
+        assert main(["--config", str(cfg), "--threads", "1"]) == 0
+        (csv,) = out.glob("*.csv")
+        assert {ln.split(",")[6] for ln in csv.read_text().splitlines()[1:]} == {"all"}
+        for svg in out.glob("*.svg"):
+            assert f'stroke="{_ALL_COLOR}"' in svg.read_text()
 
 
 class TestSvg:
@@ -574,6 +625,7 @@ class TestSvg:
         "NaN y_max": dict(y_min=0.0, y_max=math.nan),
         "max_levels zero": dict(max_levels=0),
         "unknown separatrix": dict(separatrices=("kerr", "bogus")),
+        "negative margin": dict(margin=-10),
     }
 
     @pytest.mark.parametrize("case", sorted(INVALID_STYLES))
@@ -841,7 +893,8 @@ def _oracle_svg(grid, style, coloring):
     for r in grid.residues:
         data = grid.curves[r]
         stop = data.shape[1] if style.max_levels is None else min(style.max_levels, data.shape[1])
-        color = _PALETTES[coloring][_color_class(coloring, r, grid.modulus)]
+        palette = {**_PALETTES[coloring], "all": _ALL_COLOR}
+        color = palette[_color_class(coloring, r, grid.modulus)]
         curves.extend((color, data[:, lvl]) for lvl in range(stop))
     y_lo = style.y_min if style.y_min is not None else min(float(c.min()) for _, c in curves)
     y_hi = style.y_max if style.y_max is not None else max(float(c.max()) for _, c in curves)
@@ -916,6 +969,10 @@ ORACLE_CASES = {
     "mod4 coloring": (
         dict(varying="xi4", grid=np.arange(0.0, 0.41, 0.05), fixed=HamiltonianSpec(eta=0.5)),
         "mod4", None, SvgStyle(y_min=-1.0),
+    ),
+    "mod3 coloring of a parity sweep": (
+        dict(varying="eta", grid=np.arange(0.0, 2.01, 0.25), fixed=HamiltonianSpec(xi=1.0)),
+        "mod3", 6, SvgStyle(max_levels=6),
     ),
     "MOD_ALL diagonal sweep": (
         dict(varying="eta", grid=np.arange(0.0, 4.01, 0.2)),

@@ -158,15 +158,16 @@ class TestLinearExtrapolation:
 
 class TestDifferenceBound:
     def test_threshold_zero_never_met(self):
+        # the gap stays above 0.01, twice DIFF_BOUND_FRACTION of the mean
         xi = np.linspace(0, 4, 100)
         curve = GapCurve(1, xi, np.exp(-xi) + 0.01, np.ones_like(xi))
-        assert xi_c_difference_bound(curve, fraction=0.0) is None
+        assert xi_c_difference_bound(curve) is None
 
     def test_persistence_skips_early_dip(self):
         xi = np.linspace(0, 5, 6)
         gap = np.array([1.0, 0.001, 1.0, 0.5, 0.001, 0.0005])
         semi = np.ones(6)
-        est = xi_c_difference_bound(GapCurve(1, xi, gap, semi), fraction=0.005)
+        est = xi_c_difference_bound(GapCurve(1, xi, gap, semi))
         assert est.xi_c > xi[3]
 
     def test_bound_holding_from_the_first_point(self):

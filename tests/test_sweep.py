@@ -66,6 +66,26 @@ class TestSweepPlan:
         )
         assert plan_modulus(diag_only) == MOD_ALL
 
+    @pytest.mark.parametrize("varying", COUPLING_FIELDS)
+    def test_first_two_points_give_the_whole_grid_modulus(self, varying):
+        # each pairing coefficient vanishes at one field value at most: c below, where a
+        # higher-order term cancels the swept one; the grid meets c first, second or later
+        higher = HigherOrderCorrections(squeeze3=0.5, number_squeeze3=0.75, quad_squeeze4=0.25)
+        cancel = {"eta": 1.0, "xi": 0.5, "xi3": 0.0, "xi4": 0.25, "xi2p": 0.75}[varying]
+        fixed_specs = [
+            HamiltonianSpec(), HamiltonianSpec(xi=1.0), HamiltonianSpec(xi3=0.2),
+            HamiltonianSpec(xi=1.0, xi3=0.2), HamiltonianSpec(xi4=0.1, xi2p=0.3),
+            HamiltonianSpec(higher=higher), HamiltonianSpec(xi3=0.2, higher=higher),
+        ]
+        for fixed in fixed_specs:
+            for at in (0, 1, 3):
+                grid = tuple(cancel + 0.25 * (i - at) for i in range(6))
+                plan = SweepPlan(varying=varying, grid=grid, fixed=fixed, n_max=4, n_probe=8)
+                every_point = math.gcd(
+                    *(detect_modulus(standard_hamiltonian(plan.spec_at(v))) for v in grid)
+                )
+                assert plan_modulus(plan) == every_point, (fixed, at)
+
     @pytest.mark.parametrize(
         "fixed, k",
         [(HamiltonianSpec(), MOD_ALL), (HamiltonianSpec(xi=1.0), 2), (HamiltonianSpec(xi3=0.3), 3)],
