@@ -212,12 +212,12 @@ class CrossingEvent:
         return "avoided_crossing" if self.level_pair[0] == self.level_pair[2] else "true_crossing"
 
 
-def _pair_gap(plan: SweepPlan, k, ra: int, ia: int, rb: int, ib: int):
+def _pair_gap(plan: SweepPlan, ra: int, ia: int, rb: int, ib: int):
     """Signed level difference E_a - E_b as a function of the sweep parameter."""
     wanted = ((ra, ia), (rb, ib))
 
     def f(t: float) -> float:
-        ea, eb = sector_levels_at(plan, t, k, wanted)
+        ea, eb = sector_levels_at(plan, t, wanted)
         return ea - eb
 
     return f
@@ -276,7 +276,7 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, fl
     raise RuntimeError(f"Brent root not converged after {ROOT_MAXITER} iterations")
 
 
-def _gap_minimum(plan: SweepPlan, k, r: int, i: int, slopes, lo: float, hi: float):
+def _gap_minimum(plan: SweepPlan, r: int, i: int, slopes, lo: float, hi: float):
     """Minimum of the gap E_{i+1} - E_i of sector r on [lo, hi]: (t, gap at t).
 
     The minimum is the zero of the exact gap slope dE_{i+1}/dt - dE_i/dt,
@@ -287,7 +287,7 @@ def _gap_minimum(plan: SweepPlan, k, r: int, i: int, slopes, lo: float, hi: floa
     gaps = {}
 
     def slope(t: float) -> float:
-        (e_hi, s_hi), (e_lo, s_lo) = sector_levels_at(plan, t, k, wanted, slopes)
+        (e_hi, s_hi), (e_lo, s_lo) = sector_levels_at(plan, t, wanted, slopes)
         gaps[t] = e_hi - e_lo
         return s_hi - s_lo
 
@@ -347,7 +347,7 @@ def detect_crossings(
     """
     if max_levels is not None and max_levels < 1:
         raise ValueError(f"max_levels must be None or at least 1, got {max_levels!r}")
-    params = grid.params
+    plan, params = grid.plan, grid.params
     events: list[CrossingEvent] = []
     curves = [grid.curves[r][:, :max_levels] for r in grid.residues]
     later = np.concatenate(curves, axis=1)
@@ -365,7 +365,7 @@ def detect_crossings(
                 _report(events, grid, event, int(g))
             for g, i, c in np.argwhere(sign[:-1] * sign[1:] < 0):
                 rb, jb = columns[c0 + c]
-                f = _pair_gap(grid.plan, grid.modulus, ra, int(i), rb, jb)
+                f = _pair_gap(plan, ra, int(i), rb, jb)
                 lo, hi = float(params[g]), float(params[g + 1])
                 root, gap = _brent(f, lo, hi, float(diff[g, i, c]), float(diff[g + 1, i, c]))
                 event = CrossingEvent(root, (ra, int(i), rb, jb), abs(gap))
@@ -383,10 +383,10 @@ def detect_crossings(
             for m in mins:
                 if slopes is None:
                     slopes = sector_blocks(
-                        COUPLING_DERIVATIVES[grid.plan.varying], grid.plan.n_max, grid.modulus
+                        COUPLING_DERIVATIVES[plan.varying], plan.n_max, plan.modulus
                     )
                 lo, hi = float(params[m - 1]), float(params[m + 1])
-                found = _gap_minimum(grid.plan, grid.modulus, r, i, slopes, lo, hi)
+                found = _gap_minimum(plan, r, i, slopes, lo, hi)
                 if found is None:
                     warnings.warn(
                         f"avoided crossing near param={params[m]:.6g} (sector {r}, levels "

@@ -50,7 +50,6 @@ from .sweep import (
     SpectrumGrid,
     SweepPlan,
     converged_spectrum,
-    plan_modulus,
     run_sweep,
 )
 from .u2 import CasimirLevel, U2Rep, casimir_spectrum
@@ -69,6 +68,9 @@ _PALETTES = {
 COLORINGS = tuple(_PALETTES)
 _ALL_COLOR = "#4d4d4d"
 
+
+# SVG canvas and frame margin, in px; the viewBox lets a viewer rescale the drawing.
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 960, 640, 70
 
 # Largest grid a configuration may ask for; every point is a full eigensolve.
 MAX_GRID_POINTS = 1_000_000
@@ -107,17 +109,12 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class SvgStyle:
-    width: int = 960
-    height: int = 640
-    margin: int = 70
     max_levels: int | None = None
     y_min: float | None = None
     y_max: float | None = None
     separatrices: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.margin < 0 or min(self.width, self.height) <= 2 * self.margin:
-            raise ValueError("width and height must each exceed 2 * margin, which is >= 0")
         if None not in (self.y_min, self.y_max) and not 0 < self.y_max - self.y_min < math.inf:
             raise ValueError("y_min must be below y_max, a finite range apart")
         if self.max_levels is not None and self.max_levels < 1:
@@ -256,6 +253,11 @@ def load_config(path: str | Path) -> RunConfig:
     for key in ("directory", "basename"):
         if key in out and not isinstance(out[key], str):
             raise ConfigError(f"output.{key} must be a string")
+        if "\0" in out.get(key, ""):
+            raise ConfigError(f"output.{key} must not contain a NUL")
+    basename = out.get("basename")
+    if basename is not None and (basename in ("", ".", "..") or Path(basename).name != basename):
+        raise ConfigError(f"output.basename must be a file name, not {basename!r}")
 
     window = None
     if "window" in raw:
@@ -314,10 +316,12 @@ def load_config(path: str | Path) -> RunConfig:
         grid = GridConfig(g["varying"], *(_as_number(g[k], f"grid.{k}") for k in keys[1:]))
         if grid.step <= 0:
             raise ConfigError("grid.step must be positive")
+        if grid.stop <= grid.start:
+            raise ConfigError("grid.stop must be above grid.start")
         try:
             plan = SweepPlan(grid.varying, grid.values(), spec, n_max, n_probe, tol_conv)
             if "esqpt" in sections:
-                check_gap_sweep(plan, plan_modulus(plan), v_max)
+                check_gap_sweep(plan, v_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if "track" in sections:
@@ -340,7 +344,7 @@ def load_config(path: str | Path) -> RunConfig:
         coloring=coloring,
         out_dir=out.get("directory", "."),
         formats=tuple(formats),
-        basename=out.get("basename"),
+        basename=basename,
         window=window,
         svg_style=style,
         v_max=v_max,
@@ -445,13 +449,13 @@ def emit_csv(
     path = Path(path)
     sectors = []
     for r in grid.residues:
-        excitation = grid.excitation(r)[:, :max_levels]
+        excitation = grid.curves[r][:, :max_levels]
         sectors.append((
             [f"{r},{lvl}," for lvl in range(excitation.shape[1])],
             grid.absolute(r)[:, :max_levels],
             excitation,
             np.where(grid.converged[r][:, :max_levels], "1", "0"),
-            f",{_color_class(coloring, r, grid.modulus)}\n",
+            f",{_color_class(coloring, r, grid.plan.modulus)}\n",
         ))
     with path.open("w") as fh:
         fh.write(",".join(_GRID_HEADER) + "\n")
@@ -467,10 +471,10 @@ def emit_csv(
     return path
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
     first = math.ceil(lo / step) * step
@@ -490,13 +494,13 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     document is never held in memory.
     """
     path = Path(path)
-    w, h, m = style.width, style.height, style.margin
+    w, h, m = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     x = grid.params
     x_lo, x_hi = float(x[0]), float(x[-1])
 
     blocks = []  # (color, the sector's plotted level curves as columns)
     for r in grid.residues:
-        color_class = _color_class(coloring, r, grid.modulus)  # refuses an unknown coloring
+        color_class = _color_class(coloring, r, grid.plan.modulus)  # refuses an unknown coloring
         color = _PALETTES[coloring].get(color_class, _ALL_COLOR)
         blocks.append((color, grid.curves[r][:, :style.max_levels]))
 

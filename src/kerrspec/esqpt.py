@@ -83,11 +83,11 @@ class SeparatrixPoint(NamedTuple):
     rel_dev: float  # |E_c - xi_c^2| / xi_c^2
 
 
-def check_gap_sweep(plan: SweepPlan, modulus: int, v_max: int) -> None:
+def check_gap_sweep(plan: SweepPlan, v_max: int) -> None:
     """Raise ValueError unless :func:`gap_curves` can pair v = 0..v_max on this sweep.
 
-    That needs an undetuned two-photon sweep with parity sectors (``modulus``
-    from ``plan_modulus``) and 0 <= v_max below the number of odd levels.
+    That needs an undetuned two-photon sweep with parity sectors and
+    0 <= v_max below the number of odd levels.
     """
     if v_max < 0:
         raise ValueError(f"v_max must be >= 0, got {v_max}")
@@ -95,8 +95,8 @@ def check_gap_sweep(plan: SweepPlan, modulus: int, v_max: int) -> None:
         raise ValueError("gap curves require a sweep in the two-photon coupling")
     if plan.fixed.eta != 0.0:
         raise ValueError("gap curves are defined for the undetuned Hamiltonian")
-    if modulus != 2:
-        raise ValueError(f"expected parity sectors, got modulus {modulus}")
+    if plan.modulus != 2:
+        raise ValueError(f"expected parity sectors, got modulus {plan.modulus}")
     odd = sector_dim(plan.n_max + 1, 2, 1)
     if v_max >= odd:
         raise ValueError(f"v_max={v_max} exceeds the {odd} odd levels")
@@ -108,8 +108,8 @@ def gap_curves(grid: SpectrumGrid, v_max: int) -> list[GapCurve]:
     The sweep must pass :func:`check_gap_sweep`; gaps are oriented positive
     and every participating level must be converged over the whole grid.
     """
-    check_gap_sweep(grid.plan, grid.modulus, v_max)
-    even, odd = grid.excitation(0), grid.excitation(1)
+    check_gap_sweep(grid.plan, v_max)
+    even, odd = grid.curves[0], grid.curves[1]
     curves = []
     for v in range(v_max + 1):
         bad = ~(grid.converged[0][:, v] & grid.converged[1][:, v])

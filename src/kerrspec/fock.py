@@ -342,12 +342,6 @@ class BandedSymMatrix:
     def diagonal(self) -> np.ndarray:
         return self.diagonals[0]
 
-    def element(self, i: int, j: int) -> float:
-        d = abs(i - j)
-        if d > self.bandwidth:
-            return 0.0
-        return float(self.diagonals[d][min(i, j)])
-
     def to_dense(self) -> np.ndarray:
         """Dense symmetric copy; transposed elements are bit-equal by fill."""
         out = np.zeros((self.dim, self.dim))

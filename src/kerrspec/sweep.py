@@ -60,6 +60,7 @@ class SweepPlan:
     """One varying parameter over a strictly increasing grid.
 
     The basis settings pass :func:`check_basis`, which sets the default n_probe.
+    ``modulus`` is the grid's sector modulus, from :func:`plan_modulus`.
     :func:`run_sweep` of a plan always yields excitation curves plus the
     ground energy (see :class:`SpectrumGrid`).
     """
@@ -70,6 +71,7 @@ class SweepPlan:
     n_max: int = DEFAULT_N_MAX
     n_probe: int | None = None
     tol_conv: float = DEFAULT_TOL_CONV
+    modulus: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.varying not in COUPLING_FIELDS:
@@ -84,6 +86,7 @@ class SweepPlan:
         n_probe = check_basis(self.n_max, self.n_probe, self.tol_conv)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "n_probe", n_probe)
+        object.__setattr__(self, "modulus", plan_modulus(self))
 
     def spec_at(self, value: float) -> HamiltonianSpec:
         return replace(self.fixed, **{self.varying: float(value)})
@@ -139,7 +142,6 @@ def spec_levels(
 def sector_levels_at(
     plan: SweepPlan,
     value: float,
-    k: int,
     levels: Sequence[tuple[int, int]],
     slopes: dict[int, BandedSymMatrix] | None = None,
 ) -> tuple:
@@ -148,7 +150,7 @@ def sector_levels_at(
     With ``slopes`` (see :func:`spec_levels`) each level is an (energy,
     slope) pair.  Crossing refinement evaluates its level pair here many times.
     """
-    return spec_levels(plan.spec_at(value), plan.n_max, k, levels, slopes)
+    return spec_levels(plan.spec_at(value), plan.n_max, plan.modulus, levels, slopes)
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,10 @@ class SpectrumGrid:
     the level index at every point.  ``ground_energy`` keeps the absolute
     per-point minimum E0, from which :meth:`absolute` recovers E.  ``params``
     is ``plan.grid``, the points where the curves were solved, as a read-only
-    array.
+    array; the sector modulus is ``plan.modulus``.
     """
 
     plan: SweepPlan
-    modulus: int
     curves: dict[int, np.ndarray]
     converged: dict[int, np.ndarray]
     ground_energy: np.ndarray
@@ -183,9 +184,6 @@ class SpectrumGrid:
     @property
     def residues(self) -> tuple[int, ...]:
         return tuple(sorted(self.curves))
-
-    def excitation(self, residue: int) -> np.ndarray:
-        return self.curves[residue]
 
     def absolute(self, residue: int) -> np.ndarray:
         return self.curves[residue] + self.ground_energy[:, None]
@@ -231,12 +229,11 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
-    k = plan_modulus(plan)
     values = np.asarray(plan.grid, dtype=float)
 
     def work(start: int):
         polys = (standard_hamiltonian(plan.spec_at(v)) for v in values[start : start + CHUNK])
-        return _certified_levels(polys, plan.n_max, plan.n_probe, k, plan.tol_conv)
+        return _certified_levels(polys, plan.n_max, plan.n_probe, plan.modulus, plan.tol_conv)
 
     starts = range(0, len(values), CHUNK)
     cores = os.cpu_count() or 1
@@ -263,7 +260,7 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     ground = np.min([c[:, 0] for c in curves.values()], axis=0)
     for c in curves.values():
         c -= ground[:, None]
-    return SpectrumGrid(plan, k, curves, flags, ground)
+    return SpectrumGrid(plan, curves, flags, ground)
 
 
 @dataclass(frozen=True)
@@ -279,7 +276,7 @@ class ConvergedSpectrum:
     residues: np.ndarray
     converged: np.ndarray
     ground_energy: float
-    modulus: int = 1
+    modulus: int
 
     def __post_init__(self) -> None:
         for name in ("energies", "excitations", "residues", "converged"):

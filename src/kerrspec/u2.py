@@ -129,9 +129,7 @@ def u2_generators(rep: U2Rep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     [f_z, f_pm] = +-f_pm and [f_plus, f_minus] = 2 f_z hold.
     """
     N = rep.N
-    fp = np.zeros((rep.dim, rep.dim))
-    n = np.arange(N)
-    fp[n + 1, n] = np.sqrt((n + 1.0) * (N - n))
+    fp = np.tril(so2_generator(rep))  # the lower half of a^dag s + s^dag a is a^dag s
     fz = np.diag((np.arange(rep.dim) - (N - np.arange(rep.dim))) / 2.0)
     return fp, fp.T.copy(), fz
 

@@ -267,7 +267,7 @@ def diagonal_integer_grid():
 class TestUnconvergedOnNodesAndCallers:
     def test_node_hit_warns_about_either_level(self):
         grid = diagonal_integer_grid()
-        assert grid.modulus == 0
+        assert grid.plan.modulus == 0
         # E_n = -eta n + n(n - 1): the one-state sectors 0 and 1 meet at eta = 0
         hit = CrossingEvent(0.0, (0, 0, 1, 0), 0.0)
         assert hit in detect_crossings(grid)
@@ -313,7 +313,7 @@ def per_pair_true_crossings(grid, max_levels):
                 pair = (ra, int(i), rb, int(j))
                 events.append(CrossingEvent(float(grid.params[g]), pair, 0.0))
             for g, i, j in np.argwhere(sign[:-1] * sign[1:] < 0):
-                f = _pair_gap(grid.plan, grid.modulus, ra, int(i), rb, int(j))
+                f = _pair_gap(grid.plan, ra, int(i), rb, int(j))
                 lo, hi = float(grid.params[g]), float(grid.params[g + 1])
                 root, gap = _brent(f, lo, hi, float(diff[g, i, j]), float(diff[g + 1, i, j]))
                 events.append(CrossingEvent(root, (ra, int(i), rb, int(j)), abs(gap)))
@@ -335,7 +335,7 @@ class TestScan:
             varying="eta", grid=tuple(0.25 * k for k in range(25)),
             fixed=self.FIXED[modulus], n_max=40, n_probe=60,
         ))
-        assert grid.modulus == modulus
+        assert grid.plan.modulus == modulus
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             events = detect_crossings(grid, max_levels)

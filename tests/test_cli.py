@@ -16,6 +16,9 @@ from kerrspec.cli import (
     COMMANDS,
     MAX_BASIS,
     MAX_CASIMIR_N,
+    SVG_HEIGHT,
+    SVG_MARGIN,
+    SVG_WIDTH,
     ConfigError,
     GridConfig,
     SvgStyle,
@@ -238,6 +241,45 @@ class TestMalformedConfigExitTwo:
         "grid step negative": lambda d: sweep_config(
             d, grid={"varying": "eta", "start": 2.0, "stop": 0.0, "step": -0.5}
         ),
+        "reversed grid": lambda d: sweep_config(
+            d, grid={"varying": "eta", "start": 2.0, "stop": 0.0, "step": 0.5}
+        ),
+        "one-point grid": lambda d: sweep_config(
+            d, grid={"varying": "eta", "start": 1.0, "stop": 1.0, "step": 0.5}
+        ),
+        "svg.width set": lambda d: sweep_config(d, svg={"width": 800}),
+        "svg.height set": lambda d: sweep_config(d, svg={"height": 600}),
+        "svg.margin set": lambda d: sweep_config(d, svg={"margin": 40}),
+        "basename with a path separator": lambda d: sweep_config(
+            d, output={"directory": d, "basename": "sub/x"}
+        ),
+        "casimir basename with a path separator": lambda d: {
+            "schema_version": 1, "command": "casimir",
+            "output": {"directory": d, "basename": "sub/x"},
+        },
+        "empty basename": lambda d: sweep_config(d, output={"directory": d, "basename": ""}),
+        "basename .": lambda d: sweep_config(d, output={"directory": d, "basename": "."}),
+        "basename ..": lambda d: sweep_config(d, output={"directory": d, "basename": ".."}),
+        "basename with a NUL": lambda d: sweep_config(
+            d, output={"directory": d, "basename": "x\0y"}
+        ),
+        "directory with a NUL": lambda d: sweep_config(d, output={"directory": d + "\0x"}),
+    }
+
+    # case -> a fragment its error message must hold
+    MESSAGES = {
+        "reversed grid": "grid.stop must be above grid.start",
+        "one-point grid": "grid.stop must be above grid.start",
+        "svg.width set": "unknown key(s) in svg: ['width']",
+        "svg.height set": "unknown key(s) in svg: ['height']",
+        "svg.margin set": "unknown key(s) in svg: ['margin']",
+        "basename with a path separator": "output.basename must be a file name",
+        "casimir basename with a path separator": "output.basename must be a file name",
+        "empty basename": "output.basename must be a file name",
+        "basename .": "output.basename must be a file name",
+        "basename ..": "output.basename must be a file name",
+        "basename with a NUL": "output.basename must not contain a NUL",
+        "directory with a NUL": "output.directory must not contain a NUL",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -248,6 +290,7 @@ class TestMalformedConfigExitTwo:
         assert main(["--config", str(cfg), "--threads", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert self.MESSAGES.get(case, "") in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -539,7 +582,7 @@ class TestColorClasses:
         plan = SweepPlan(varying="eta", grid=(0.0, 0.5), fixed=HamiltonianSpec(**fixed),
                          n_max=15, n_probe=25)
         grid = run_sweep(plan)
-        assert grid.modulus == k
+        assert grid.plan.modulus == k
         g = math.gcd({"parity": 2, "mod3": 3, "mod4": 4}[coloring], k)
         names = ("even", "odd") if coloring == "parity" else ("0", "1", "2", "3")
         path = emit_csv(grid, tmp_path / "classes.csv", coloring)
@@ -617,20 +660,16 @@ class TestSvg:
 
 
     INVALID_STYLES = {
-        "frame narrower than its margins": dict(width=100, height=100, margin=70),
-        "height of twice its margin": dict(height=140),
         "y_min above y_max": dict(y_min=10.0, y_max=0.0),
         "empty y range": dict(y_min=1.0, y_max=1.0),
         "y range wider than a float": dict(y_min=-1e308, y_max=1e308),
         "NaN y_max": dict(y_min=0.0, y_max=math.nan),
         "max_levels zero": dict(max_levels=0),
         "unknown separatrix": dict(separatrices=("kerr", "bogus")),
-        "negative margin": dict(margin=-10),
     }
 
     @pytest.mark.parametrize("case", sorted(INVALID_STYLES))
     def test_invalid_style_refused(self, case):
-        # a frame of margin 70 in a 100 px square was once drawn -40 px wide
         with pytest.raises(ValueError):
             SvgStyle(**self.INVALID_STYLES[case])
 
@@ -753,11 +792,6 @@ class TestCommands:
             main(["--config", str(cfg)])
         assert "numeric failure" not in capsys.readouterr().err
 
-    def test_smallest_svg_frame_accepted(self, tmp_path):
-        svg = {"width": 141, "height": 141}
-        style = load_config(write_config(tmp_path, sweep_config(".", svg=svg))).svg_style
-        assert (style.width, style.height, style.margin) == (141, 141, 70)
-
     def test_y_range_accepted_when_ordered(self, tmp_path):
         for svg in ({"y_min": 0, "y_max": 60}, {"y_min": 1e3}, {"y_max": -2.0}):
             style = load_config(write_config(tmp_path, sweep_config(".", svg=svg))).svg_style
@@ -869,7 +903,7 @@ def _oracle_csv(grid, coloring, max_levels):
     ]
     for g, param in enumerate(grid.params):
         for r in grid.residues:
-            absolute, excitation = grid.absolute(r), grid.excitation(r)
+            absolute, excitation = grid.absolute(r), grid.curves[r]
             stop = absolute.shape[1] if max_levels is None else min(max_levels, absolute.shape[1])
             for lvl in range(stop):
                 lines.append(",".join([
@@ -879,14 +913,14 @@ def _oracle_csv(grid, coloring, max_levels):
                     format(float(absolute[g, lvl]), ".12g"),
                     format(float(excitation[g, lvl]), ".12g"),
                     "1" if grid.converged[r][g, lvl] else "0",
-                    _color_class(coloring, r, grid.modulus),
+                    _color_class(coloring, r, grid.plan.modulus),
                 ]))
     return ("\n".join(lines) + "\n").encode()
 
 
 def _oracle_svg(grid, style, coloring):
     """The SVG with every polyline point scaled and formatted on its own."""
-    w, h, m = style.width, style.height, style.margin
+    w, h, m = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     x = grid.params
     x_lo, x_hi = float(x[0]), float(x[-1])
     curves = []
@@ -894,7 +928,7 @@ def _oracle_svg(grid, style, coloring):
         data = grid.curves[r]
         stop = data.shape[1] if style.max_levels is None else min(style.max_levels, data.shape[1])
         palette = {**_PALETTES[coloring], "all": _ALL_COLOR}
-        color = palette[_color_class(coloring, r, grid.modulus)]
+        color = palette[_color_class(coloring, r, grid.plan.modulus)]
         curves.extend((color, data[:, lvl]) for lvl in range(stop))
     y_lo = style.y_min if style.y_min is not None else min(float(c.min()) for _, c in curves)
     y_hi = style.y_max if style.y_max is not None else max(float(c.max()) for _, c in curves)
@@ -964,7 +998,7 @@ ORACLE_CASES = {
     ),
     "max_levels above the block size": (
         dict(varying="eta", grid=np.arange(0.0, 2.01, 0.25), fixed=HamiltonianSpec(xi=2.0)),
-        "parity", 500, SvgStyle(max_levels=500, width=700, height=500, margin=40),
+        "parity", 500, SvgStyle(max_levels=500),
     ),
     "mod4 coloring": (
         dict(varying="xi4", grid=np.arange(0.0, 0.41, 0.05), fixed=HamiltonianSpec(eta=0.5)),
@@ -989,7 +1023,7 @@ class TestWriterOracle:
         plan_kwargs, coloring, max_levels, style = ORACLE_CASES[case]
         grid = run_sweep(SweepPlan(n_max=36, n_probe=50, **plan_kwargs))
         if case == "MOD_ALL diagonal sweep":
-            assert grid.modulus == MOD_ALL
+            assert grid.plan.modulus == MOD_ALL
         csv = emit_csv(grid, tmp_path / "grid.csv", coloring, max_levels)
         assert csv.read_bytes() == _oracle_csv(grid, coloring, max_levels)
         svg = emit_svg(grid, style, tmp_path / "grid.svg", coloring)
@@ -1002,7 +1036,7 @@ class TestWriterOracle:
         ramp = np.arange(801) * 0.075 + params[:, None] * 0.2
         curves = {0: ramp[:, 0::2].copy(), 1: ramp[:, 1::2].copy()}
         flags = {r: np.ones(c.shape, dtype=bool) for r, c in curves.items()}
-        grid = SpectrumGrid(plan, 2, curves, flags, np.zeros(len(params)))
+        grid = SpectrumGrid(plan, curves, flags, np.zeros(len(params)))
         style = SvgStyle(y_min=0.0, y_max=60.0, separatrices=BOTH_SEPARATRICES)
         tracemalloc.start()
         try:
@@ -1072,7 +1106,6 @@ _FIELDS = {
     ("svg", "max_levels"): st.one_of(st.integers(-1, 8), st.none()),
     ("svg", "y_min"): st.one_of(_NUMBERS, st.none()),
     ("svg", "y_max"): st.one_of(_NUMBERS, st.none()),
-    ("svg", "width"): st.one_of(st.integers(-10, 2000), st.none()),
     ("svg", "separatrices"): st.one_of(
         st.lists(st.sampled_from(SeparatrixModel._KINDS + ("bogus",)), max_size=3), _JUNK
     ),

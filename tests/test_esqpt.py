@@ -66,7 +66,7 @@ class TestGapCurves:
         with pytest.raises(ValueError, match="v_max"):
             gap_curves(xi_sweep, -1)
         with pytest.raises(ValueError, match="v_max"):
-            check_gap_sweep(xi_sweep.plan, xi_sweep.modulus, -1)
+            check_gap_sweep(xi_sweep.plan, -1)
 
     def test_unconverged_pairs_refused(self):
         plan = SweepPlan(
@@ -83,7 +83,7 @@ class TestGapCurves:
         even = np.array([[0.0, 2.0], [0.3, 2.0], [0.1, 2.0]])
         odd = np.array([[0.0, 4.0], [0.0, 3.0], [0.0, 2.5]])
         flags = {r: np.ones((3, 2), dtype=bool) for r in (0, 1)}
-        grid = SpectrumGrid(plan, 2, {0: even, 1: odd}, flags, np.zeros(3))
+        grid = SpectrumGrid(plan, {0: even, 1: odd}, flags, np.zeros(3))
         np.testing.assert_array_equal(grid.params, [0.0, 0.5, 1.0])
         flipped, kept = gap_curves(grid, 1)
         np.testing.assert_array_equal(flipped.gap, [0.0, 0.3, 0.1])
@@ -237,7 +237,7 @@ class TestPhaseBoundary:
         model = SeparatrixModel("combined_prime")
         for g, eta in enumerate(grid.params):
             merged = np.sort(
-                np.concatenate([grid.excitation(0)[g][:20], grid.excitation(1)[g][:20]])
+                np.concatenate([grid.curves[0][g][:20], grid.curves[1][g][:20]])
             )
             gaps = np.diff(merged)
             # walk pairs while the intra-pair gap stays well under the spacing

@@ -94,7 +94,7 @@ class TestSweepPlan:
         plan = SweepPlan(varying="eta", grid=(0.0, 0.5), fixed=fixed, n_max=12, n_probe=20)
         moduli = (
             detect_modulus(standard_hamiltonian(fixed)),
-            run_sweep(plan).modulus,
+            plan.modulus,
             converged_spectrum(plan.spec_at(0.5), n_max=12, n_probe=20).modulus,
         )
         for m in moduli:
@@ -155,7 +155,7 @@ class TestRunSweep:
             n_max=40, n_probe=60,
         )
         grid = run_sweep(plan)
-        merged = np.sort(np.concatenate([grid.excitation(r)[0] for r in grid.residues]))
+        merged = np.sort(np.concatenate([grid.curves[r][0] for r in grid.residues]))
         exact = [lv.energy for lv in kerr_exact_levels(4)]
         np.testing.assert_array_equal(merged[:6], exact)
 
@@ -356,9 +356,9 @@ class TestCrossingRefinement:
         original = kerrspec.classify.sector_levels_at
         calls = Counter()
 
-        def counting(plan, value, k, levels, *slopes):
+        def counting(plan, value, levels, *slopes):
             calls[plan.grid, tuple(levels)] += 1
-            return original(plan, value, k, levels, *slopes)
+            return original(plan, value, levels, *slopes)
 
         monkeypatch.setattr(kerrspec.classify, "sector_levels_at", counting)
         refined = 0
@@ -388,7 +388,7 @@ class TestCrossingRefinement:
             gaps = []
             for x in xs:
                 w = eigen(sector_blocks(standard_hamiltonian(plan.spec_at(e.param_value + h * x)),
-                                        plan.n_max, grid.modulus)[r])
+                                        plan.n_max, grid.plan.modulus)[r])
                 gaps.append(w[upper] - w[lower])
             slope = np.polynomial.Polynomial.fit(h * xs, gaps, 4).convert().deriv()
             vertex = 0.0  # Newton on the fitted slope, from the returned parameter
@@ -401,8 +401,8 @@ class TestCrossingRefinement:
         # gap slopes that never change sign: the grid node and gap are reported, with a warning
         original = kerrspec.classify.sector_levels_at
 
-        def rising(plan, value, k, levels, slopes=None):
-            out = original(plan, value, k, levels, slopes)
+        def rising(plan, value, levels, slopes=None):
+            out = original(plan, value, levels, slopes)
             return out if slopes is None else ((out[0][0], 1.0), (out[1][0], 0.0))
 
         monkeypatch.setattr(kerrspec.classify, "sector_levels_at", rising)
