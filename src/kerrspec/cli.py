@@ -115,8 +115,11 @@ class SvgStyle:
     separatrices: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if None not in (self.y_min, self.y_max) and not 0 < self.y_max - self.y_min < math.inf:
-            raise ValueError("y_min must be below y_max, a finite range apart")
+        # a span below the smallest normal float overflows the pixel scale
+        if None not in (self.y_min, self.y_max) and not (
+            sys.float_info.min <= self.y_max - self.y_min < math.inf
+        ):
+            raise ValueError("y_min must be below y_max, a finite and normal range apart")
         if self.max_levels is not None and self.max_levels < 1:
             raise ValueError("max_levels must be at least 1")
         for kind in self.separatrices:
@@ -439,50 +442,67 @@ def emit_csv(
     carries the absolute energy, the excitation energy E - E0 and the sector's
     color class (see :func:`_color_class`: ``all`` where the coloring's
     divisor is coprime to the modulus, as under parity for a xi3 or xi + xi3
-    sweep).  Everything that does not change along the grid (level fields,
-    color class, flag strings, absolute and excitation arrays) is prepared
-    once per sector; energies are formatted from Python floats with
-    ``.12g``, exactly as :func:`_fmt` formats each value.
+    sweep).  Each sector's rows of one grid point are one ``%`` template,
+    built once with its level fields and color class; ``%.12g`` prints what
+    :func:`_fmt`'s ``.12g`` prints, the parameter is formatted once per
+    point, and the flag is ``%d`` of a bool.
     """
     if max_levels is not None and max_levels < 1:
         raise ValueError("max_levels must be at least 1")
     path = Path(path)
+    ground = grid.ground_energy.tolist()
     sectors = []
     for r in grid.residues:
         excitation = grid.curves[r][:, :max_levels]
-        sectors.append((
-            [f"{r},{lvl}," for lvl in range(excitation.shape[1])],
-            grid.absolute(r)[:, :max_levels],
-            excitation,
-            np.where(grid.converged[r][:, :max_levels], "1", "0"),
-            f",{_color_class(coloring, r, grid.plan.modulus)}\n",
-        ))
+        color_class = _color_class(coloring, r, grid.plan.modulus)
+        levels = excitation.shape[1]
+        template = "".join(
+            f"%s,{r},{lvl},%.12g,%.12g,%d,{color_class}\n" for lvl in range(levels)
+        )
+        # the template's values, four per row: param, energy, excitation, flag
+        values = [None] * (4 * levels)
+        energy = np.empty(levels)
+        sectors.append((template, values, energy, excitation, grid.converged[r][:, :max_levels]))
     with path.open("w") as fh:
         fh.write(",".join(_GRID_HEADER) + "\n")
         for g, param in enumerate(grid.params.tolist()):
-            p = f"{param:.12g},"
-            for heads, absolute, excitation, flags, tail in sectors:
-                fh.write("".join([
-                    f"{p}{head}{e:.12g},{x:.12g},{f}{tail}"
-                    for head, e, x, f in zip(
-                        heads, absolute[g].tolist(), excitation[g].tolist(), flags[g].tolist()
-                    )
-                ]))
+            p = f"{param:.12g}"
+            for template, values, energy, excitation, flags in sectors:
+                np.add(excitation[g], ground[g], out=energy)
+                values[0::4] = [p] * len(energy)
+                values[1::4] = energy.tolist()
+                values[2::4] = excitation[g].tolist()
+                values[3::4] = flags[g].tolist()
+                fh.write(template % tuple(values))
     return path
 
 
+# At most this many ticks are generated on one axis; about 5 to 11 are drawn.
+_MAX_TICKS = 64
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """Multiples of a 1, 2, 2.5 or 5 step in [lo, hi], about five of them, rounded to 12 decimals.
+
+    The i-th tick is generated by index, so a range narrower than a few ulps
+    of its ends (where adding the step would not move a running sum) gives
+    a bounded list: a repeat of the previous tick is dropped.  A range too
+    narrow for a normal float step gets the one tick ``lo``.
+    """
     raw = (hi - lo) / 5
+    if not sys.float_info.min <= raw < math.inf:  # also hi <= lo
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
     first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(round(t, 12))
-        t += step
+    ticks: list[float] = []
+    for i in range(_MAX_TICKS):
+        t = first + i * step
+        if t > hi + 1e-9 * step:
+            break
+        t = round(t, 12)
+        if not ticks or t != ticks[-1]:
+            ticks.append(t)
     return ticks
 
 
@@ -518,10 +538,8 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     def sy(v):
         return h - m - (v - y_lo) / (y_hi - y_lo) * (h - 2 * m)
 
-    x_fields = [f"{px:.2f}," for px in sx(x).tolist()]
-
-    def points(ys) -> str:
-        return " ".join([px + f"{py:.2f}" for px, py in zip(x_fields, ys)])
+    # one template for every polyline's points: the x fields are shared
+    points = " ".join([f"{px:.2f},%.2f" for px in sx(x).tolist()])
 
     overlays = []  # evaluated before the file is opened, so no error leaves half a file
     for kind in style.separatrices:
@@ -532,7 +550,7 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
             params[grid.plan.varying] = x
         ys = model.evaluate(**params)
         # a model that does not depend on the varying parameter is a flat line
-        overlays.append(points(sy(np.broadcast_to(ys, x.shape)).tolist()))
+        overlays.append(points % tuple(sy(np.broadcast_to(ys, x.shape)).tolist()))
 
     with path.open("w") as fh:
         fh.write(
@@ -559,11 +577,12 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
             f'height="{h - 2 * m}"/></clipPath>\n'
         )
         for color, block in blocks:
+            polyline = (
+                f'<polyline points="{points}" fill="none" stroke="{color}" '
+                'stroke-width="1.2" clip-path="url(#frame)"/>\n'
+            )
             for col in range(block.shape[1]):
-                fh.write(
-                    f'<polyline points="{points(sy(block[:, col]).tolist())}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.2" clip-path="url(#frame)"/>\n'
-                )
+                fh.write(polyline % tuple(sy(block[:, col]).tolist()))
         for pts in overlays:
             fh.write(
                 f'<polyline points="{pts}" fill="none" stroke="black" '

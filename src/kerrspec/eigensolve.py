@@ -10,10 +10,12 @@ with the arguments that scipy's ``eig_banded`` and ``eigh_tridiagonal``
 pass, so the results are theirs bit for bit without the cost of importing
 scipy's linalg package (see :func:`_load_lapack`).  :func:`certify`
 decides, level by level, whether a block's eigenvalues at n_max agree with
-those of the same sector at a larger probe basis to tol * max(1, |E|); it
-decides by Sturm counts, without diagonalizing them, for probe blocks of
-bandwidth 0 or 1.  :func:`check_basis` is the one rule for the basis
-settings n_max, n_probe and tol_conv.  Turning a Hamiltonian into certified
+those of the same sector at a larger probe basis to tol * max(1, |E|).  For
+probe blocks of bandwidth 0 or 1 it does so without diagonalizing them: a
+residual bound places a probe eigenvalue next to most levels, one Sturm
+count per block at a separator confirms the placement, and the other levels
+are Sturm-counted one by one.  :func:`check_basis` is the one rule for the
+basis settings n_max, n_probe and tol_conv.  Turning a Hamiltonian into certified
 sector levels is :mod:`kerrspec.sweep`'s job.
 """
 
@@ -241,11 +243,13 @@ def _sturm_counts(
     every later row has a_j - x >= |e_{j-1}| + |e_j|, then e_k^2 / d_k <=
     |e_k| and d_{k+1} >= |e_{k+1}|, and so on: no later pivot is negative
     (nor 0/0).  The test carries a relative margin and a floor on |e|, so
-    that it also holds for the rounded pivots (``SETTLE_MARGIN``).  Every
-    ``SETTLE_EVERY`` rows the leading shift columns settled in every block
-    are dropped and the rest copied to contiguous arrays; shifts ascend
-    within a block, so low shifts settle first.  The counts are those of the
-    full recurrence, count for count.
+    that it also holds for the rounded pivots (``SETTLE_MARGIN``).  The
+    pivots of ``SETTLE_EVERY`` rows are kept and their negative ones counted
+    together, so a row costs three array operations.  Every ``SETTLE_EVERY``
+    rows the leading shift columns settled in every block are dropped and the
+    rest copied to contiguous arrays; shifts mostly ascend within a block, so
+    low shifts settle first.  The counts are those of the full recurrence,
+    count for count.
     """
     rows = max(b.dim for b in blocks)
     width = max(len(x) for x in shifts)
@@ -264,17 +268,19 @@ def _sturm_counts(
     done = 0  # out[:, :done] holds final counts
     d = np.ones_like(x)
     t = np.empty_like(x)
-    negative = np.empty(x.shape, dtype=bool)
     count = np.zeros(x.shape, dtype=np.int32)
+    # the pivots of the rows since the last settling test, counted at the test
+    pivots = np.empty((SETTLE_EVERY, *x.shape))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(rows):
+            i = k % SETTLE_EVERY
             np.divide(e2[k], d, out=t)
+            d = pivots[i]
             np.subtract(a[k], x, out=d)
             np.subtract(d, t, out=d)
-            np.less(d, 0.0, out=negative)
-            np.add(count, negative, out=count)
-            if (k + 1) % SETTLE_EVERY:
+            if i + 1 < SETTLE_EVERY and k + 1 < rows:
                 continue
+            count += (pivots[: i + 1] < 0.0).sum(axis=0, dtype=np.int32)
             settled = ((d >= floor[k]) & (x < bound[k])).all(axis=0)
             drop = len(settled) if settled.all() else int(np.argmin(settled))
             if drop:
@@ -284,37 +290,204 @@ def _sturm_counts(
                     break
                 x, d, count = (np.ascontiguousarray(v[:, drop:]) for v in (x, d, count))
                 t = np.empty_like(x)
-                negative = np.empty(x.shape, dtype=bool)
+                pivots = np.empty((SETTLE_EVERY, *x.shape))
     if done < width:
         out[:, done:] = count
     failed = np.isnan(d).any(axis=1)
     return [out[j, : len(shift)] for j, shift in enumerate(shifts)], failed
 
 
+# The residual bound of :func:`certify` evaluates its pivots at a computed
+# level plus eta = BOUND_ULPS * sqrt(n) * eps * g, where g = max|a| + 2 max|e|
+# bounds the norm of the probe block (and so of its leading n x n block).
+# eta bounds the error of the dsterf level, which grows like sqrt(n) eps g: at
+# most 1.1 sqrt(n) eps g on the benchmark Hamiltonians at n = 25 .. 1200, so
+# BOUND_ULPS leaves a factor of about 3.6 for that and the rounding of the
+# pivots and Sturm counts, each a few eps g.
+BOUND_ULPS = 4.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _residual_bounds(
+    main: list[np.ndarray], probe: list[BandedSymMatrix], tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r of intervals [E - r, E + r] that each hold an eigenvalue of the probe block.
+
+    Returns the levels and their radii, row j for block j, padded to the
+    longest; a level that the bound leaves open has radius inf.  With T the
+    leading n x n block of ``probe[j]`` (diagonal a, couplings e) and beta
+    its first dropped coupling, an exact eigenpair (theta, y) of T extends by
+    zeros to a vector with residual |beta y_last| in the probe block, which
+    therefore has an eigenvalue within |beta y_last| of theta.  The
+    bottom-up pivots
+
+        p_{n-1} = a_{n-1} - theta,  p_k = (a_k - theta) - e_k^2 / p_{k+1}
+
+    give y_{k+1} = -(e_k / p_{k+1}) y_k, so |y_last| <= prod_{k >= m} |e_k / p_{k+1}|
+    for every m.  They are evaluated at theta' = E + eta (see ``BOUND_ULPS``),
+    which lies above the exact level: while they stay positive they decrease
+    with theta, so each factor bounds the exact one from above.  A level is
+    certified as soon as r = |beta| * prod + eta <= tol * max(1, |E|) / 2, and
+    left open once a pivot is <= 0, a factor is >= 1, or the block's top row
+    is passed.  The open levels of all blocks run at once, row by row from
+    the bottom, and leave the arrays as they are decided; most are decided
+    within a few rows.  Couplings are floored at ``PIVOT_FLOOR`` so that e^2
+    never underflows, which only raises the factors.
+    """
+    dims = np.array([len(v) for v in main])[:, None]
+    sizes = np.array([b.dim for b in probe])[:, None]
+    rows, width = int(dims.max()), int(sizes.max())
+    index = np.arange(width)
+    none = np.zeros(width)  # the couplings of a diagonal block
+    # each probe block's diagonal and |couplings|, left-aligned and zero padded
+    diag = np.zeros((len(main), width))
+    diag[index < sizes] = np.concatenate([b.diagonal for b in probe])
+    off = np.zeros((len(main), width))
+    off[index < sizes - 1] = np.abs(
+        np.concatenate([b.diagonals[1] if b.bandwidth else none[: b.dim - 1] for b in probe])
+    )
+    vals = np.zeros((len(main), rows))
+    live = index[:rows] < dims
+    vals[live] = np.concatenate(main)
+    # a[k, j] and e[k, j] (coupling to row k + 1) of the leading block of
+    # probe j aligned at the bottom; e is +inf above the top row, so passing
+    # it leaves the level open
+    a = np.zeros((len(main), rows))
+    a[index[:rows] >= rows - dims] = diag[:, :rows][live]
+    a = np.ascontiguousarray(a.T)
+    e = np.full((len(main), rows), np.inf)
+    e[(index[:rows] >= rows - dims) & (index[:rows] < rows - 1)] = np.maximum(
+        off[:, :rows][index[:rows] < dims - 1], PIVOT_FLOOR
+    )
+    e = np.ascontiguousarray(e.T)
+    # beta (0 where no row was dropped); a product of up to n rounded factors
+    # is within a relative 2 n eps
+    beta = off[np.arange(len(main)), dims[:, 0] - 1][:, None] * (1.0 + 2.0 * dims * _EPS)
+    g = np.abs(diag).max(axis=1, keepdims=True) + 2.0 * off.max(axis=1, keepdims=True)
+    eta = BOUND_ULPS * np.sqrt(dims) * _EPS * g
+    half = 0.5 * tol * np.maximum(1.0, np.abs(vals))
+    radius = np.full(vals.shape, np.inf)
+    r = beta + eta  # the bound with every factor left out: |y_last| <= 1
+    np.copyto(radius, r, where=live & (r <= half))
+    theta = vals + eta
+    p = a[rows - 1][:, None] - theta
+    # one entry per open level; r >= eta, so a level whose eta exceeds half never passes
+    col = np.flatnonzero(live & np.isinf(radius) & (p > 0.0) & (eta <= half))
+    blk = col // rows
+    theta, half, p = (v.reshape(-1)[col] for v in (theta, half, p))
+    beta, eta = beta[blk, 0], eta[blk, 0]
+    prod = np.ones(len(col))
+    go = np.ones(len(col), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(rows - 2, -1, -1):
+            ek = e[k][blk]
+            f = ek / p
+            prod *= f
+            r = prod * beta + eta
+            done = go & (r <= half)
+            radius.reshape(-1)[col[done]] = r[done]
+            p = (a[k][blk] - theta) - ek * ek / p
+            go &= ~done & (f < 1.0) & (p > 0.0)
+            left = np.count_nonzero(go)
+            if not left:
+                break
+            if 2 * left < len(go):  # compact the open levels once half have left
+                col, blk, theta, half, beta, eta, p, prod = (
+                    v[go] for v in (col, blk, theta, half, beta, eta, p, prod)
+                )
+                go = np.ones(left, dtype=bool)
+    return vals, radius
+
+
+def _separated_runs(vals: np.ndarray, radius: np.ndarray):
+    """Per block, the longest run J..K-1 of certified levels with disjoint intervals.
+
+    Returns J, K and a separator s above the run's last interval, s =
+    E_{K-1} + 2 r_{K-1}; K = J where a block has no run.
+    """
+    width = vals.shape[1]
+    cert = np.isfinite(radius)
+    lo, hi = vals - radius, vals + radius
+    link = cert[:, :-1] & cert[:, 1:] & (hi[:, :-1] < lo[:, 1:])
+    index = np.arange(width)
+    opens = cert.copy()
+    opens[:, 1:] &= ~link
+    start = np.maximum.accumulate(np.where(opens, index, 0), axis=1)
+    length = np.where(cert, index - start + 1, 0)
+    last = np.argmax(length, axis=1)
+    rows = np.arange(len(vals))
+    sep = vals[rows, last] + 2.0 * radius[rows, last]
+    ok = (length[rows, last] > 0) & (sep > hi[rows, last])
+    stop = np.where(ok, last + 1, 0)
+    return np.where(ok, start[rows, last], 0), stop, sep
+
+
 def certify(main: list[np.ndarray], probe: list[BandedSymMatrix], tol: float) -> list[np.ndarray]:
     """Truncation-convergence flags of sector levels against the probe basis.
 
-    ``main[j]`` holds the ascending eigenvalues of one sector block at n_max
-    and ``probe[j]`` is the same sector's block at the probe basis.  Level i
-    is converged when |E_main[i] - E_probe[i]| <= tol * max(1, |E_main[i]|).
+    ``main[j]`` holds the ascending eigenvalues of one sector block at n_max,
+    as :func:`eigen` gives them, and ``probe[j]`` is the same sector's block
+    at the probe basis.  Level i is converged when |E_main[i] - E_probe[i]|
+    <= tol * max(1, |E_main[i]|).
 
     The n_max block is the leading principal submatrix of the probe block
     (assembly is exact and normal-ordered), so Cauchy interlacing gives
     E_probe[i] <= E_main[i], and the test holds exactly when fewer than i + 1
-    probe eigenvalues lie below E_main[i] - tol * max(1, |E_main[i]|).  For
-    probe blocks of bandwidth 0 or 1 that count is a Sturm sequence, batched
-    over every level of every such block.  Wider bands have no reliable
-    unpivoted LDL^T inertia, so those, and blocks whose sequence meets 0/0,
-    are compared against their diagonalized probe spectrum.
+    probe eigenvalues lie below x_i = E_main[i] - tol * max(1, |E_main[i]|).
+    For probe blocks of bandwidth 0 or 1 that count is a Sturm sequence,
+    batched over every counted level of every such block.
+
+    Most levels are decided without one.  :func:`_residual_bounds` puts an
+    eigenvalue of the probe block within r_i <= tol * max(1, |E|) / 2 of
+    E_main[i] for most levels, and one Sturm count at a separator s above the
+    longest run J..K-1 of such levels with disjoint intervals decides the
+    run: if exactly K probe eigenvalues lie below s (interlacing puts at
+    least K there), then for i in the run the K - i disjoint intervals of
+    levels i..K-1, each holding one, leave at most i below E_main[i] - r_i,
+    so level i passes with tol * max(1, |E|) / 2 to spare.  The other levels
+    are counted at x_i as before; a block whose separator count is not K is
+    counted at every x_i, so every flag is the one the counts give.  Wider
+    bands have no reliable unpivoted LDL^T inertia, so those, and blocks
+    whose counted sequences meet 0/0, are compared against their
+    diagonalized probe spectrum.
     """
-    counted = [j for j, p in enumerate(probe) if p.bandwidth <= 1]
-    counts: list[np.ndarray | None] = [None] * len(main)
+    flags: list[np.ndarray | None] = [None if len(v) else np.zeros(0, bool) for v in main]
+    counted = [j for j, p in enumerate(probe) if p.bandwidth <= 1 and len(main[j])]
     if counted:
-        shifts = [main[j] - tol * np.maximum(1.0, np.abs(main[j])) for j in counted]
-        found, failed = _sturm_counts([probe[j] for j in counted], shifts)
-        for j, count, bad in zip(counted, found, failed):
-            counts[j] = None if bad else count
+        blocks = [probe[j] for j in counted]
+        vals, radius = _residual_bounds([main[j] for j in counted], blocks, tol)
+        first, stop, sep = _separated_runs(vals, radius)
+        x = vals - tol * np.maximum(1.0, np.abs(vals))  # each level's Sturm shift
+        index = np.arange(vals.shape[1])
+        runs = list(zip(counted, first.tolist(), stop.tolist()))
+        shifts = []
+        for i, (j, J, K) in enumerate(runs):
+            n = len(main[j])
+            if not K:
+                shifts.append(x[i, :n])
+                continue
+            x[i, J] = sep[i]  # the levels below the run, its separator, the levels above it
+            shifts.append(x[i, : J + 1] if K == n else np.concatenate((x[i, : J + 1], x[i, K:n])))
+        found, failed = _sturm_counts(blocks, shifts)
+        redo = []
+        for (j, J, K), count, bad in zip(runs, found, failed):
+            n = len(main[j])
+            if bad or (K and count[J] != K):
+                redo.append(j)
+            elif K:
+                flags[j] = f = np.ones(n, dtype=bool)
+                if J:
+                    f[:J] = count[:J] <= index[:J]
+                if K < n:
+                    f[K:] = count[J + 1 :] <= index[K:n]
+            else:
+                flags[j] = count <= index[:n]
+        if redo:
+            shifts = [main[j] - tol * np.maximum(1.0, np.abs(main[j])) for j in redo]
+            found, failed = _sturm_counts([probe[j] for j in redo], shifts)
+            for j, count, bad in zip(redo, found, failed):
+                if not bad:
+                    flags[j] = count <= np.arange(len(count))
     return [
-        _level_flags(vals, eigen(p), tol) if count is None else count <= np.arange(len(count))
-        for vals, p, count in zip(main, probe, counts)
+        _level_flags(v, eigen(p), tol) if f is None else f for v, p, f in zip(main, probe, flags)
     ]

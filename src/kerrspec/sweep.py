@@ -4,7 +4,7 @@ This is the one place a Hamiltonian becomes sector levels: expand the
 parameter record, assemble at the probe basis, split into symmetry sectors,
 diagonalize the leading n_max blocks, and certify truncation convergence
 against the probe blocks.  A sweep runs that on chunks of consecutive grid
-points, one batched Sturm count per chunk; chunks may be evaluated
+points, one :func:`certify` call per chunk; chunks may be evaluated
 concurrently, and results are merged by grid index, so the output is
 identical for any evaluation order.
 """
@@ -51,7 +51,7 @@ __all__ = [
     "spec_levels",
 ]
 
-# Consecutive grid points whose probe blocks share one batched Sturm count.
+# Consecutive grid points whose levels share one certify call.
 CHUNK = 16
 
 
@@ -220,8 +220,10 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     """Evaluate the plan over its whole grid.
 
     A level is flagged converged when |E(n_max) - E(n_probe)| <= tol_conv *
-    max(1, |E|), as in :func:`converged_spectrum`; the flags come from
-    :func:`certify`, one batched Sturm count per ``CHUNK`` grid points.
+    max(1, |E|), as in :func:`converged_spectrum`; the flags come from one
+    :func:`certify` call per ``CHUNK`` grid points: one residual-bound pass
+    over all their levels, then one batched Sturm count of a separator per
+    sector block and of the levels the bound leaves open.
     ``threads`` workers evaluate chunks concurrently: 0 means one per core,
     and larger counts are clamped to ``os.cpu_count()``.  Chunks are copied
     into the per-sector grid arrays in grid order, so the result does not

@@ -231,6 +231,9 @@ class TestMalformedConfigExitTwo:
         "svg y range wider than a float": lambda d: sweep_config(
             d, svg={"y_min": -1e308, "y_max": 1e308}
         ),
+        "svg y range below a normal float": lambda d: sweep_config(
+            d, svg={"y_min": 0, "y_max": 5e-324}
+        ),
         "top level not an object": lambda d: [spectrum_config(d)],
         "window of three entries": lambda d: spectrum_config(d, window=[0, 1, 2]),
         "window not a list": lambda d: spectrum_config(d, window=5),
@@ -659,9 +662,50 @@ class TestSvg:
         assert all(color in text for color in ("#1b7837", "#5aae61", "#a6dba0"))
 
 
+    # y ranges a few ulps wide, where a running tick sum stops moving
+    NARROW_RANGES = {
+        "two ulps at 1": (1.0, 1.0000000000000002),
+        "two ulps at 1e16": (1e16, 1.0000000000000004e16),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NARROW_RANGES))
+    def test_narrow_y_range_exits_0(self, case, tmp_path):
+        y_min, y_max = self.NARROW_RANGES[case]
+        payload = sweep_config(
+            str(tmp_path), output={"directory": str(tmp_path), "formats": ["csv", "svg"]},
+            svg={"y_min": y_min, "y_max": y_max},
+        )
+        assert main(["--config", str(write_config(tmp_path, payload)), "--threads", "1"]) == 0
+        ticks = [ln for ln in (tmp_path / "sweep.svg").read_text().splitlines()
+                 if 'text-anchor="end"' in ln]
+        assert 1 <= len(ticks) <= 11
+        assert len(_nice_ticks(y_min, y_max)) == len(ticks)
+
+    @staticmethod
+    def running_sum_ticks(lo, hi):
+        """The ticks as a running sum once made them (it never ends where t += step stalls)."""
+        raw = (hi - lo) / 5
+        mag = 10.0 ** math.floor(math.log10(raw))
+        step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
+        ticks, t = [], math.ceil(lo / step) * step
+        while t <= hi + 1e-9 * step:
+            ticks.append(round(t, 12))
+            t += step
+        return ticks
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 60.0), (0.0, 12.0), (0.0, 1.0), (-0.3, 0.45), (-1.0, 2.0), (0.15, 9.85),
+         (-3.0e12, 4.1e12), (1e-7, 3.3e-7), (0.0, 651234.5), (-400.2, 0.0)],
+    )
+    def test_ticks_by_index_match_the_running_sum(self, lo, hi):
+        # the pinned diagonal SVG and the README sweep SVG keep their axes
+        assert _nice_ticks(lo, hi) == self.running_sum_ticks(lo, hi)
+
     INVALID_STYLES = {
         "y_min above y_max": dict(y_min=10.0, y_max=0.0),
         "empty y range": dict(y_min=1.0, y_max=1.0),
+        "y range below a normal float": dict(y_min=0.0, y_max=5e-324),
         "y range wider than a float": dict(y_min=-1e308, y_max=1e308),
         "NaN y_max": dict(y_min=0.0, y_max=math.nan),
         "max_levels zero": dict(max_levels=0),
@@ -1012,6 +1056,10 @@ ORACLE_CASES = {
         dict(varying="eta", grid=np.arange(0.0, 4.01, 0.2)),
         "parity", 1, SvgStyle(max_levels=1, separatrices=BOTH_SEPARATRICES),
     ),
+    "P3 sweep, every sector all": (
+        dict(varying="eta", grid=np.arange(0.0, 2.01, 0.25), fixed=HamiltonianSpec(xi3=0.3)),
+        "parity", None, SvgStyle(max_levels=8, separatrices=BOTH_SEPARATRICES),
+    ),
 }
 
 
@@ -1028,6 +1076,22 @@ class TestWriterOracle:
         assert csv.read_bytes() == _oracle_csv(grid, coloring, max_levels)
         svg = emit_svg(grid, style, tmp_path / "grid.svg", coloring)
         assert svg.read_bytes() == _oracle_svg(grid, style, coloring)
+
+    def test_energies_beyond_1e12_print_in_exponent_form(self, tmp_path):
+        # E0 = -2.5e12 and excitations up to 4.1e12: %.12g switches to e+12 on both signs
+        params = np.arange(7) * 0.5
+        plan = SweepPlan(varying="eta", grid=tuple(params), fixed=HamiltonianSpec(xi=1.0))
+        ramp = np.arange(12) * 3.7123456789013e11 + params[:, None] * 1.1e-3
+        curves = {0: ramp[:, 0::2].copy(), 1: ramp[:, 1::2].copy()}
+        flags = {r: (c < 2e12) for r, c in curves.items()}
+        grid = SpectrumGrid(plan, curves, flags, -2.5e12 + params * 1e9)
+        csv = emit_csv(grid, tmp_path / "big.csv")
+        assert csv.read_bytes() == _oracle_csv(grid, "parity", None)
+        text = csv.read_text()
+        assert "e+12," in text and ",-2.5e+12," in text
+        style = SvgStyle(separatrices=BOTH_SEPARATRICES)
+        svg = emit_svg(grid, style, tmp_path / "big.svg")
+        assert svg.read_bytes() == _oracle_svg(grid, style, "parity")
 
     def test_svg_is_streamed(self, tmp_path):
         # the README sweep's shape with every level: 241 points, 401 + 400 levels

@@ -11,6 +11,8 @@ import kerrspec.eigensolve
 from kerrspec import converged_spectrum
 from kerrspec.eigensolve import (
     EigenSolverError,
+    _residual_bounds,
+    _separated_runs,
     _sturm_counts,
     certify,
     eigen,
@@ -375,6 +377,115 @@ class TestCertify:
         _, vals, probe = self.sectors(spec, 24, 40)
         for r, (v, b) in enumerate(zip(vals, probe)):
             np.testing.assert_array_equal(cs.converged[cs.residues == r], probe_flags(v, b, 1e-8))
+
+
+def sturm_flags(main, probe, tol):
+    """The certificate before the residual bound: one Sturm count per level, 0/0 diagonalizes."""
+    shifts = [v - tol * np.maximum(1.0, np.abs(v)) for v in main]
+    counts, failed = _sturm_counts(probe, shifts)
+    return [
+        probe_flags(v, b, tol) if bad else c <= np.arange(len(c))
+        for v, b, c, bad in zip(main, probe, counts, failed)
+    ]
+
+
+def counting_shifts(monkeypatch):
+    """Record the number of shifts of every ``_sturm_counts`` call that certify makes."""
+    calls = []
+
+    def spy(blocks, shifts):
+        calls.append(sum(len(x) for x in shifts))
+        return _sturm_counts(blocks, shifts)
+
+    monkeypatch.setattr(kerrspec.eigensolve, "_sturm_counts", spy)
+    return calls
+
+
+@st.composite
+def graded_probe_blocks(draw):
+    """Probe blocks with a Kerr-like graded diagonal and the levels of their leading blocks.
+
+    Some have zero couplings inside the n_max block, a zero first dropped
+    coupling (beta = 0), no coupling at all (bandwidth 0), no dropped row, or
+    pairs of near-degenerate levels.
+    """
+    main, probe = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 40))
+        m = n + draw(st.integers(0, 25))
+        k = np.arange(m)
+        a = k**2 * draw(st.sampled_from([0.05, 1.0, 4.0])) + np.array(
+            draw(st.lists(st.floats(-20, 20), min_size=m, max_size=m))
+        )
+        e = np.sqrt(k[1:]) * np.array(
+            draw(st.lists(st.one_of(st.just(0.0), st.floats(-3, 3)), min_size=m - 1, max_size=m - 1))
+        ) * draw(st.sampled_from([0.01, 1.0, 10.0]))
+        if m > 1 and draw(st.booleans()):  # a near-degenerate pair
+            i = draw(st.integers(0, m - 2))
+            a[i + 1] = a[i] + draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+            e[i] = draw(st.sampled_from([0.0, 1e-10, 1e-7]))
+        if m > n and draw(st.booleans()):
+            e[n - 1] = 0.0  # beta = 0
+        if draw(st.integers(0, 5)) == 0:
+            e[:] = 0.0  # bandwidth 0
+        block = BandedSymMatrix((a, e))
+        main.append(eigen(block.leading(n)))
+        probe.append(block)
+    return main, probe
+
+
+class TestResidualBoundFirst:
+    """Flags decided by the residual bound and one separator count are the counted ones."""
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        blocks=graded_probe_blocks(),
+        tol=st.one_of(
+            st.sampled_from([1e-12, 1e-8, 0.25]), st.floats(-12, math.log10(0.25)).map(lambda x: 10**x)
+        ),
+    )
+    def test_random_graded_blocks(self, blocks, tol):
+        main, probe = blocks
+        flags = certify(main, probe, tol)
+        for f, g, v, b in zip(flags, sturm_flags(main, probe, tol), main, probe, strict=True):
+            np.testing.assert_array_equal(f, g)
+            np.testing.assert_array_equal(f, probe_flags(v, b, tol))
+
+    def test_low_probe_tail_sends_the_block_to_the_counts(self, monkeypatch):
+        # the n_max block diag(0, 10, 20, 30) is certified by the bound, with
+        # disjoint intervals, but the probe tail holds an eigenvalue near -50
+        # below all of them: the separator count is 5, not 4, and every level
+        # is counted again, failing, since E_probe[i] is about E_main[i - 1]
+        a = np.array([0.0, 10.0, 20.0, 30.0, -50.0, 100.0, 200.0])
+        e = np.array([1e-3, 1e-3, 1e-3, 1e-10, 1.0, 1.0])
+        probe = [BandedSymMatrix((a, e))]
+        main = [eigen(probe[0].leading(4))]
+        vals, radius = _residual_bounds(main, probe, 1e-8)
+        first, stop, _ = _separated_runs(vals, radius)
+        assert (first.tolist(), stop.tolist()) == ([0], [4])
+        calls = counting_shifts(monkeypatch)
+        [flags] = certify(main, probe, 1e-8)
+        assert calls == [1, 4]  # the separator, then every level
+        assert not flags.any()
+        np.testing.assert_array_equal(flags, probe_flags(main[0], probe[0], 1e-8))
+
+    def test_bound_decides_most_levels_at_800_900(self, monkeypatch):
+        # eta = 0, xi = 20, both parity blocks: the bound and two separator
+        # counts decide over 90% of the 801 levels, so the counted shifts are few
+        blocks, _ = parity_blocks(HamiltonianSpec(eta=0.0, xi=20.0))
+        main = [eigen(b.leading(dim)) for b, dim in zip(blocks, (401, 400))]
+        expected = sturm_flags(main, blocks, 1e-8)
+        calls = counting_shifts(monkeypatch)
+        flags = certify(main, blocks, 1e-8)
+        for f, g in zip(flags, expected, strict=True):
+            np.testing.assert_array_equal(f, g)
+        assert len(calls) == 1 and calls[0] <= 0.1 * 801
+        vals, radius = _residual_bounds(main, blocks, 1e-8)
+        first, stop, _ = _separated_runs(vals, radius)
+        assert (stop - first).sum() >= 0.9 * 801
 
 
 class TestBandwidthDecidesTheSolver:
