@@ -511,7 +511,9 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
 
     Like :func:`emit_csv`, it writes as it goes: the frame, then each level
     curve from one column of the grid at a time, then the overlays, so the
-    document is never held in memory.
+    document is never held in memory.  A y range so narrow that some curve's
+    pixel coordinate overflows raises NumericFailure before the file is
+    opened.
     """
     path = Path(path)
     w, h, m = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
@@ -542,15 +544,23 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     points = " ".join([f"{px:.2f},%.2f" for px in sx(x).tolist()])
 
     overlays = []  # evaluated before the file is opened, so no error leaves half a file
-    for kind in style.separatrices:
-        model = SeparatrixModel(kind)
-        # the models depend on eta and xi only; other swept couplings stay fixed
-        params = {"eta": grid.plan.fixed.eta, "xi": grid.plan.fixed.xi}
-        if grid.plan.varying in params:
-            params[grid.plan.varying] = x
-        ys = model.evaluate(**params)
-        # a model that does not depend on the varying parameter is a flat line
-        overlays.append(points % tuple(sy(np.broadcast_to(ys, x.shape)).tolist()))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for kind in style.separatrices:
+            model = SeparatrixModel(kind)
+            # the models depend on eta and xi only; other swept couplings stay fixed
+            params = {"eta": grid.plan.fixed.eta, "xi": grid.plan.fixed.xi}
+            if grid.plan.varying in params:
+                params[grid.plan.varying] = x
+            ys = model.evaluate(**params)
+            # a model that does not depend on the varying parameter is a flat line
+            overlays.append(sy(np.broadcast_to(ys, x.shape)))
+        # sy is monotone, so each sector's lowest and highest level bound its
+        # curves' coordinates, which overflow where the y range is far narrower
+        # than their distance from it
+        ends = sy(np.array([v for _, b in blocks for v in (b.min(), b.max())]))
+    if not all(np.isfinite(v).all() for v in (ends, *overlays)):
+        raise NumericFailure(f"svg y range {y_lo!r} to {y_hi!r} is too narrow: pixel coordinates overflow")
+    overlays = [points % tuple(v.tolist()) for v in overlays]
 
     with path.open("w") as fh:
         fh.write(
@@ -623,10 +633,12 @@ def _sweep(cfg: RunConfig, csv_path: Path) -> None:
     grid = run_sweep(cfg.plan, threads=cfg.threads)
     max_levels = cfg.svg_style.max_levels
     _require_converged([grid.converged[r][:, :max_levels] for r in grid.residues], cfg)
-    if "csv" in cfg.formats:
-        emit_csv(grid, csv_path, cfg.coloring, max_levels)
+    # the SVG first: it refuses a y range that overflows its pixel scale before
+    # it opens its file, so that refusal leaves no output
     if "svg" in cfg.formats:
         emit_svg(grid, cfg.svg_style, csv_path.with_suffix(".svg"), cfg.coloring)
+    if "csv" in cfg.formats:
+        emit_csv(grid, csv_path, cfg.coloring, max_levels)
 
 
 def _esqpt(cfg: RunConfig, csv_path: Path) -> None:

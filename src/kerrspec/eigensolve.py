@@ -14,9 +14,10 @@ those of the same sector at a larger probe basis to tol * max(1, |E|).  For
 probe blocks of bandwidth 0 or 1 it does so without diagonalizing them: a
 residual bound places a probe eigenvalue next to most levels, one Sturm
 count per block at a separator confirms the placement, and the other levels
-are Sturm-counted one by one.  :func:`check_basis` is the one rule for the
-basis settings n_max, n_probe and tol_conv.  Turning a Hamiltonian into certified
-sector levels is :mod:`kerrspec.sweep`'s job.
+are Sturm-counted one by one, each count a walk over every probe row.
+:func:`check_basis` is the one rule for the basis settings n_max, n_probe
+and tol_conv.  Turning a Hamiltonian into certified sector levels is
+:mod:`kerrspec.sweep`'s job.
 """
 
 from __future__ import annotations
@@ -189,38 +190,6 @@ def _level_flags(vals: np.ndarray, probe_vals: np.ndarray, tol: float) -> np.nda
     return np.abs(vals - probe_vals[: len(vals)]) <= tol * np.maximum(1.0, np.abs(vals))
 
 
-# A (block, shift) Sturm sequence is settled once its pivot d_k >= f_k and
-# every later row j has a_j - x >= (f_{j-1} + f_j) * (1 + SETTLE_MARGIN) +
-# SETTLE_MARGIN * |a_j|, where f_j = max(|e_j|, PIVOT_FLOOR) (see _sturm_counts).
-# The margin covers the rounding of the pivots and of the test itself; the
-# floor keeps e_j^2 / d_j below f_j when e_j^2 underflows.
-SETTLE_MARGIN = 1e-12
-PIVOT_FLOOR = 1e-150
-# Rows between two drops of the settled shift columns.
-SETTLE_EVERY = 16
-
-
-def _settle_bounds(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The settling test of :func:`_sturm_counts` for padded rows of many blocks.
-
-    ``a[k, j]`` is row k's diagonal entry of block j (+inf in the padding)
-    and ``e[k, j]`` its coupling |e_{k-1}| to the row above (0 where there is
-    none).  Returns f_k = max(|e_k|, PIVOT_FLOOR), the floored coupling to
-    the row below, and the bound that a shift must stay below after row k:
-    the minimum over rows j > k of
-    a_j - (f_{j-1} + f_j) * (1 + SETTLE_MARGIN) - SETTLE_MARGIN * |a_j|.
-    """
-    last = np.full((1, a.shape[1]), PIVOT_FLOOR)
-    above = np.maximum(e, PIVOT_FLOOR)
-    below = np.concatenate([above[1:], last])
-    with np.errstate(invalid="ignore"):
-        c = a - ((above + below) * (1.0 + SETTLE_MARGIN) + SETTLE_MARGIN * np.abs(a))
-    c[np.isinf(a)] = np.inf
-    suffix = np.minimum.accumulate(c[::-1], axis=0)[::-1]
-    bound = np.concatenate([suffix[1:], np.full_like(last, np.inf)])
-    return below[:, :, None], bound[:, :, None]
-
-
 def _sturm_counts(
     blocks: list[BandedSymMatrix], shifts: list[np.ndarray]
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -230,7 +199,7 @@ def _sturm_counts(
 
         d_k = (a_k - x) - e_{k-1}^2 / d_{k-1},
 
-    run for all of them at once, row by row; the count is the number of
+    run for all of them at once over every row; the count is the number of
     negative pivots, and a diagonal block is the tridiagonal one with e = 0.
     A zero pivot is left to IEEE arithmetic (e^2 / 0 is infinite and the
     next pivot finite again), as LAPACK ``dlaneg`` does.
@@ -238,63 +207,29 @@ def _sturm_counts(
     shifts are -inf; neither ever gives a negative pivot.  Returns the counts
     and, per block, whether some sequence met 0/0 (a zero pivot at a zero
     off-diagonal), which leaves its counts meaningless.
-
-    A sequence stops early once its count is final.  If d_k >= |e_k| and
-    every later row has a_j - x >= |e_{j-1}| + |e_j|, then e_k^2 / d_k <=
-    |e_k| and d_{k+1} >= |e_{k+1}|, and so on: no later pivot is negative
-    (nor 0/0).  The test carries a relative margin and a floor on |e|, so
-    that it also holds for the rounded pivots (``SETTLE_MARGIN``).  The
-    pivots of ``SETTLE_EVERY`` rows are kept and their negative ones counted
-    together, so a row costs three array operations.  Every ``SETTLE_EVERY``
-    rows the leading shift columns settled in every block are dropped and the
-    rest copied to contiguous arrays; shifts mostly ascend within a block, so
-    low shifts settle first.  The counts are those of the full recurrence,
-    count for count.
     """
     rows = max(b.dim for b in blocks)
     width = max(len(x) for x in shifts)
-    a = np.full((rows, len(blocks)), np.inf)
-    e = np.zeros((rows, len(blocks)))
+    a = np.full((rows, len(blocks), 1), np.inf)
+    e2 = np.zeros((rows, len(blocks), 1))
     x = np.full((len(blocks), width), -np.inf)
     for j, (block, shift) in enumerate(zip(blocks, shifts)):
         top = rows - block.dim
-        a[top:, j] = block.diagonal
+        a[top:, j, 0] = block.diagonal
         if block.bandwidth == 1:
-            e[top + 1 :, j] = np.abs(block.diagonals[1])
+            e2[top + 1 :, j, 0] = np.square(block.diagonals[1])
         x[j, : len(shift)] = shift
-    floor, bound = _settle_bounds(a, e)
-    a, e2 = a[:, :, None], (e * e)[:, :, None]
-    out = np.zeros(x.shape, dtype=np.int32)
-    done = 0  # out[:, :done] holds final counts
     d = np.ones_like(x)
     t = np.empty_like(x)
     count = np.zeros(x.shape, dtype=np.int32)
-    # the pivots of the rows since the last settling test, counted at the test
-    pivots = np.empty((SETTLE_EVERY, *x.shape))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(rows):
-            i = k % SETTLE_EVERY
             np.divide(e2[k], d, out=t)
-            d = pivots[i]
             np.subtract(a[k], x, out=d)
             np.subtract(d, t, out=d)
-            if i + 1 < SETTLE_EVERY and k + 1 < rows:
-                continue
-            count += (pivots[: i + 1] < 0.0).sum(axis=0, dtype=np.int32)
-            settled = ((d >= floor[k]) & (x < bound[k])).all(axis=0)
-            drop = len(settled) if settled.all() else int(np.argmin(settled))
-            if drop:
-                out[:, done : done + drop] = count[:, :drop]
-                done += drop
-                if done == width:
-                    break
-                x, d, count = (np.ascontiguousarray(v[:, drop:]) for v in (x, d, count))
-                t = np.empty_like(x)
-                pivots = np.empty((SETTLE_EVERY, *x.shape))
-    if done < width:
-        out[:, done:] = count
+            count += d < 0.0
     failed = np.isnan(d).any(axis=1)
-    return [out[j, : len(shift)] for j, shift in enumerate(shifts)], failed
+    return [count[j, : len(shift)] for j, shift in enumerate(shifts)], failed
 
 
 # The residual bound of :func:`certify` evaluates its pivots at a computed
@@ -305,6 +240,7 @@ def _sturm_counts(
 # BOUND_ULPS leaves a factor of about 3.6 for that and the rounding of the
 # pivots and Sturm counts, each a few eps g.
 BOUND_ULPS = 4.0
+PIVOT_FLOOR = 1e-150
 _EPS = float(np.finfo(float).eps)
 
 
@@ -434,8 +370,9 @@ def certify(main: list[np.ndarray], probe: list[BandedSymMatrix], tol: float) ->
     (assembly is exact and normal-ordered), so Cauchy interlacing gives
     E_probe[i] <= E_main[i], and the test holds exactly when fewer than i + 1
     probe eigenvalues lie below x_i = E_main[i] - tol * max(1, |E_main[i]|).
-    For probe blocks of bandwidth 0 or 1 that count is a Sturm sequence,
-    batched over every counted level of every such block.
+    For probe blocks of bandwidth 0 or 1 that count is a Sturm sequence over
+    every row of the probe block, batched over every counted level of every
+    such block (:func:`_sturm_counts`).
 
     Most levels are decided without one.  :func:`_residual_bounds` puts an
     eigenvalue of the probe block within r_i <= tol * max(1, |E|) / 2 of

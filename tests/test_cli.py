@@ -681,6 +681,18 @@ class TestSvg:
         assert 1 <= len(ticks) <= 11
         assert len(_nice_ticks(y_min, y_max)) == len(ticks)
 
+    def test_y_range_that_overflows_the_pixel_scale_exits_3(self, tmp_path, capsys):
+        # levels up to about 100 lie 1e308 range widths above a range 1e-306
+        # wide, beyond the largest float once scaled to pixels
+        out = tmp_path / "out"
+        payload = sweep_config(
+            str(out), output={"directory": str(out), "formats": ["csv", "svg"]},
+            svg={"y_min": 0, "y_max": 1e-306},
+        )
+        assert main(["--config", str(write_config(tmp_path, payload)), "--threads", "1"]) == 3
+        assert "svg y range 0.0 to 1e-306 is too narrow" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @staticmethod
     def running_sum_ticks(lo, hi):
         """The ticks as a running sum once made them (it never ends where t += step stalls)."""
