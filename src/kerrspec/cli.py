@@ -512,8 +512,9 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
     Like :func:`emit_csv`, it writes as it goes: the frame, then each level
     curve from one column of the grid at a time, then the overlays, so the
     document is never held in memory.  A y range so narrow that some curve's
-    pixel coordinate overflows raises NumericFailure before the file is
-    opened.
+    pixel coordinate leaves the single-precision range (about 3.4e38, as far
+    as SVG 1.1 requires a reader to parse numbers) raises NumericFailure
+    before the file is opened.
     """
     path = Path(path)
     w, h, m = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
@@ -555,11 +556,14 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
             # a model that does not depend on the varying parameter is a flat line
             overlays.append(sy(np.broadcast_to(ys, x.shape)))
         # sy is monotone, so each sector's lowest and highest level bound its
-        # curves' coordinates, which overflow where the y range is far narrower
-        # than their distance from it
+        # curves' coordinates, which grow huge or overflow where the y range is
+        # far narrower than their distance from it
         ends = sy(np.array([v for _, b in blocks for v in (b.min(), b.max())]))
-    if not all(np.isfinite(v).all() for v in (ends, *overlays)):
-        raise NumericFailure(f"svg y range {y_lo!r} to {y_hi!r} is too narrow: pixel coordinates overflow")
+    limit = float(np.finfo(np.float32).max)
+    if not all((np.abs(v) <= limit).all() for v in (ends, *overlays)):  # NaN fails too
+        raise NumericFailure(
+            f"svg y range {y_lo!r} to {y_hi!r} is too narrow: pixel coordinates exceed {limit:.2g}"
+        )
     overlays = [points % tuple(v.tolist()) for v in overlays]
 
     with path.open("w") as fh:

@@ -11,10 +11,11 @@ pass, so the results are theirs bit for bit without the cost of importing
 scipy's linalg package (see :func:`_load_lapack`).  :func:`certify`
 decides, level by level, whether a block's eigenvalues at n_max agree with
 those of the same sector at a larger probe basis to tol * max(1, |E|).  For
-probe blocks of bandwidth 0 or 1 it does so without diagonalizing them: a
-residual bound places a probe eigenvalue next to most levels, one Sturm
-count per block at a separator confirms the placement, and the other levels
-are Sturm-counted one by one, each count a walk over every probe row.
+probe blocks of bandwidth 0 or 1 it does so, as a rule, without
+diagonalizing them: a residual bound places a probe eigenvalue next to most
+levels, and one batch of Sturm counts, each a walk over every probe row,
+confirms the placement at a separator per block and counts the other levels
+one by one.
 :func:`check_basis` is the one rule for the basis settings n_max, n_probe
 and tol_conv.  Turning a Hamiltonian into certified sector levels is
 :mod:`kerrspec.sweep`'s job.
@@ -339,7 +340,7 @@ def _separated_runs(vals: np.ndarray, radius: np.ndarray):
     """Per block, the longest run J..K-1 of certified levels with disjoint intervals.
 
     Returns J, K and a separator s above the run's last interval, s =
-    E_{K-1} + 2 r_{K-1}; K = J where a block has no run.
+    E_{K-1} + 2 r_{K-1}; J = K = 0 and s = -inf where a block has no run.
     """
     width = vals.shape[1]
     cert = np.isfinite(radius)
@@ -354,8 +355,9 @@ def _separated_runs(vals: np.ndarray, radius: np.ndarray):
     rows = np.arange(len(vals))
     sep = vals[rows, last] + 2.0 * radius[rows, last]
     ok = (length[rows, last] > 0) & (sep > hi[rows, last])
-    stop = np.where(ok, last + 1, 0)
-    return np.where(ok, start[rows, last], 0), stop, sep
+    # no run: its separator counts 0 (as an absent shift of _sturm_counts does)
+    sep = np.where(ok, sep, -np.inf)
+    return np.where(ok, start[rows, last], 0), np.where(ok, last + 1, 0), sep
 
 
 def certify(main: list[np.ndarray], probe: list[BandedSymMatrix], tol: float) -> list[np.ndarray]:
@@ -382,11 +384,11 @@ def certify(main: list[np.ndarray], probe: list[BandedSymMatrix], tol: float) ->
     least K there), then for i in the run the K - i disjoint intervals of
     levels i..K-1, each holding one, leave at most i below E_main[i] - r_i,
     so level i passes with tol * max(1, |E|) / 2 to spare.  The other levels
-    are counted at x_i as before; a block whose separator count is not K is
-    counted at every x_i, so every flag is the one the counts give.  Wider
-    bands have no reliable unpivoted LDL^T inertia, so those, and blocks
-    whose counted sequences meet 0/0, are compared against their
-    diagonalized probe spectrum.
+    are counted at x_i as before, in the same batch; a block with no run
+    counts at a separator -inf, which finds 0 = K probe eigenvalues.  Wider
+    bands have no reliable unpivoted LDL^T inertia, so those, blocks whose
+    separator count is not K and blocks whose counted sequences meet 0/0 are
+    compared against their diagonalized probe spectrum.
     """
     flags: list[np.ndarray | None] = [None if len(v) else np.zeros(0, bool) for v in main]
     counted = [j for j, p in enumerate(probe) if p.bandwidth <= 1 and len(main[j])]
@@ -397,34 +399,18 @@ def certify(main: list[np.ndarray], probe: list[BandedSymMatrix], tol: float) ->
         x = vals - tol * np.maximum(1.0, np.abs(vals))  # each level's Sturm shift
         index = np.arange(vals.shape[1])
         runs = list(zip(counted, first.tolist(), stop.tolist()))
-        shifts = []
-        for i, (j, J, K) in enumerate(runs):
-            n = len(main[j])
-            if not K:
-                shifts.append(x[i, :n])
-                continue
-            x[i, J] = sep[i]  # the levels below the run, its separator, the levels above it
-            shifts.append(x[i, : J + 1] if K == n else np.concatenate((x[i, : J + 1], x[i, K:n])))
+        # the levels below the run, its separator, the levels above it
+        shifts = [
+            np.concatenate((x[i, :J], sep[i : i + 1], x[i, K : len(main[j])]))
+            for i, (j, J, K) in enumerate(runs)
+        ]
         found, failed = _sturm_counts(blocks, shifts)
-        redo = []
         for (j, J, K), count, bad in zip(runs, found, failed):
-            n = len(main[j])
-            if bad or (K and count[J] != K):
-                redo.append(j)
-            elif K:
+            if not bad and count[J] == K:
+                n = len(main[j])
                 flags[j] = f = np.ones(n, dtype=bool)
-                if J:
-                    f[:J] = count[:J] <= index[:J]
-                if K < n:
-                    f[K:] = count[J + 1 :] <= index[K:n]
-            else:
-                flags[j] = count <= index[:n]
-        if redo:
-            shifts = [main[j] - tol * np.maximum(1.0, np.abs(main[j])) for j in redo]
-            found, failed = _sturm_counts([probe[j] for j in redo], shifts)
-            for j, count, bad in zip(redo, found, failed):
-                if not bad:
-                    flags[j] = count <= np.arange(len(count))
+                f[:J] = count[:J] <= index[:J]
+                f[K:] = count[J + 1 :] <= index[K:n]
     return [
         _level_flags(v, eigen(p), tol) if f is None else f for v, p, f in zip(main, probe, flags)
     ]

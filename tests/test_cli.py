@@ -693,6 +693,18 @@ class TestSvg:
         assert "svg y range 0.0 to 1e-306 is too narrow" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_y_range_beyond_single_precision_coordinates_exits_3(self, tmp_path, capsys):
+        # a range 1e-300 wide puts levels near 100 at pixel coordinates near
+        # 1e302: finite, but beyond the single-precision range of SVG numbers
+        out = tmp_path / "out"
+        payload = sweep_config(
+            str(out), output={"directory": str(out), "formats": ["csv", "svg"]},
+            svg={"y_min": 0, "y_max": 1e-300},
+        )
+        assert main(["--config", str(write_config(tmp_path, payload)), "--threads", "1"]) == 3
+        assert "svg y range 0.0 to 1e-300 is too narrow" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @staticmethod
     def running_sum_ticks(lo, hi):
         """The ticks as a running sum once made them (it never ends where t += step stalls)."""

@@ -394,12 +394,12 @@ def sturm_flags(main, probe, tol):
     ]
 
 
-def counting_shifts(monkeypatch):
-    """Record the number of shifts of every ``_sturm_counts`` call that certify makes."""
+def recorded_shifts(monkeypatch):
+    """Record the shifts, block by block, of every ``_sturm_counts`` call that certify makes."""
     calls = []
 
     def spy(blocks, shifts):
-        calls.append(sum(len(x) for x in shifts))
+        calls.append(list(shifts))
         return _sturm_counts(blocks, shifts)
 
     monkeypatch.setattr(kerrspec.eigensolve, "_sturm_counts", spy)
@@ -459,23 +459,49 @@ class TestResidualBoundFirst:
             np.testing.assert_array_equal(f, g)
             np.testing.assert_array_equal(f, probe_flags(v, b, tol))
 
-    def test_low_probe_tail_sends_the_block_to_the_counts(self, monkeypatch):
+    def test_wrong_separator_count_diagonalizes_the_probe(self, monkeypatch):
         # the n_max block diag(0, 10, 20, 30) is certified by the bound, with
         # disjoint intervals, but the probe tail holds an eigenvalue near -50
-        # below all of them: the separator count is 5, not 4, and every level
-        # is counted again, failing, since E_probe[i] is about E_main[i - 1]
+        # below all of them: the separator count is 5, not 4, so the block is
+        # compared against its probe spectrum, and every level fails, since
+        # E_probe[i] is about E_main[i - 1]
         a = np.array([0.0, 10.0, 20.0, 30.0, -50.0, 100.0, 200.0])
         e = np.array([1e-3, 1e-3, 1e-3, 1e-10, 1.0, 1.0])
         probe = [BandedSymMatrix((a, e))]
         main = [eigen(probe[0].leading(4))]
         vals, radius = _residual_bounds(main, probe, 1e-8)
-        first, stop, _ = _separated_runs(vals, radius)
+        first, stop, sep = _separated_runs(vals, radius)
         assert (first.tolist(), stop.tolist()) == ([0], [4])
-        calls = counting_shifts(monkeypatch)
+        calls = recorded_shifts(monkeypatch)
         [flags] = certify(main, probe, 1e-8)
-        assert calls == [1, 4]  # the separator, then every level
+        assert len(calls) == 1  # the separator alone, counted once
+        [[shifts]] = calls
+        assert shifts.tolist() == sep.tolist()
         assert not flags.any()
         np.testing.assert_array_equal(flags, probe_flags(main[0], probe[0], 1e-8))
+
+    def test_block_without_a_run_counts_every_level_after_minus_inf(self, monkeypatch):
+        # at tol 1e-16 no level's eta fits in half its tolerance, so the bound
+        # certifies none and the block has no run; its levels 1, 2, 3 are
+        # decoupled in the probe block too and pass, the coupled 4 and 6 fail
+        a = np.array([1.0, 2.0, 3.0, 5.0, 5.0, 5.0, 5.0, 5.0])
+        e = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        probe = [BandedSymMatrix((a, e))]
+        main = [eigen(probe[0].leading(5))]
+        tol = 1e-16
+        vals, radius = _residual_bounds(main, probe, tol)
+        first, stop, sep = _separated_runs(vals, radius)
+        assert (first.tolist(), stop.tolist(), sep.tolist()) == ([0], [0], [-math.inf])
+        calls = recorded_shifts(monkeypatch)
+        [flags] = certify(main, probe, tol)
+        assert len(calls) == 1
+        [[shifts]] = calls
+        assert len(shifts) == 6 and shifts[0] == -math.inf
+        np.testing.assert_array_equal(shifts[1:], main[0] - tol * np.maximum(1.0, main[0]))
+        assert flags.tolist() == [True, True, True, False, False]
+        np.testing.assert_array_equal(flags, probe_flags(main[0], probe[0], tol))
+        [counted] = sturm_flags(main, probe, tol)
+        np.testing.assert_array_equal(flags, counted)
 
     def test_bound_decides_most_levels_at_800_900(self, monkeypatch):
         # eta = 0, xi = 20, both parity blocks: the bound and two separator
@@ -483,11 +509,11 @@ class TestResidualBoundFirst:
         blocks, _ = parity_blocks(HamiltonianSpec(eta=0.0, xi=20.0))
         main = [eigen(b.leading(dim)) for b, dim in zip(blocks, (401, 400))]
         expected = sturm_flags(main, blocks, 1e-8)
-        calls = counting_shifts(monkeypatch)
+        calls = recorded_shifts(monkeypatch)
         flags = certify(main, blocks, 1e-8)
         for f, g in zip(flags, expected, strict=True):
             np.testing.assert_array_equal(f, g)
-        assert len(calls) == 1 and calls[0] <= 0.1 * 801
+        assert len(calls) == 1 and sum(map(len, calls[0])) <= 0.1 * 801
         vals, radius = _residual_bounds(main, blocks, 1e-8)
         first, stop, _ = _separated_runs(vals, radius)
         assert (stop - first).sum() >= 0.9 * 801
