@@ -24,7 +24,6 @@ from .esqpt import (
     CriticalPointEstimate,
     GapCurve,
     SeparatrixModel,
-    SeparatrixPoint,
     gap_curves,
     separatrix_from_estimates,
     xi_c_difference_bound,

@@ -413,10 +413,15 @@ class LevelPair(NamedTuple):
 
 
 class TrackedCrossing(NamedTuple):
+    """One grid point of :func:`track_crossing_location`; eta_star is None where it was lost."""
+
     coupling_value: float
     eta_star: float | None
-    found: bool
     gap: float
+
+    @property
+    def found(self) -> bool:
+        return self.eta_star is not None
 
 
 def check_track_pair(pair: LevelPair, coupling: str, n_max: int) -> int:
@@ -481,10 +486,10 @@ def track_crossing_location(
             f_lo, f_hi = f(lo), f(hi)
             if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
                 root, gap = _brent(f, lo, hi, f_lo, f_hi)
-                out.append(TrackedCrossing(xi, float(root), True, abs(gap)))
+                out.append(TrackedCrossing(xi, float(root), abs(gap)))
                 center = float(root)
                 break
             w *= 2.0
         else:
-            out.append(TrackedCrossing(xi, None, False, min(abs(f_lo), abs(f_hi))))
+            out.append(TrackedCrossing(xi, None, min(abs(f_lo), abs(f_hi))))
     return out

@@ -30,8 +30,8 @@ from .classify import (
 )
 from .eigensolve import DEFAULT_N_MAX, DEFAULT_TOL_CONV, EigenSolverError, check_basis
 from .esqpt import (
+    CriticalPointEstimate,
     SeparatrixModel,
-    SeparatrixPoint,
     check_gap_sweep,
     gap_curves,
     separatrix_from_estimates,
@@ -160,8 +160,8 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _as_number(value, what: str):
-    """A finite JSON number; NaN and Infinity parse but are never valid input."""
+def _as_number(value, what: str) -> float:
+    """A finite JSON number as a float; NaN and Infinity parse but are never valid input."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{what} must be a number")
     try:
@@ -170,7 +170,7 @@ def _as_number(value, what: str):
         finite = False
     if not finite:
         raise ConfigError(f"{what} must be finite")
-    return value
+    return float(value)
 
 
 def _as_count(value, what: str) -> int:
@@ -198,7 +198,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    version = raw.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     command = raw.get("command")
     if command not in COMMANDS:
@@ -234,7 +235,7 @@ def load_config(path: str | Path) -> RunConfig:
         )
     n_max = _integer(num, "n_max", DEFAULT_N_MAX, "numeric")
     n_probe = _as_count(num["n_probe"], "numeric.n_probe") if "n_probe" in num else None
-    tol_conv = float(_as_number(num.get("tol_conv", DEFAULT_TOL_CONV), "numeric.tol_conv"))
+    tol_conv = _as_number(num.get("tol_conv", DEFAULT_TOL_CONV), "numeric.tol_conv")
     try:
         n_probe = check_basis(n_max, n_probe, tol_conv)
     except ValueError as exc:
@@ -277,7 +278,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(seps, list):
         raise ConfigError("svg.separatrices must be a list")
     settings = {
-        k: float(_as_number(v, f"svg.{k}")) if k in ("y_min", "y_max") else _as_count(v, f"svg.{k}")
+        k: _as_number(v, f"svg.{k}") if k in ("y_min", "y_max") else _as_count(v, f"svg.{k}")
         for k, v in sv.items()
         if k != "separatrices"
     }
@@ -376,47 +377,42 @@ def _color_class(coloring: str, residue: int, modulus: int) -> str:
     return str(r)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x is None:
-        return ""
-    return format(float(x), ".12g")
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
 _GRID_HEADER = [
     "param", "sector_residue", "level_index", "energy",
     "excitation_energy", "converged", "color_class",
 ]
 
 
-# record type -> (CSV header, row of one record)
+def _write_rows(path: Path, header: list[str], template: str, rows) -> None:
+    """The header, then one line ``template % row`` per row, written as they come."""
+    line = template + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line % row)
+
+
+# record type -> (CSV header, row template, row of one record): %.12g for
+# reals, %d for integers and flags, %s for names; a lost crossing's eta_star
+# is an empty field
 _TABLES = {
     CrossingEvent: (
         ["kind", "param_value", "residue_a", "index_a", "residue_b", "index_b", "min_gap"],
+        "%s,%.12g,%d,%d,%d,%d,%.12g",
         lambda e: (e.kind, e.param_value, *e.level_pair, e.min_gap),
     ),
-    SeparatrixPoint: (
+    CriticalPointEstimate: (
         ["v", "method", "xi_c", "E_c", "rel_dev_sq"],
-        lambda e: (e.v, e.method, e.xi_c, e.E_c, e.rel_dev),
+        "%d,%s,%.12g,%.12g,%.12g",
+        lambda e: (*e, e.rel_dev),
     ),
-    CasimirLevel: (
-        ["v", "pi_prime", "casimir_value"],
-        lambda e: (e.v, e.pi_prime, e.value),
-    ),
+    CasimirLevel: (["v", "pi_prime", "casimir_value"], "%d,%d,%.12g", tuple),
     TrackedCrossing: (
         ["coupling_value", "eta_star", "found", "gap"],
-        lambda e: (e.coupling_value, e.eta_star, 1 if e.found else 0, e.gap),
+        "%.12g,%s,%d,%.12g",
+        lambda e: (
+            e.coupling_value, "" if e.eta_star is None else "%.12g" % e.eta_star, e.found, e.gap
+        ),
     ),
 }
 
@@ -424,8 +420,8 @@ _TABLES = {
 def _write_table(path: str | Path, kind: type, records) -> Path:
     """A table of ``kind`` records; its header is written even when it is empty."""
     path = Path(path)
-    header, row = _TABLES[kind]
-    _write_rows(path, header, map(row, records))
+    header, template, row = _TABLES[kind]
+    _write_rows(path, header, template, map(row, records))
     return path
 
 
@@ -443,9 +439,9 @@ def emit_csv(
     color class (see :func:`_color_class`: ``all`` where the coloring's
     divisor is coprime to the modulus, as under parity for a xi3 or xi + xi3
     sweep).  Each sector's rows of one grid point are one ``%`` template,
-    built once with its level fields and color class; ``%.12g`` prints what
-    :func:`_fmt`'s ``.12g`` prints, the parameter is formatted once per
-    point, and the flag is ``%d`` of a bool.
+    built once with its level fields and color class; every real is
+    ``%.12g``, the parameter formatted once per point, and the flag is
+    ``%d`` of a bool.
     """
     if max_levels is not None and max_levels < 1:
         raise ValueError("max_levels must be at least 1")
@@ -624,13 +620,12 @@ def _spectrum(cfg: RunConfig, csv_path: Path) -> None:
     spectrum = converged_spectrum(cfg.hamiltonian, cfg.n_max, cfg.n_probe, cfg.tol_conv, cfg.window)
     _require_converged([spectrum.converged], cfg)
     rows = (
-        (cfg.hamiltonian.eta, int(r), i, e, x, c,
-         _color_class(cfg.coloring, int(r), spectrum.modulus))
+        (cfg.hamiltonian.eta, r, i, e, x, c, _color_class(cfg.coloring, r, spectrum.modulus))
         for i, (e, x, r, c) in enumerate(
             zip(spectrum.energies, spectrum.excitations, spectrum.residues, spectrum.converged)
         )
     )
-    _write_rows(csv_path, _GRID_HEADER, rows)
+    _write_rows(csv_path, _GRID_HEADER, "%.12g,%d,%d,%.12g,%.12g,%d,%s", rows)
 
 
 def _sweep(cfg: RunConfig, csv_path: Path) -> None:
@@ -653,7 +648,7 @@ def _esqpt(cfg: RunConfig, csv_path: Path) -> None:
             est = estimator(curve)
             if est is not None:
                 estimates.append(est)
-    _write_table(csv_path, SeparatrixPoint, separatrix_from_estimates(estimates))
+    _write_table(csv_path, CriticalPointEstimate, separatrix_from_estimates(estimates))
 
 
 # command -> (the top-level sections it reads besides schema_version, command and

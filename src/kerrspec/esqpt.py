@@ -23,7 +23,6 @@ from .sweep import SpectrumGrid, SweepPlan
 __all__ = [
     "GapCurve",
     "CriticalPointEstimate",
-    "SeparatrixPoint",
     "SeparatrixModel",
     "check_gap_sweep",
     "gap_curves",
@@ -74,13 +73,10 @@ class CriticalPointEstimate(NamedTuple):
     xi_c: float
     E_c: float
 
-
-class SeparatrixPoint(NamedTuple):
-    v: int
-    method: str
-    xi_c: float
-    E_c: float
-    rel_dev: float  # |E_c - xi_c^2| / xi_c^2
+    @property
+    def rel_dev(self) -> float:
+        """Relative deviation |E_c - xi_c^2| / xi_c^2 of E_c from the square-law separatrix."""
+        return abs(self.E_c - self.xi_c**2) / self.xi_c**2
 
 
 def check_gap_sweep(plan: SweepPlan, v_max: int) -> None:
@@ -201,26 +197,21 @@ def xi_c_difference_bound(curve: GapCurve) -> CriticalPointEstimate | None:
 
 
 def separatrix_from_estimates(
-    estimates: list[CriticalPointEstimate],
-) -> list[SeparatrixPoint]:
-    """Per-estimate deviation of the critical energy from the square law.
+    estimates: list[CriticalPointEstimate | None],
+) -> list[CriticalPointEstimate]:
+    """The estimates that map the separatrix, with None dropped.
 
-    Emits (xi_c, E_c) per method with the relative deviation of E_c from
-    xi_c^2; at least three estimates are required.
+    At least three are required, each at a nonzero xi_c, so that every
+    :attr:`CriticalPointEstimate.rel_dev` from the square law E_c = xi_c^2
+    is defined; NumericFailure otherwise.
     """
     points = [e for e in estimates if e is not None]
     if len(points) < 3:
         raise NumericFailure("need at least three estimates to map the separatrix")
-    out = []
     for e in points:
         if e.xi_c == 0.0:
             raise NumericFailure(f"estimate at xi_c=0 (v={e.v}) has no square-law reference")
-        out.append(
-            SeparatrixPoint(
-                e.v, e.method, e.xi_c, e.E_c, abs(e.E_c - e.xi_c**2) / e.xi_c**2
-            )
-        )
-    return out
+    return points
 
 
 @dataclass(frozen=True)

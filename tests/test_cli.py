@@ -25,6 +25,7 @@ from kerrspec.cli import (
     _ALL_COLOR,
     _COMMANDS,
     _PALETTES,
+    _TABLES,
     _color_class,
     _nice_ticks,
     _write_table,
@@ -34,11 +35,12 @@ from kerrspec.cli import (
     main,
     run,
 )
-from kerrspec.classify import LevelPair, TrackedCrossing, track_crossing_location
-from kerrspec.esqpt import SeparatrixModel, SeparatrixPoint
+from kerrspec.classify import CrossingEvent, LevelPair, TrackedCrossing, track_crossing_location
+from kerrspec.esqpt import CriticalPointEstimate, SeparatrixModel
 from kerrspec.fock import HamiltonianSpec, HigherOrderCorrections
 from kerrspec.sectors import MOD_ALL
 from kerrspec.sweep import SpectrumGrid, SweepPlan, converged_spectrum, run_sweep
+from kerrspec.u2 import CasimirLevel
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -147,6 +149,7 @@ class TestMalformedConfigExitTwo:
     """Every malformed configuration is a configuration error: exit 2, no traceback."""
 
     CASES = {
+        "schema_version true": lambda d: {**spectrum_config(d), "schema_version": True},
         "unknown coupling": lambda d: track_config(d, coupling="P9"),
         "coupling not a string": lambda d: track_config(d, coupling=["P2"]),
         "pair entry not an integer": lambda d: track_config(d, pair=[0, "a", 1, 0]),
@@ -271,6 +274,7 @@ class TestMalformedConfigExitTwo:
 
     # case -> a fragment its error message must hold
     MESSAGES = {
+        "schema_version true": "schema_version must be 1",
         "reversed grid": "grid.stop must be above grid.start",
         "one-point grid": "grid.stop must be above grid.start",
         "svg.width set": "unknown key(s) in svg: ['width']",
@@ -366,6 +370,13 @@ class TestMalformedConfigExitTwo:
     def test_integral_float_counts_accepted(self, tmp_path):
         cfg = load_config(write_config(tmp_path, with_numeric(str(tmp_path), n_max=30.0, n_probe=45)))
         assert cfg.n_max == 30 and isinstance(cfg.n_max, int)
+
+    def test_integral_couplings_load_as_floats(self, tmp_path):
+        ham = {"eta": 2, "xi": 1, "higher_order": {"cubic4": 0}}
+        payload = spectrum_config(str(tmp_path), hamiltonian=ham)
+        spec = load_config(write_config(tmp_path, payload)).hamiltonian
+        assert spec == HamiltonianSpec(eta=2.0, xi=1.0, higher=HigherOrderCorrections(cubic4=0.0))
+        assert all(type(x) is float for x in (spec.eta, spec.xi, spec.higher.cubic4))
 
     def test_oversized_grid_refused_before_it_is_built(self, tmp_path, capsys):
         # 10^9 + 1 points over [0, 1]: refused by its count, not by building it
@@ -514,9 +525,20 @@ class TestCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_separatrix_points_table(self, tmp_path):
-        pts = [SeparatrixPoint(1, "max_rate", 3.1, 10.0, 0.04)]
-        path = _write_table(tmp_path / "pts.csv", SeparatrixPoint, pts)
-        assert path.read_text().splitlines()[1] == "1,max_rate,3.1,10,0.04"
+        # rel_dev_sq is |10 - 3.1^2| / 3.1^2, derived from the estimate itself
+        pts = [CriticalPointEstimate(1, "max_rate", 3.1, 10.0)]
+        path = _write_table(tmp_path / "pts.csv", CriticalPointEstimate, pts)
+        assert path.read_text().splitlines()[1] == "1,max_rate,3.1,10,0.0405827263267"
+
+    def test_integral_coupling_prints_as_the_equal_float(self, tmp_path):
+        # 15 digits: %.12g prints -1.23456789012e+14 for the integer and the float
+        outputs = []
+        for name, eta in (("int", -123456789012345), ("float", -123456789012345.0)):
+            payload = spectrum_config(str(tmp_path / name), hamiltonian={"eta": eta})
+            assert main(["--config", str(write_config(tmp_path, payload)), "--threads", "1"]) == 0
+            outputs.append((tmp_path / name / "spectrum.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].startswith(b"-1.23456789012e+14,0,0,")
 
     def test_mod4_coloring_classes(self, tmp_path):
         plan = SweepPlan(
@@ -906,6 +928,81 @@ class TestCommands:
         assert (tmp_path / "out" / "crossings.csv").read_text().splitlines() == [
             "kind,param_value,residue_a,index_a,residue_b,index_b,min_gap"
         ]
+
+
+def _fmt(x) -> str:
+    """One CSV field formatted by the type of its value, as the table writer once did."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if x is None:
+        return ""
+    return format(float(x), ".12g")
+
+
+# record type -> (header, row of one record), as the tables were once written
+_ORACLE_TABLES = {
+    CrossingEvent: (
+        "kind,param_value,residue_a,index_a,residue_b,index_b,min_gap",
+        lambda e: (e.kind, e.param_value, *e.level_pair, e.min_gap),
+    ),
+    CriticalPointEstimate: (
+        "v,method,xi_c,E_c,rel_dev_sq",
+        lambda e: (e.v, e.method, e.xi_c, e.E_c, abs(e.E_c - e.xi_c**2) / e.xi_c**2),
+    ),
+    CasimirLevel: ("v,pi_prime,casimir_value", lambda e: (e.v, e.pi_prime, e.value)),
+    TrackedCrossing: (
+        "coupling_value,eta_star,found,gap",
+        lambda e: (e.coupling_value, e.eta_star, 1 if e.eta_star is not None else 0, e.gap),
+    ),
+}
+
+
+def _oracle_table(kind, records) -> str:
+    header, row = _ORACLE_TABLES[kind]
+    return "\n".join([header, *(",".join(_fmt(x) for x in row(e)) for e in records)]) + "\n"
+
+
+_REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e16, -1e16]),
+    st.integers(-(10**15), 10**15).map(float),
+    st.floats(),
+)
+_COUNTS = st.integers(0, 10**6)
+# xi_c is nonzero and its square is a normal float, so that rel_dev is defined
+_XI_C = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150) | st.sampled_from([3.1, 1e16])
+_RECORDS = {
+    CrossingEvent: st.builds(
+        CrossingEvent, _REALS, st.tuples(_COUNTS, _COUNTS, _COUNTS, _COUNTS), _REALS
+    ),
+    CriticalPointEstimate: st.builds(
+        CriticalPointEstimate, _COUNTS,
+        st.sampled_from(["max_rate", "linear_extrapolation", "difference_bound"]), _XI_C, _REALS,
+    ),
+    CasimirLevel: st.builds(CasimirLevel, _COUNTS, st.sampled_from([-1, 0, 1]), _REALS),
+    TrackedCrossing: st.builds(TrackedCrossing, _REALS, st.none() | _REALS, _REALS),
+}
+
+
+class TestTableOracle:
+    """Each record table's %-template rows hold the fields that per-type formatting gave."""
+
+    def test_every_table_has_an_oracle(self):
+        assert set(_TABLES) == set(_ORACLE_TABLES) == set(_RECORDS)
+
+    @pytest.mark.parametrize("kind", sorted(_ORACLE_TABLES, key=lambda k: k.__name__))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_table_lines(self, kind, data):
+        records = data.draw(st.lists(_RECORDS[kind], max_size=6))
+        if kind is TrackedCrossing:  # a lost crossing in every table
+            records.append(TrackedCrossing(1.0, None, 2.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_table(Path(tmp) / "table.csv", kind, records)
+            assert path.read_text() == _oracle_table(kind, records)
 
 
 UNBOUND_SPECTRUM = {
