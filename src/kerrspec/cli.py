@@ -145,11 +145,6 @@ class RunConfig:
     track_eta0: int
     track_pair: LevelPair
     crossings_max_levels: int
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.threads < 0:
-            raise ConfigError(f"threads must be >= 0, got {self.threads}")
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -629,7 +624,7 @@ def _spectrum(cfg: RunConfig, csv_path: Path) -> None:
 
 
 def _sweep(cfg: RunConfig, csv_path: Path) -> None:
-    grid = run_sweep(cfg.plan, threads=cfg.threads)
+    grid = run_sweep(cfg.plan)
     max_levels = cfg.svg_style.max_levels
     _require_converged([grid.converged[r][:, :max_levels] for r in grid.residues], cfg)
     # the SVG first: it refuses a y range that overflows its pixel scale before
@@ -641,7 +636,7 @@ def _sweep(cfg: RunConfig, csv_path: Path) -> None:
 
 
 def _esqpt(cfg: RunConfig, csv_path: Path) -> None:
-    curves = gap_curves(run_sweep(cfg.plan, threads=cfg.threads), cfg.v_max)
+    curves = gap_curves(run_sweep(cfg.plan), cfg.v_max)
     estimates = []
     for curve in curves[1:]:  # v >= 1: the v = 0 pair never opens a usable gap head
         for estimator in (xi_c_max_rate, xi_c_linear_extrapolation, xi_c_difference_bound):
@@ -662,7 +657,7 @@ _COMMANDS = {
     "crossings": (
         ("hamiltonian", "numeric", "grid", "crossings"),
         lambda cfg, csv_path: _write_table(csv_path, CrossingEvent, detect_crossings(
-            run_sweep(cfg.plan, threads=cfg.threads), cfg.crossings_max_levels)),
+            run_sweep(cfg.plan), cfg.crossings_max_levels)),
     ),
     "esqpt": (("hamiltonian", "numeric", "grid", "esqpt"), _esqpt),
     "casimir": (("casimir",), lambda cfg, csv_path: _write_table(
@@ -711,13 +706,19 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument(
-        "--threads", type=int, default=0, help="sweep worker threads, 0 = one per core"
+        "--threads",
+        type=int,
+        default=0,
+        help="accepted and checked (not negative) but never changes results: sweeps run "
+        "in one thread, as scipy's LAPACK wrappers hold the GIL",
     )
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = cfg.out_dir if args.out is None else args.out
-        cfg = replace(cfg, threads=args.threads, out_dir=out_dir)
+        if args.threads < 0:
+            raise ConfigError(f"threads must be >= 0, got {args.threads}")
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 4

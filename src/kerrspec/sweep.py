@@ -4,17 +4,16 @@ This is the one place a Hamiltonian becomes sector levels: expand the
 parameter record, assemble at the probe basis, split into symmetry sectors,
 diagonalize the leading n_max blocks, and certify truncation convergence
 against the probe blocks.  A sweep runs that on chunks of consecutive grid
-points, one :func:`certify` call per chunk; chunks may be evaluated
-concurrently, and results are merged by grid index, so the output is
-identical for any evaluation order.
+points, one :func:`certify` call per chunk, in grid order in the calling
+thread.  Worker threads would not overlap: scipy's compiled ``_flapack``
+wrappers hold the GIL for the whole LAPACK call, and the solves are most of
+a sweep's time.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -224,40 +223,26 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     :func:`certify` call per ``CHUNK`` grid points: one residual-bound pass
     over all their levels, then one batched Sturm count of a separator per
     sector block and of the levels the bound leaves open.
-    ``threads`` workers evaluate chunks concurrently: 0 means one per core,
-    and larger counts are clamped to ``os.cpu_count()``.  Chunks are copied
-    into the per-sector grid arrays in grid order, so the result does not
-    depend on scheduling.
+    Chunks run in grid order in the calling thread.  ``threads`` is accepted
+    for compatibility and must not be negative; it changes neither results
+    nor scheduling, since the LAPACK calls hold the GIL and worker threads
+    would run them one at a time anyway.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     values = np.asarray(plan.grid, dtype=float)
-
-    def work(start: int):
-        polys = (standard_hamiltonian(plan.spec_at(v)) for v in values[start : start + CHUNK])
-        return _certified_levels(polys, plan.n_max, plan.n_probe, plan.modulus, plan.tol_conv)
-
-    starts = range(0, len(values), CHUNK)
-    cores = os.cpu_count() or 1
-    workers = min(threads, cores) if threads else cores
     curves: dict[int, np.ndarray] = {}
     flags: dict[int, np.ndarray] = {}
-
-    def fill(chunks) -> None:
-        for start, chunk in zip(starts, chunks):
-            for g, (levels, ok) in enumerate(chunk, start):
-                for r, v in levels.items():
-                    if r not in curves:
-                        curves[r] = np.empty((len(values), len(v)))
-                        flags[r] = np.empty((len(values), len(v)), dtype=bool)
-                    curves[r][g] = v
-                    flags[r][g] = ok[r]
-
-    if workers == 1:
-        fill(map(work, starts))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fill(pool.map(work, starts))
+    for start in range(0, len(values), CHUNK):
+        polys = (standard_hamiltonian(plan.spec_at(v)) for v in values[start : start + CHUNK])
+        chunk = _certified_levels(polys, plan.n_max, plan.n_probe, plan.modulus, plan.tol_conv)
+        for g, (levels, ok) in enumerate(chunk, start):
+            for r, v in levels.items():
+                if r not in curves:
+                    curves[r] = np.empty((len(values), len(v)))
+                    flags[r] = np.empty((len(values), len(v)), dtype=bool)
+                curves[r][g] = v
+                flags[r][g] = ok[r]
 
     ground = np.min([c[:, 0] for c in curves.values()], axis=0)
     for c in curves.values():

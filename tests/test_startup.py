@@ -1,11 +1,12 @@
-"""What ``import kerrspec`` loads: never scipy.optimize nor scipy.linalg, whatever runs.
+"""What ``import kerrspec`` loads: never scipy.optimize, scipy.linalg nor
+concurrent.futures, whatever runs.
 
 Crossing refinement and ``track`` find their roots with the package's own
-Brent iteration, and the eigensolvers call the LAPACK drivers of scipy's
-compiled ``_flapack`` extension directly, so importing scipy.optimize or
-scipy.linalg would only add start-up time and memory.  Each check runs in a
-fresh interpreter, since any other test module may already have imported
-them into this one.
+Brent iteration, the eigensolvers call the LAPACK drivers of scipy's
+compiled ``_flapack`` extension directly, and sweeps run in the calling
+thread, so importing scipy.optimize, scipy.linalg or a thread pool would only
+add start-up time and memory.  Each check runs in a fresh interpreter, since
+any other test module may already have imported them into this one.
 """
 
 import json
@@ -21,7 +22,7 @@ import json, sys, tempfile
 from pathlib import Path
 
 def loaded():
-    return {m: f"scipy.{m}" in sys.modules for m in ("optimize", "linalg")}
+    return {m: m in sys.modules for m in ("scipy.optimize", "scipy.linalg", "concurrent.futures")}
 
 import kerrspec, kerrspec.cli
 seen = {"import": loaded()}
@@ -78,9 +79,12 @@ def fresh(code: str):
 
 
 def test_no_command_imports_scipy_optimize():
-    # nor scipy.linalg: the LAPACK drivers are loaded without its Python layer
+    # nor scipy.linalg, whose Python layer the LAPACK drivers are loaded
+    # without, nor concurrent.futures, as no sweep starts a thread pool
     seen = fresh(_PROBE)
-    assert seen.pop("import") == {"optimize": False, "linalg": False}
+    assert seen.pop("import") == {
+        "scipy.optimize": False, "scipy.linalg": False, "concurrent.futures": False
+    }
     for command, run in seen.items():
         assert run["exit"] == 0 and run["rows"] > 0, (command, run)
     assert sorted(seen) == ["casimir", "crossings", "esqpt", "spectrum", "sweep", "track"]

@@ -1,14 +1,15 @@
+import json
 import math
+import threading
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import kerrspec.classify
-import kerrspec.sweep
+from kerrspec import cli
 from kerrspec.classify import UnrefinedCrossingWarning, detect_crossings, kerr_exact_levels
 from kerrspec import converged_spectrum
 from kerrspec.eigensolve import eigen
@@ -186,26 +187,35 @@ class TestRunSweep:
             unconverged += int((~cs.converged).sum())
         assert unconverged > 0
 
-    def test_worker_count(self, monkeypatch):
-        pools = []
+    def test_threads_start_no_thread(self, monkeypatch, tmp_path):
+        # sweeps run in the calling thread whatever threads says
+        def refuse(self):
+            raise AssertionError("a sweep started a thread")
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(kerrspec.sweep, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         plan = small_plan(grid=tuple(0.1 * i for i in range(CHUNK + 1)))  # two chunks
         serial = run_sweep(plan, threads=1)
-        # 0 means one worker per core, larger counts are clamped to the cores
-        for cores, threads, workers in ((3, 0, 3), (3, 2, 2), (3, 100_000, 3), (1, 0, None), (1, 8, None)):
-            monkeypatch.setattr(kerrspec.sweep.os, "cpu_count", lambda: cores)
+        for threads in (0, 4):
             grid = run_sweep(plan, threads=threads)
-            assert (pools.pop() if pools else None) == workers
-            np.testing.assert_array_equal(grid.curves[0], serial.curves[0])
+            assert grid.residues == serial.residues
+            for r in serial.residues:
+                np.testing.assert_array_equal(grid.curves[r], serial.curves[r])
+                np.testing.assert_array_equal(grid.converged[r], serial.converged[r])
+            np.testing.assert_array_equal(grid.ground_energy, serial.ground_energy)
         with pytest.raises(ValueError, match="threads"):
             run_sweep(plan, threads=-5)
-        assert pools == []
+
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "schema_version": 1, "command": "sweep", "hamiltonian": {"xi": 1.0},
+            "numeric": {"n_max": 40, "n_probe": 60},
+            "grid": {"varying": "eta", "start": 0.0, "stop": 1.6, "step": 0.1},
+        }))
+        for threads in ("0", "4"):
+            out = tmp_path / f"t{threads}"
+            assert cli.main(["--config", str(config), "--out", str(out), "--threads", threads]) == 0
+        csv = [(tmp_path / f"t{threads}" / "sweep.csv").read_bytes() for threads in ("0", "4")]
+        assert csv[0] == csv[1]
 
     def test_convergence_flags_present(self):
         grid = run_sweep(small_plan(n_max=30, n_probe=45))
