@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigensolve import DEFAULT_N_MAX
-from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec, standard_hamiltonian
+from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec
 from .sectors import detect_modulus, sector_dim
 from .sweep import (
     ConvergedSpectrum,
@@ -428,15 +428,15 @@ def check_track_pair(pair: LevelPair, coupling: str, n_max: int) -> int:
     """Raise ValueError unless ``pair`` names two different levels that exist under
     ``coupling`` at ``n_max``.
 
-    The coupling conserves n mod k; sector r holds the states r, r + k, ...
-    <= n_max.  Returns k.  A level paired with itself has a gap that is
+    k is the modulus of dH/d(coupling); sector r holds the states r, r + k,
+    ... <= n_max.  Returns k.  A level paired with itself has a gap that is
     identically zero, so every bracket would report a root.
     """
     if coupling not in COUPLING_KINDS:
         raise ValueError(f"coupling must be one of {sorted(COUPLING_KINDS)}")
     if pair[:2] == pair[2:]:
         raise ValueError(f"pair names the level {tuple(pair[:2])} twice")
-    k = detect_modulus(standard_hamiltonian(HamiltonianSpec(**{COUPLING_KINDS[coupling]: 1.0})))
+    k = detect_modulus(COUPLING_DERIVATIVES[COUPLING_KINDS[coupling]])
     for r, i in (pair[:2], pair[2:]):
         if not (0 <= r < k and 0 <= i < sector_dim(n_max + 1, k, r)):
             raise ValueError(

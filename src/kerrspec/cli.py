@@ -598,7 +598,7 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
 
 
 def _require_converged(flags: list[np.ndarray], cfg: RunConfig) -> None:
-    """Refuse a result whose emitted levels are all unconverged.
+    """Refuse a result whose emitted levels (for crossings, its scanned ones) are all unconverged.
 
     Such a result is truncation artefact only, as for a spectrum that is not
     bounded below; an empty result (nothing in the window) is not refused.
@@ -635,6 +635,13 @@ def _sweep(cfg: RunConfig, csv_path: Path) -> None:
         emit_csv(grid, csv_path, cfg.coloring, max_levels)
 
 
+def _crossings(cfg: RunConfig, csv_path: Path) -> None:
+    grid = run_sweep(cfg.plan)
+    max_levels = cfg.crossings_max_levels
+    _require_converged([grid.converged[r][:, :max_levels] for r in grid.residues], cfg)
+    _write_table(csv_path, CrossingEvent, detect_crossings(grid, max_levels))
+
+
 def _esqpt(cfg: RunConfig, csv_path: Path) -> None:
     curves = gap_curves(run_sweep(cfg.plan), cfg.v_max)
     estimates = []
@@ -654,11 +661,7 @@ def _esqpt(cfg: RunConfig, csv_path: Path) -> None:
 _COMMANDS = {
     "spectrum": (("hamiltonian", "numeric", "window", "coloring"), _spectrum),
     "sweep": (("hamiltonian", "numeric", "grid", "coloring", "svg"), _sweep),
-    "crossings": (
-        ("hamiltonian", "numeric", "grid", "crossings"),
-        lambda cfg, csv_path: _write_table(csv_path, CrossingEvent, detect_crossings(
-            run_sweep(cfg.plan), cfg.crossings_max_levels)),
-    ),
+    "crossings": (("hamiltonian", "numeric", "grid", "crossings"), _crossings),
     "esqpt": (("hamiltonian", "numeric", "grid", "esqpt"), _esqpt),
     "casimir": (("casimir",), lambda cfg, csv_path: _write_table(
         csv_path, CasimirLevel, casimir_spectrum(U2Rep(cfg.casimir_N)))),

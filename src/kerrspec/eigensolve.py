@@ -218,12 +218,13 @@ def _sturm_counts(
         top = rows - block.dim
         a[top:, j, 0] = block.diagonal
         if block.bandwidth == 1:
-            e2[top + 1 :, j, 0] = np.square(block.diagonals[1])
+            e2[top + 1 :, j, 0] = block.diagonals[1]  # squared below
         x[j, : len(shift)] = shift
     d = np.ones_like(x)
     t = np.empty_like(x)
     count = np.zeros(x.shape, dtype=np.int32)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.square(e2, out=e2)
         for k in range(rows):
             np.divide(e2[k], d, out=t)
             np.subtract(a[k], x, out=d)

@@ -95,7 +95,7 @@ def check_gap_sweep(plan: SweepPlan, v_max: int) -> None:
         raise ValueError(f"expected parity sectors, got modulus {plan.modulus}")
     odd = sector_dim(plan.n_max + 1, 2, 1)
     if v_max >= odd:
-        raise ValueError(f"v_max={v_max} exceeds the {odd} odd levels")
+        raise ValueError(f"v_max={v_max} needs {v_max + 1} odd levels and the basis has {odd}")
 
 
 def gap_curves(grid: SpectrumGrid, v_max: int) -> list[GapCurve]:

@@ -35,6 +35,7 @@ __all__ = [
     "number_poly",
     "ladder_poly",
     "pairing_poly",
+    "DRIVES",
     "COUPLING_FIELDS",
     "COUPLING_KINDS",
     "COUPLING_DERIVATIVES",
@@ -166,9 +167,6 @@ class OperatorPoly:
             tuple(OperatorTerm(scalar * t.coeff, t.p, t.q, t.weight) for t in self.terms)
         )
 
-    def __neg__(self) -> "OperatorPoly":
-        return (-1.0) * self
-
     def bandwidth(self) -> int:
         """Largest occupation step |p - q| among terms with nonzero coefficient."""
         steps = [abs(t.step) for t in self.terms if t.coeff != 0.0]
@@ -248,11 +246,18 @@ class HamiltonianSpec:
     higher: HigherOrderCorrections | None = None
 
 
-# HamiltonianSpec fields that act as sweepable coupling strengths.
-COUPLING_FIELDS = ("eta", "xi", "xi3", "xi4", "xi2p")
+# Drive -> (HamiltonianSpec field, photon number k, number weight w, partner): each adds
+# (-field + partner) (a^dag^k w(n) + w(n) a^k), partner a HigherOrderCorrections field or None.
+DRIVES = {
+    "P2": ("xi", 2, (1.0,), "squeeze3"),
+    "P3": ("xi3", 3, (1.0,), None),
+    "P4": ("xi4", 4, (1.0,), "quad_squeeze4"),
+    "nP2": ("xi2p", 2, (0.0, 1.0), "number_squeeze3"),
+}
 
-# Crossing-tracking perturbations P2, P3, P4, nP2 -> the field each one scales.
-COUPLING_KINDS = {"P2": "xi", "P3": "xi3", "P4": "xi4", "nP2": "xi2p"}
+# The HamiltonianSpec fields a sweep may vary, and each tracked drive -> its field.
+COUPLING_FIELDS = ("eta", *(f for f, *_ in DRIVES.values()))
+COUPLING_KINDS = {kind: f for kind, (f, *_) in DRIVES.items()}
 
 
 def standard_hamiltonian(spec: HamiltonianSpec) -> OperatorPoly:
@@ -263,7 +268,7 @@ def standard_hamiltonian(spec: HamiltonianSpec) -> OperatorPoly:
 
     All diagonal contributions collapse into a single weight polynomial, so
     the squeeze-free Hamiltonian is one term and the two-photon-driven one
-    is three.
+    is three.  The pairing terms follow :data:`DRIVES`, in its order.
     """
     h = spec.higher if spec.higher is not None else HigherOrderCorrections()
     detuning = spec.eta + h.detuning3 + h.detuning4
@@ -279,25 +284,19 @@ def standard_hamiltonian(spec: HamiltonianSpec) -> OperatorPoly:
     while deg > 1 and w[deg] == 0.0:
         deg -= 1
     terms: list[OperatorTerm] = [OperatorTerm(1.0, 0, 0, w[: deg + 1])]
-
-    # (coefficient, photon number k, weight) of each pairing drive
-    # coeff * (a^dag^k w(n) + w(n) a^k), in term order
-    for coeff, k, weight in (
-        (-spec.xi + h.squeeze3, 2, (1.0,)),
-        (-spec.xi3, 3, (1.0,)),
-        (-spec.xi4 + h.quad_squeeze4, 4, (1.0,)),
-        (-spec.xi2p + h.number_squeeze3, 2, (0.0, 1.0)),
-    ):
+    for field_name, k, weight, partner in DRIVES.values():
+        coeff = -getattr(spec, field_name)
+        if partner is not None:
+            coeff += getattr(h, partner)
         if coeff != 0.0:
             terms += [OperatorTerm(coeff, k, 0, weight), OperatorTerm(coeff, 0, k, weight)]
     return OperatorPoly(tuple(terms))
 
 
-# Coupling field -> dH/d(field) = H(field = 1) - H(0), as standard_hamiltonian is
-# affine in each; the Kerr terms cancel exactly in assembly for n < 2^26.
+# Coupling field -> dH/d(field): -n for eta, -(a^dag^k w(n) + w(n) a^k) for each drive.
 COUPLING_DERIVATIVES = {
-    f: standard_hamiltonian(HamiltonianSpec(**{f: 1.0})) + -standard_hamiltonian(HamiltonianSpec())
-    for f in COUPLING_FIELDS
+    "eta": number_poly((0.0, -1.0)),
+    **{f: ladder_poly(-1.0, k, 0, w) + ladder_poly(-1.0, 0, k, w) for f, k, w, _ in DRIVES.values()},
 }
 
 

@@ -223,6 +223,9 @@ class TestMalformedConfigExitTwo:
         "esqpt detuned": lambda d: esqpt_config(d, hamiltonian={"eta": 1.0}),
         "esqpt without parity sectors": lambda d: esqpt_config(d, hamiltonian={"xi3": 0.1}),
         "esqpt v_max beyond the odd levels": lambda d: esqpt_config(d, esqpt={"v_max": 30}),
+        "esqpt v_max one with one odd level": lambda d: esqpt_config(
+            d, numeric={"n_max": 2, "n_probe": 4}, esqpt={"v_max": 1}
+        ),
         "n_max above the basis cap": lambda d: with_numeric(d, n_max=MAX_BASIS + 1),
         "track n_max above the basis cap": lambda d: {
             **track_config(d), "numeric": {"n_max": MAX_BASIS + 1}
@@ -287,6 +290,8 @@ class TestMalformedConfigExitTwo:
         "basename ..": "output.basename must be a file name",
         "basename with a NUL": "output.basename must not contain a NUL",
         "directory with a NUL": "output.directory must not contain a NUL",
+        # the pairs v = 0..v_max need v_max + 1 odd levels
+        "esqpt v_max one with one odd level": "v_max=1 needs 2 odd levels and the basis has 1",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1014,7 +1019,7 @@ UNBOUND_SPECTRUM = {
 
 
 class TestNoConvergedLevels:
-    """A spectrum or sweep with no converged emitted level is a numeric failure."""
+    """A spectrum, sweep or crossings scan with no converged level is a numeric failure."""
 
     def _main(self, tmp_path, payload, capsys):
         cfg = write_config(tmp_path, payload)
@@ -1042,6 +1047,21 @@ class TestNoConvergedLevels:
         assert err.startswith("numeric failure: ") and "363 emitted levels" in err
         assert "Traceback" not in err
         assert not any((tmp_path / "out").glob("sweep.*"))
+
+    def test_unconverged_crossings_scan_exits_three(self, tmp_path, capsys):
+        # none of the 12 levels scanned per sector is certified at any of the
+        # 13 points, so every event would compare truncation artefacts
+        payload = crossings_config(
+            str(tmp_path / "out"),
+            hamiltonian={"xi": 1.0, "xi4": 0.3},
+            numeric={"n_max": 40, "n_probe": 60},
+            grid={"varying": "eta", "start": 0.0, "stop": 6.0, "step": 0.5},
+        )
+        code, err = self._main(tmp_path, payload, capsys)
+        assert code == 3
+        assert err.startswith("numeric failure: ") and "312 emitted levels" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "crossings.csv").exists()
 
     def test_converged_levels_still_exit_zero(self, tmp_path, capsys):
         bound = {**UNBOUND_SPECTRUM, "hamiltonian": {"xi4": 0.0, "xi": 1.0}}

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -380,6 +381,27 @@ class TestCertify:
         cs = converged_spectrum(spec, 24, 40, 1e-8)
         assert 0 < cs.n_converged < cs.n_levels
         _, vals, probe = self.sectors(spec, 24, 40)
+        for r, (v, b) in enumerate(zip(vals, probe)):
+            np.testing.assert_array_equal(cs.converged[cs.residues == r], probe_flags(v, b, 1e-8))
+
+    HUGE = {
+        "xi=1e154": HamiltonianSpec(xi=1e154),
+        "xi=1e160": HamiltonianSpec(xi=1e160),
+        "xi3=1e200": HamiltonianSpec(xi3=1e200),
+        "xi2p=1e160": HamiltonianSpec(xi2p=1e160),
+        "eta=xi=1e300": HamiltonianSpec(eta=1e300, xi=1e300),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HUGE))
+    def test_overflowing_squares_stay_inside_the_sturm_batch(self, case):
+        # off-diagonals above about 1.3e154 square to inf in the Sturm batch;
+        # certify must not warn about it, and its flags stay the probe's
+        spec = self.HUGE[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cs = converged_spectrum(spec, 40, 60, 1e-8)
+        _, vals, probe = self.sectors(spec, 40, 60)
+        assert max(float(np.max(np.abs(b.diagonals[-1]))) for b in probe) > 1.4e154
         for r, (v, b) in enumerate(zip(vals, probe)):
             np.testing.assert_array_equal(cs.converged[cs.residues == r], probe_flags(v, b, 1e-8))
 
