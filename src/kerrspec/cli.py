@@ -600,14 +600,16 @@ def emit_svg(grid: SpectrumGrid, style: SvgStyle, path: str | Path, coloring: st
 def _require_converged(flags: list[np.ndarray], cfg: RunConfig) -> None:
     """Refuse a result whose emitted levels (for crossings, its scanned ones) are all unconverged.
 
-    Such a result is truncation artefact only, as for a spectrum that is not
-    bounded below; an empty result (nothing in the window) is not refused.
+    Such a result is truncation artefact only: the basis is too small for the
+    couplings, or the spectrum is not bounded below.  An empty result (nothing
+    in the window) is not refused.
     """
     total = sum(f.size for f in flags)
     if total and not any(f.any() for f in flags):
         raise EigenSolverError(
             f"none of the {total} emitted levels converged between n_max={cfg.n_max} "
-            f"and n_probe={cfg.n_probe} (is the spectrum bounded below?)"
+            f"and n_probe={cfg.n_probe} (raise numeric.n_max; if no basis converges, "
+            "the spectrum may not be bounded below)"
         )
 
 

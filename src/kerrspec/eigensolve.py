@@ -2,23 +2,19 @@
 
 Every solver branches on the block's ``bandwidth`` alone: diagonal blocks
 (0) are read off exactly, and the others go to banded LAPACK drivers:
-``dsbevd`` for whole spectra; for one level, ``dstebz`` (then ``dstein``
-for its vector) on a tridiagonal block and ``dsbevx`` on bandwidths of 2
-or more.
-They are called straight from scipy's compiled ``_flapack`` extension,
-with the arguments that scipy's ``eig_banded`` and ``eigh_tridiagonal``
-pass, so the results are theirs bit for bit without the cost of importing
-scipy's linalg package (see :func:`_load_lapack`).  :func:`certify`
-decides, level by level, whether a block's eigenvalues at n_max agree with
-those of the same sector at a larger probe basis to tol * max(1, |E|).  For
-probe blocks of bandwidth 0 or 1 it does so, as a rule, without
-diagonalizing them: a residual bound places a probe eigenvalue next to most
-levels, and one batch of Sturm counts, each a walk over every probe row,
-confirms the placement at a separator per block and counts the other levels
-one by one.
-:func:`check_basis` is the one rule for the basis settings n_max, n_probe
-and tol_conv.  Turning a Hamiltonian into certified sector levels is
-:mod:`kerrspec.sweep`'s job.
+``dsbevd`` for whole spectra and ``dsbevx`` for single levels.  Both are
+called straight from scipy's compiled ``_flapack`` extension, with the
+arguments that scipy's ``eig_banded`` passes, so the results are its own
+bit for bit without the cost of importing scipy's linalg package (see
+:func:`_load_lapack`).  :func:`certify` decides, level by level, whether a
+block's eigenvalues at n_max agree with those of the same sector at a larger
+probe basis to tol * max(1, |E|).  For probe blocks of bandwidth 0 or 1 it
+does so, as a rule, without diagonalizing them: a residual bound places a
+probe eigenvalue next to most levels, and one batch of Sturm counts, each a
+walk over every probe row, confirms the placement at a separator per block
+and counts the other levels one by one.  :func:`check_basis` is the one rule
+for the basis settings n_max, n_probe and tol_conv.  Turning a Hamiltonian
+into certified sector levels is :mod:`kerrspec.sweep`'s job.
 """
 
 from __future__ import annotations
@@ -139,27 +135,20 @@ def eigen(matrix: BandedSymMatrix) -> np.ndarray:
 def _level(
     matrix: BandedSymMatrix, index: int, compute_v: bool
 ) -> tuple[float, np.ndarray | None]:
-    """Level ``index`` (0-based) and, if ``compute_v``, a unit eigenvector (else None)."""
+    """Level ``index`` (0-based) and, if ``compute_v``, a unit eigenvector (else None).
+
+    Diagonal blocks are read off exactly and every other one goes to ``dsbevx``.
+    """
     if not 0 <= index < matrix.dim:
         raise IndexError(f"level {index} outside a {matrix.dim}-state block")
     if matrix.bandwidth == 0:
         n = np.argsort(matrix.diagonal, kind="stable")[index]
         return float(matrix.diagonal[n]), (np.eye(1, matrix.dim, n)[0] if compute_v else None)
-    if matrix.bandwidth > 1:
-        w, v, _, _, info = _lapack.dsbevx(
-            matrix.band_lower(), 0.0, 1.0, index + 1, index + 1, compute_v=int(compute_v),
-            range=2, lower=1, abstol=_ABSTOL, mmax=1,
-        )
-        _check_info(info, "dsbevx")
-    else:
-        d, e = matrix.diagonal, matrix.diagonals[1]
-        m, w, iblock, isplit, info = _lapack.dstebz(
-            d, e, 2, 0.0, 1.0, index + 1, index + 1, _ABSTOL, "B"
-        )
-        _check_info(info, "dstebz")
-        if compute_v:
-            v, info = _lapack.dstein(d, e, w[:m], iblock, isplit)
-            _check_info(info, "dstein")
+    w, v, _, _, info = _lapack.dsbevx(
+        matrix.band_lower(), 0.0, 1.0, index + 1, index + 1, compute_v=int(compute_v),
+        range=2, lower=1, abstol=_ABSTOL, mmax=1,
+    )
+    _check_info(info, "dsbevx")
     return float(w[0]), (v[:, 0] if compute_v else None)
 
 
@@ -167,11 +156,10 @@ def eigenvalue(matrix: BandedSymMatrix, index: int) -> float:
     """The ``index``-th smallest eigenvalue (0-based) alone.
 
     Diagonal matrices read their stably sorted diagonal.  Otherwise LAPACK
-    computes only the selected eigenvalue, by bisection to absolute accuracy
-    2 * safmin: ``dstebz`` on a tridiagonal block, ``dsbevx`` (which reduces
-    the band to tridiagonal form first) on a wider one.  It agrees with
-    ``eigen(matrix)[index]`` to the backward error of the full solve, at a
-    fraction of its cost.
+    ``dsbevx`` reduces the band to tridiagonal form and computes only the
+    selected eigenvalue, by bisection to absolute accuracy 2 * safmin.  It
+    agrees with ``eigen(matrix)[index]`` to the backward error of the full
+    solve, at a fraction of its cost.
     """
     return _level(matrix, index, compute_v=False)[0]
 
@@ -181,7 +169,8 @@ def eigenpair(matrix: BandedSymMatrix, index: int) -> tuple[float, np.ndarray]:
 
     The value is the one :func:`eigenvalue` returns, from the same driver;
     diagonal matrices give the exact unit vector of the entry they read, and
-    tridiagonal ones inverse-iterate for the vector with ``dstein``.
+    the others the vector ``dsbevx`` finds by inverse iteration and
+    transforms back from its tridiagonal form.
     """
     return _level(matrix, index, compute_v=True)
 

@@ -24,6 +24,7 @@ from kerrspec.fock import (
     BandedSymMatrix,
     FockSpace,
     HamiltonianSpec,
+    HigherOrderCorrections,
     assemble,
     standard_hamiltonian,
 )
@@ -216,13 +217,35 @@ class TestSingleLevel:
 
 
 def reference_blocks():
-    """Parity blocks at n_max 800 (both residues) and one band-2 P2+P4 sector."""
+    """Blocks of every drive in ``fock.DRIVES``, tridiagonal and of bandwidth 2.
+
+    Parity blocks at n_max 800 (both residues), P3, P4 and nP2 sectors, the
+    parity blocks of a near-degenerate P2 doublet (eta 6, xi 1e-6) and two
+    band-2 P2 sectors, one with P4 and one with ``quad_squeeze4``.
+    """
     for xi in (0.3, 1.0, 20.0):
         blocks = sector_blocks(standard_hamiltonian(HamiltonianSpec(xi=xi)), 800, 2)
         for residue, block in blocks.items():
             yield f"xi={xi},r={residue}", block
     poly = standard_hamiltonian(HamiltonianSpec(eta=2.0, xi=1.0, xi4=0.2))
     yield "xi4", sector_blocks(poly, 800, 2)[0]
+    for name, spec, k in (
+        ("P3", HamiltonianSpec(eta=1.0, xi3=0.3), 3),
+        ("P4", HamiltonianSpec(eta=1.0, xi4=0.2), 4),
+        ("nP2", HamiltonianSpec(eta=1.0, xi2p=0.1), 2),
+        ("doublet", HamiltonianSpec(eta=6.0, xi=1e-6), 2),
+    ):
+        poly = standard_hamiltonian(spec)
+        assert detect_modulus(poly) == k
+        for residue, block in sector_blocks(poly, 200, k).items():
+            yield f"{name},r={residue}", block
+    higher = HigherOrderCorrections(quad_squeeze4=0.05)
+    poly = standard_hamiltonian(HamiltonianSpec(eta=1.0, xi=1.0, higher=higher))
+    yield "quad_squeeze4", sector_blocks(poly, 200, 2)[1]
+
+
+# the reference blocks of bandwidth 2; all the others are tridiagonal
+_BAND_2 = {"xi4", "quad_squeeze4"}
 
 
 def same_bits(a, b) -> bool:
@@ -238,29 +261,28 @@ class TestScipyReference:
     )
     def test_bit_equal_to_scipy_linalg(self, name, block):
         ab = block.band_lower()
-        assert block.bandwidth == (2 if name == "xi4" else 1)
+        assert block.bandwidth == (2 if name in _BAND_2 else 1)
         assert same_bits(eigen(block), scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True))
         for i in (0, block.dim // 2, block.dim - 1):
             select = dict(lower=True, select="i", select_range=(i, i))
             value = scipy.linalg.eig_banded(ab, eigvals_only=True, **select)[0]
             assert same_bits(eigenvalue(block, i), value), (name, i)
+            e, u = eigenpair(block, i)
+            w, v = scipy.linalg.eig_banded(ab, eigvals_only=False, **select)
+            assert same_bits(e, w[0]) and same_bits(u, v[:, 0]), (name, i)
             if block.bandwidth == 1:
+                # LAPACK bisection and inverse iteration on the tridiagonal itself
                 w, v = scipy.linalg.eigh_tridiagonal(
                     block.diagonal, block.diagonals[1], select="i", select_range=(i, i),
                     tol=2 * np.finfo(float).tiny,
                 )
-            else:
-                w, v = scipy.linalg.eig_banded(ab, **select)
-            e, u = eigenpair(block, i)
-            assert same_bits(e, w[0]) and same_bits(u, v[:, 0]), (name, i)
+                assert same_bits(e, w[0]) and same_bits(u, v[:, 0]), (name, i)
 
 
 # the drivers each solver calls, for the blocks it sends to LAPACK
 _SOLVES = {
     "dsbevd": [("eigen", 1), ("eigen", 2)],
-    "dsbevx": [("eigenvalue", 2), ("eigenpair", 2)],
-    "dstebz": [("eigenvalue", 1), ("eigenpair", 1)],
-    "dstein": [("eigenpair", 1)],
+    "dsbevx": [("eigenvalue", 1), ("eigenpair", 1), ("eigenvalue", 2), ("eigenpair", 2)],
 }
 
 
