@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -646,12 +647,9 @@ def _crossings(cfg: RunConfig, csv_path: Path) -> None:
 
 def _esqpt(cfg: RunConfig, csv_path: Path) -> None:
     curves = gap_curves(run_sweep(cfg.plan), cfg.v_max)
-    estimates = []
-    for curve in curves[1:]:  # v >= 1: the v = 0 pair never opens a usable gap head
-        for estimator in (xi_c_max_rate, xi_c_linear_extrapolation, xi_c_difference_bound):
-            est = estimator(curve)
-            if est is not None:
-                estimates.append(est)
+    estimators = (xi_c_max_rate, xi_c_linear_extrapolation, xi_c_difference_bound)
+    # v >= 1: the v = 0 pair never opens a usable gap head
+    estimates = [est(curve) for curve in curves[1:] for est in estimators]
     _write_table(csv_path, CriticalPointEstimate, separatrix_from_estimates(estimates))
 
 
@@ -683,16 +681,25 @@ _NUMERIC_READ = {"track": ("n_max",)}
 _TRACKED = {field: kind for kind, field in COUPLING_KINDS.items()}
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def run(config: RunConfig) -> int:
     """Execute a configuration from :func:`load_config`; returns the process exit status.
 
     A numeric failure exits 3 and an I/O error 4; any other exception is a
-    defect, not a property of the configuration, and propagates.
+    defect, not a property of the configuration, and propagates.  A warning
+    that the command raises, and the caller's filters let through, is printed
+    to stderr as one line, ``warning: <category>: <message>``.
     """
     try:
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[config.command][1](config, out_dir / f"{config.basename or config.command}.csv")
+        with warnings.catch_warnings():  # restores the caller's showwarning
+            warnings.showwarning = _warning_line
+            runner = _COMMANDS[config.command][1]
+            runner(config, out_dir / f"{config.basename or config.command}.csv")
     except (NumericFailure, EigenSolverError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

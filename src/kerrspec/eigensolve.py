@@ -8,11 +8,12 @@ arguments that scipy's ``eig_banded`` passes, so the results are its own
 bit for bit without the cost of importing scipy's linalg package (see
 :func:`_load_lapack`).  :func:`certify` decides, level by level, whether a
 block's eigenvalues at n_max agree with those of the same sector at a larger
-probe basis to tol * max(1, |E|).  For probe blocks of bandwidth 0 or 1 it
-does so, as a rule, without diagonalizing them: a residual bound places a
-probe eigenvalue next to most levels, and one batch of Sturm counts, each a
-walk over every probe row, confirms the placement at a separator per block
-and counts the other levels one by one.  :func:`check_basis` is the one rule
+probe basis to tol * max(1, |E|).  For tridiagonal probe blocks it does so,
+as a rule, without diagonalizing them: a residual bound places a probe
+eigenvalue next to most levels, and one batch of Sturm counts, each a walk
+over every probe row, confirms the placement at a separator per block and
+counts the other levels one by one; a diagonal probe block is compared
+against its exactly sorted diagonal.  :func:`check_basis` is the one rule
 for the basis settings n_max, n_probe and tol_conv.  Turning a Hamiltonian
 into certified sector levels is :mod:`kerrspec.sweep`'s job.
 """
@@ -180,35 +181,36 @@ def _level_flags(vals: np.ndarray, probe_vals: np.ndarray, tol: float) -> np.nda
     return np.abs(vals - probe_vals[: len(vals)]) <= tol * np.maximum(1.0, np.abs(vals))
 
 
+def _stacked(arrays: list[np.ndarray], rows: int, fill: float) -> np.ndarray:
+    """``arrays[j]`` as column j of a (rows, len(arrays)) array, at its bottom, over ``fill``."""
+    out = np.full((rows, len(arrays)), fill)
+    for j, v in enumerate(arrays):
+        out[rows - len(v) :, j] = v
+    return out
+
+
 def _sturm_counts(
     blocks: list[BandedSymMatrix], shifts: list[np.ndarray]
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Eigenvalues of each block of bandwidth 0 or 1 below each of its shifts.
+    """Eigenvalues of each tridiagonal block below each of its shifts.
 
     One Sturm sequence per (block, shift), the pivots of LDL^T of T - x,
 
         d_k = (a_k - x) - e_{k-1}^2 / d_{k-1},
 
     run for all of them at once over every row; the count is the number of
-    negative pivots, and a diagonal block is the tridiagonal one with e = 0.
-    A zero pivot is left to IEEE arithmetic (e^2 / 0 is infinite and the
-    next pivot finite again), as LAPACK ``dlaneg`` does.
-    Shorter blocks are padded in front with decoupled +inf rows, and absent
-    shifts are -inf; neither ever gives a negative pivot.  Returns the counts
-    and, per block, whether some sequence met 0/0 (a zero pivot at a zero
-    off-diagonal), which leaves its counts meaningless.
+    negative pivots.  A zero pivot is left to IEEE arithmetic (e^2 / 0 is
+    infinite and the next pivot finite again), as LAPACK ``dlaneg`` does.
+    Shorter blocks are padded in front with decoupled +inf rows, and shorter
+    lists of shifts with -inf; neither ever gives a negative pivot.  Returns
+    the counts and, per block, whether some sequence met 0/0 (a zero pivot at
+    a zero off-diagonal), which leaves its counts meaningless.
     """
     rows = max(b.dim for b in blocks)
     width = max(len(x) for x in shifts)
-    a = np.full((rows, len(blocks), 1), np.inf)
-    e2 = np.zeros((rows, len(blocks), 1))
-    x = np.full((len(blocks), width), -np.inf)
-    for j, (block, shift) in enumerate(zip(blocks, shifts)):
-        top = rows - block.dim
-        a[top:, j, 0] = block.diagonal
-        if block.bandwidth == 1:
-            e2[top + 1 :, j, 0] = block.diagonals[1]  # squared below
-        x[j, : len(shift)] = shift
+    a = _stacked([b.diagonal for b in blocks], rows, np.inf)
+    e2 = _stacked([b.diagonals[1] for b in blocks], rows, 0.0)  # squared below
+    x = _stacked(shifts, width, -np.inf)
     d = np.ones_like(x)
     t = np.empty_like(x)
     count = np.zeros(x.shape, dtype=np.int32)
@@ -219,8 +221,8 @@ def _sturm_counts(
             np.subtract(a[k], x, out=d)
             np.subtract(d, t, out=d)
             count += d < 0.0
-    failed = np.isnan(d).any(axis=1)
-    return [count[j, : len(shift)] for j, shift in enumerate(shifts)], failed
+    failed = np.isnan(d).any(axis=0)
+    return [count[width - len(shift) :, j] for j, shift in enumerate(shifts)], failed
 
 
 # The residual bound of :func:`certify` evaluates its pivots at a computed
@@ -242,11 +244,11 @@ def _residual_bounds(
 
     Returns the levels and their radii, row j for block j, padded to the
     longest; a level that the bound leaves open has radius inf.  With T the
-    leading n x n block of ``probe[j]`` (diagonal a, couplings e) and beta
-    its first dropped coupling, an exact eigenpair (theta, y) of T extends by
-    zeros to a vector with residual |beta y_last| in the probe block, which
-    therefore has an eigenvalue within |beta y_last| of theta.  The
-    bottom-up pivots
+    leading n x n block of tridiagonal ``probe[j]`` (diagonal a, couplings e)
+    and beta its first dropped coupling, an exact eigenpair (theta, y) of T
+    extends by zeros to a vector with residual |beta y_last| in the probe
+    block, which therefore has an eigenvalue within |beta y_last| of theta.
+    The bottom-up pivots
 
         p_{n-1} = a_{n-1} - theta,  p_k = (a_k - theta) - e_k^2 / p_{k+1}
 
@@ -261,36 +263,23 @@ def _residual_bounds(
     within a few rows.  Couplings are floored at ``PIVOT_FLOOR`` so that e^2
     never underflows, which only raises the factors.
     """
-    dims = np.array([len(v) for v in main])[:, None]
-    sizes = np.array([b.dim for b in probe])[:, None]
-    rows, width = int(dims.max()), int(sizes.max())
-    index = np.arange(width)
-    none = np.zeros(width)  # the couplings of a diagonal block
-    # each probe block's diagonal and |couplings|, left-aligned and zero padded
-    diag = np.zeros((len(main), width))
-    diag[index < sizes] = np.concatenate([b.diagonal for b in probe])
-    off = np.zeros((len(main), width))
-    off[index < sizes - 1] = np.abs(
-        np.concatenate([b.diagonals[1] if b.bandwidth else none[: b.dim - 1] for b in probe])
-    )
+    n = [len(v) for v in main]
+    dims = np.array(n)[:, None]
+    rows = max(n)
     vals = np.zeros((len(main), rows))
-    live = index[:rows] < dims
+    live = np.arange(rows) < dims
     vals[live] = np.concatenate(main)
+    # each probe block's |couplings|, and a 0 past the last
+    off = [np.append(np.abs(b.diagonals[1]), 0.0) for b in probe]
     # a[k, j] and e[k, j] (coupling to row k + 1) of the leading block of
     # probe j aligned at the bottom; e is +inf above the top row, so passing
     # it leaves the level open
-    a = np.zeros((len(main), rows))
-    a[index[:rows] >= rows - dims] = diag[:, :rows][live]
-    a = np.ascontiguousarray(a.T)
-    e = np.full((len(main), rows), np.inf)
-    e[(index[:rows] >= rows - dims) & (index[:rows] < rows - 1)] = np.maximum(
-        off[:, :rows][index[:rows] < dims - 1], PIVOT_FLOOR
-    )
-    e = np.ascontiguousarray(e.T)
+    a = _stacked([b.diagonal[:m] for b, m in zip(probe, n)], rows, 0.0)
+    e = _stacked([np.maximum(o[: m - 1], PIVOT_FLOOR) for o, m in zip(off, n)], rows - 1, np.inf)
     # beta (0 where no row was dropped); a product of up to n rounded factors
     # is within a relative 2 n eps
-    beta = off[np.arange(len(main)), dims[:, 0] - 1][:, None] * (1.0 + 2.0 * dims * _EPS)
-    g = np.abs(diag).max(axis=1, keepdims=True) + 2.0 * off.max(axis=1, keepdims=True)
+    beta = np.array([o[m - 1] for o, m in zip(off, n)])[:, None] * (1.0 + 2.0 * dims * _EPS)
+    g = np.array([np.abs(b.diagonal).max() + 2.0 * o.max() for b, o in zip(probe, off)])[:, None]
     eta = BOUND_ULPS * np.sqrt(dims) * _EPS * g
     half = 0.5 * tol * np.maximum(1.0, np.abs(vals))
     radius = np.full(vals.shape, np.inf)
@@ -362,9 +351,9 @@ def certify(main: list[np.ndarray], probe: list[BandedSymMatrix], tol: float) ->
     (assembly is exact and normal-ordered), so Cauchy interlacing gives
     E_probe[i] <= E_main[i], and the test holds exactly when fewer than i + 1
     probe eigenvalues lie below x_i = E_main[i] - tol * max(1, |E_main[i]|).
-    For probe blocks of bandwidth 0 or 1 that count is a Sturm sequence over
-    every row of the probe block, batched over every counted level of every
-    such block (:func:`_sturm_counts`).
+    For tridiagonal probe blocks that count is a Sturm sequence over every
+    row of the probe block, batched over every counted level of every such
+    block (:func:`_sturm_counts`).
 
     Most levels are decided without one.  :func:`_residual_bounds` puts an
     eigenvalue of the probe block within r_i <= tol * max(1, |E|) / 2 of
@@ -378,10 +367,11 @@ def certify(main: list[np.ndarray], probe: list[BandedSymMatrix], tol: float) ->
     counts at a separator -inf, which finds 0 = K probe eigenvalues.  Wider
     bands have no reliable unpivoted LDL^T inertia, so those, blocks whose
     separator count is not K and blocks whose counted sequences meet 0/0 are
-    compared against their diagonalized probe spectrum.
+    compared against their diagonalized probe spectrum; so is a diagonal
+    probe block, whose spectrum :func:`eigen` reads off exactly.
     """
     flags: list[np.ndarray | None] = [None if len(v) else np.zeros(0, bool) for v in main]
-    counted = [j for j, p in enumerate(probe) if p.bandwidth <= 1 and len(main[j])]
+    counted = [j for j, p in enumerate(probe) if p.bandwidth == 1 and len(main[j])]
     if counted:
         blocks = [probe[j] for j in counted]
         vals, radius = _residual_bounds([main[j] for j in counted], blocks, tol)

@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -933,6 +934,27 @@ class TestCommands:
         assert (tmp_path / "out" / "crossings.csv").read_text().splitlines() == [
             "kind,param_value,residue_a,index_a,residue_b,index_b,min_gap"
         ]
+
+    def test_library_warnings_print_one_line_each(self, tmp_path, capsys):
+        # a P4 scan at a basis too small for it: 4 levels of its 3 crossings are
+        # unconverged near them, and each raises an UnconvergedCrossingWarning
+        payload = {
+            "schema_version": 1,
+            "command": "crossings",
+            "hamiltonian": {"xi4": 0.1},
+            "numeric": {"n_max": 20, "n_probe": 40},
+            "grid": {"varying": "eta", "start": 0.05, "stop": 2.05, "step": 0.1},
+        }
+        cfg = write_config(tmp_path, payload)
+        shown = warnings.showwarning
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert warnings.showwarning is shown  # the caller's own setting is back
+        assert len((tmp_path / "out" / "crossings.csv").read_text().splitlines()) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            assert line.startswith("warning: UnconvergedCrossingWarning: crossing near param=")
+            assert ".py:" not in line
 
 
 def _fmt(x) -> str:

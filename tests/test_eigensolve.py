@@ -333,8 +333,8 @@ class TestCertify:
         "xi3 alone": (HamiltonianSpec(eta=1.0, xi3=0.5), 120, 160, True),
         "xi4 alone": (HamiltonianSpec(eta=0.5, xi4=0.1), 120, 160, True),
         "xi + xi4, band 2": (HamiltonianSpec(eta=2.0, xi=1.0, xi4=0.05), 100, 140, False),
-        "MOD_ALL": (HamiltonianSpec(eta=4.0), 60, 80, True),
-        "eta=60 parity, bandwidth 0": (HamiltonianSpec(eta=60.0), 20, 40, True),
+        "MOD_ALL": (HamiltonianSpec(eta=4.0), 60, 80, False),
+        "eta=60 parity, bandwidth 0": (HamiltonianSpec(eta=60.0), 20, 40, False),
     }
     # cases split by a modulus other than the detected one
     MODULUS = {"eta=60 parity, bandwidth 0": 2}
@@ -348,12 +348,14 @@ class TestCertify:
         return k, [eigen(s.block) for s in main], [probe[s.residue] for s in main]
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_flags_equal_probe_diagonalization(self, case):
+    def test_flags_equal_probe_diagonalization(self, case, monkeypatch):
         spec, n_max, n_probe, counted = self.CASES[case]
         k, vals, probe = self.sectors(spec, n_max, n_probe, self.MODULUS.get(case))
-        assert all((b.bandwidth <= 1) == counted for b in probe)
+        assert all((b.bandwidth == 1) == counted for b in probe)
         tol = 1e-8
+        calls = recorded_shifts(monkeypatch)
         flags = certify(vals, probe, tol)
+        assert [len(c) for c in calls] == ([len(probe)] if counted else [])
         for v, b, f in zip(vals, probe, flags):
             np.testing.assert_array_equal(f, probe_flags(v, b, tol))
         every = np.concatenate(flags)
@@ -361,39 +363,45 @@ class TestCertify:
             assert every.sum() > 0 and (~every).sum() >= 10
         if case == "MOD_ALL":
             assert k == MOD_ALL
+            assert {b.dim for b in probe} == {1}
         if case == "eta=60 parity, bandwidth 0":
             assert [b.bandwidth for b in probe] == [0, 0]
             assert not every.any()
         if case == "xi2p alone":
             assert probe[0].diagonals[1][0] == 0.0  # <2|a^dag^2 n|0> vanishes
 
-    def test_zero_pivot_at_zero_off_diagonal_falls_back(self):
+    def test_zero_pivot_at_zero_off_diagonal_falls_back(self, monkeypatch):
         # n_max block diag(3, 4, 10): level 1 gets the shift 4 - 0.25 * 4 = 3, so
         # the first probe pivot is 3 - 3 = 0 at a zero off-diagonal (0/0); two
         # eigenvalues of the coupled probe tail lie below 3, so level 1 fails
         probe = BandedSymMatrix(
             (np.array([3.0, 4.0, 10.0, 10.0, 10.0, 10.0, 10.0]), np.array([0, 0, 8.0, 8, 8, 8]))
         )
-        # the diagonal probe diag(3, 4, 10, 1, 1) meets 0/0 at the same pivot; its
-        # two added levels at 1 lie below every shift, so every level fails
-        diagonal = BandedSymMatrix((np.array([3.0, 4.0, 10.0, 1.0, 1.0]),))
         vals = np.array([3.0, 4.0, 10.0])
-        _, failed = _sturm_counts([probe, diagonal], [vals - 0.25 * vals] * 2)
-        assert failed.tolist() == [True, True]
-        # sound blocks certified in the same batch keep their own counts
+        _, failed = _sturm_counts([probe], [vals - 0.25 * vals])
+        assert failed.tolist() == [True]
+        # the diagonal probe diag(3, 4, 10, 1, 1) is compared against its sorted
+        # diagonal: its two added levels at 1 lie below every level, so every
+        # level fails
+        diagonal = BandedSymMatrix((np.array([3.0, 4.0, 10.0, 1.0, 1.0]),))
+        # sound blocks certified in the same call keep their own counts, and
+        # the diagonal ones are never counted
         _, p2_vals, p2_probe = self.sectors(HamiltonianSpec(eta=0.0, xi=2.0), 40, 60)
         _, d_vals, d_probe = self.sectors(HamiltonianSpec(eta=6.0), 20, 30, 2)
         assert [b.bandwidth for b in d_probe] == [0, 0]
         main = [vals, vals, *p2_vals, *d_vals]
         blocks = [probe, diagonal, *p2_probe, *d_probe]
+        calls = recorded_shifts(monkeypatch)
         flags = certify(main, blocks, 0.25)
+        assert [len(c) for c in calls] == [3]
         assert flags[0].tolist() == flags[1].tolist() == [False, False, False]
         for v, b, f in zip(main, blocks, flags):
             np.testing.assert_array_equal(f, probe_flags(v, b, 0.25))
+        main, blocks = [vals, *p2_vals], [probe, *p2_probe]
         shifts = [v - 0.25 * np.maximum(1.0, np.abs(v)) for v in main]
         counts, failed = _sturm_counts(blocks, shifts)
-        assert failed.tolist() == [True, True] + [False] * (len(blocks) - 2)
-        for block, x, count in zip(blocks[2:], shifts[2:], counts[2:]):
+        assert failed.tolist() == [True, False, False]
+        for block, x, count in zip(blocks[1:], shifts[1:], counts[1:]):
             clear = clear_of_eigenvalues(block, x)
             assert clear.sum() >= 0.9 * len(x)
             np.testing.assert_array_equal(count[clear], np.searchsorted(eigen(block), x[clear]))
@@ -454,14 +462,14 @@ def recorded_shifts(monkeypatch):
 def graded_probe_blocks(draw):
     """Probe blocks with a Kerr-like graded diagonal and the levels of their leading blocks.
 
-    Some have zero couplings inside the n_max block, a zero first dropped
-    coupling (beta = 0), no coupling at all (bandwidth 0), no dropped row, or
-    pairs of near-degenerate levels.
+    Every block is tridiagonal, the only kind certify counts.  Some have
+    zero couplings inside the n_max block, a zero first dropped coupling
+    (beta = 0), no dropped row, or pairs of near-degenerate levels.
     """
     main, probe = [], []
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, 40))
-        m = n + draw(st.integers(0, 25))
+        m = max(n + draw(st.integers(0, 25)), 2)
         k = np.arange(m)
         a = k**2 * draw(st.sampled_from([0.05, 1.0, 4.0])) + np.array(
             draw(st.lists(st.floats(-20, 20), min_size=m, max_size=m))
@@ -475,8 +483,8 @@ def graded_probe_blocks(draw):
             e[i] = draw(st.sampled_from([0.0, 1e-10, 1e-7]))
         if m > n and draw(st.booleans()):
             e[n - 1] = 0.0  # beta = 0
-        if draw(st.integers(0, 5)) == 0:
-            e[:] = 0.0  # bandwidth 0
+        if not e.any():  # one coupling at least: bandwidth 1
+            e[-1] = 1.0
         block = BandedSymMatrix((a, e))
         main.append(eigen(block.leading(n)))
         probe.append(block)
@@ -607,8 +615,7 @@ def clear_of_eigenvalues(block, shifts):
     of the eigenvalues ``eigen`` returns below it is the exact one.
     """
     vals = eigen(block)
-    off = np.abs(block.diagonals[1]) if block.bandwidth else np.zeros(1)
-    g = np.abs(block.diagonal).max() + 2.0 * off.max(initial=0.0)
+    g = np.abs(block.diagonal).max() + 2.0 * np.abs(block.diagonals[1]).max()
     gap = 8.0 * math.sqrt(block.dim) * _EPS * g
     shifts = np.asarray(shifts, dtype=float)
     i = np.searchsorted(vals, shifts).clip(1, len(vals) - 1)
@@ -628,24 +635,24 @@ def assert_counts_are_eigenvalues_below(blocks, shifts):
 def counted_batches(draw):
     """Blocks of mixed sizes and their shifts, each clear of the block's eigenvalues.
 
-    Some blocks have zero couplings or none (bandwidth 0), and small integer
-    entries make exact zero pivots likely.  Shifts lie between neighbouring
-    eigenvalues, outside the spectrum, on diagonal entries and at random;
-    their number varies from block to block, so the shorter lists are padded
-    with -inf in the batch.
+    Every block is tridiagonal, the only kind certify counts; some have zero
+    couplings, and small integer entries make exact zero pivots likely.
+    Shifts lie between neighbouring eigenvalues, outside the spectrum, on
+    diagonal entries and at random; their number varies from block to block,
+    so the shorter lists are padded with -inf in the batch.
     """
     blocks, shifts = [], []
     integral = draw(st.booleans())
     entries = st.integers(-3, 3).map(float) if integral else st.floats(-50, 50)
     for _ in range(draw(st.integers(1, 4))):
-        n = draw(st.integers(1, 70))
+        n = draw(st.integers(2, 70))
         a = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
         a += np.arange(n) ** 2 * draw(st.sampled_from([0.0, 0.05, 1.0]))
-        if draw(st.integers(0, 4)) == 0:
-            block = BandedSymMatrix((a,))
-        else:
-            e = draw(st.lists(st.one_of(st.just(0.0), entries), min_size=n - 1, max_size=n - 1))
-            block = BandedSymMatrix((a, np.array(e)))
+        e = draw(st.lists(st.one_of(st.just(0.0), entries), min_size=n - 1, max_size=n - 1))
+        e = np.array(e)
+        if not e.any():  # one coupling at least: bandwidth 1
+            e[-1] = 1.0
+        block = BandedSymMatrix((a, e))
         vals = eigen(block)
         x = np.concatenate([
             0.5 * (vals[:-1] + vals[1:]), [vals[0] - 1.0, vals[-1] + 1.0], a,
