@@ -125,12 +125,21 @@ class TwoBosonState:
         return -1 if self.n1 % 2 else 1
 
 
-class KerrLevel(NamedTuple):
-    """One exactly-known squeeze-free level: excitation energy plus labels."""
+@dataclass(frozen=True)
+class KerrLevel:
+    """One exactly-known squeeze-free level, fixed by its two-boson state."""
 
-    energy: int
-    label: QuasiSpinLabel
     state: TwoBosonState
+
+    @property
+    def label(self) -> QuasiSpinLabel:
+        return QuasiSpinLabel(self.state.j, self.state.m, self.state.parity)
+
+    @property
+    def energy(self) -> int:
+        """Excitation energy m^2 - 1/4 at odd N, m^2 at even N, an integer."""
+        m = self.state.m
+        return int(m * m - Fraction(self.state.N % 2, 4))
 
 
 def kerr_exact_levels(eta: int) -> list[KerrLevel]:
@@ -139,22 +148,14 @@ def kerr_exact_levels(eta: int) -> list[KerrLevel]:
     The multiplet spans Fock occupations n1 = 0..eta+1 with m = (n2 - n1)/2;
     energies are m^2 - 1/4 for even eta and m^2 for odd eta, in integer
     arithmetic.  All eta + 2 levels are returned, sorted by (energy, n1).
+    An integral float such as 4.0 is taken as its integer.
     """
-    if eta < 0 or int(eta) != eta:
+    if not eta >= 0 or eta % 1:  # also refuses inf and nan
         raise ValueError(f"eta must be a non-negative integer, got {eta}")
-    eta = int(eta)
-    N = eta + 1
-    j = Fraction(N, 2)
-    entries = []
-    for n1 in range(N + 1):
-        state = TwoBosonState(n1, N - n1)
-        m = state.m
-        exc = m * m - Fraction(1, 4) if eta % 2 == 0 else m * m
-        assert exc.denominator == 1
-        label = QuasiSpinLabel(j=j, m=m, parity=state.parity)
-        entries.append(KerrLevel(int(exc), label, state))
-    entries.sort(key=lambda lv: (lv.energy, lv.state.n1))
-    return entries
+    N = int(eta) + 1
+    levels = [KerrLevel(TwoBosonState(n1, N - n1)) for n1 in range(N + 1)]
+    levels.sort(key=lambda lv: (lv.energy, lv.state.n1))
+    return levels
 
 
 @dataclass(frozen=True)
@@ -163,11 +164,14 @@ class DegeneracyGroup:
 
     indices: tuple[int, ...]
     energies: tuple[float, ...]
-    max_internal_gap: float
 
     @property
     def multiplicity(self) -> int:
         return len(self.indices)
+
+    @property
+    def max_internal_gap(self) -> float:
+        return float(np.max(np.diff(self.energies))) if len(self.energies) > 1 else 0.0
 
 
 def degeneracy_groups(
@@ -189,10 +193,8 @@ def degeneracy_groups(
             energies[i] - energies[i - 1]
             > tol_deg * max(1.0, abs(energies[i]), abs(energies[i - 1]))
         ):
-            chunk = energies[start:i]
-            gap = float(np.max(np.diff(chunk))) if len(chunk) > 1 else 0.0
             groups.append(
-                DegeneracyGroup(tuple(range(start, i)), tuple(float(e) for e in chunk), gap)
+                DegeneracyGroup(tuple(range(start, i)), tuple(float(e) for e in energies[start:i]))
             )
             start = i
     return groups

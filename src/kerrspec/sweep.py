@@ -259,17 +259,23 @@ class ConvergedSpectrum:
     """
 
     energies: np.ndarray
-    excitations: np.ndarray
     residues: np.ndarray
     converged: np.ndarray
     ground_energy: float
     modulus: int
 
     def __post_init__(self) -> None:
-        for name in ("energies", "excitations", "residues", "converged"):
+        for name in ("energies", "residues", "converged"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def excitations(self) -> np.ndarray:
+        """``energies - ground_energy``, read-only."""
+        exc = self.energies - self.ground_energy
+        exc.flags.writeable = False
+        return exc
 
     @property
     def n_levels(self) -> int:
@@ -285,7 +291,6 @@ class ConvergedSpectrum:
         n = self.n_converged
         return ConvergedSpectrum(
             self.energies[:n],
-            self.excitations[:n],
             self.residues[:n],
             self.converged[:n],
             self.ground_energy,
@@ -323,12 +328,11 @@ def converged_spectrum(
     order = np.lexsort((residues, energies))
     energies, residues, flags = energies[order], residues[order], flags[order]
     ground = float(energies[0])
-    excitations = energies - ground
 
     if window is not None:
         lo, hi = window
+        excitations = energies - ground
         keep = (excitations >= lo) & (excitations <= hi)
-        energies, excitations = energies[keep], excitations[keep]
-        residues, flags = residues[keep], flags[keep]
+        energies, residues, flags = energies[keep], residues[keep], flags[keep]
 
-    return ConvergedSpectrum(energies, excitations, residues, flags, ground, k)
+    return ConvergedSpectrum(energies, residues, flags, ground, k)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigensolve import eigen
+from .eigensolve import _is_integer, eigen
 from .fock import (
     BandedSymMatrix,
     HamiltonianSpec,
@@ -52,16 +52,12 @@ class U2Rep:
     N: int
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError("representation label N must be positive")
+        if not _is_integer(self.N) or self.N < 1:
+            raise ValueError(f"representation label N must be a positive integer, got {self.N!r}")
 
     @property
     def dim(self) -> int:
         return self.N + 1
-
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.N, 2)
 
 
 class CasimirLevel(NamedTuple):
@@ -117,6 +113,14 @@ def pairing_prime_matrix(rep: U2Rep) -> np.ndarray:
     return _pairing(rep).to_dense()
 
 
+def _branch_labels(N: int):
+    """(v, branch sign) of the N + 1 levels of [N], in order: signs +1 and -1
+    while N - 2v > 0, the single sign 0 at N - 2v = 0."""
+    for v in range(N // 2 + 1):
+        for sign in (1, -1) if N - 2 * v > 0 else (0,):
+            yield v, sign
+
+
 def _parity_eigenvalues(band: BandedSymMatrix) -> np.ndarray:
     """Eigenvalues of a band coupling n to n + 2 only: its even block's, then its odd block's."""
     return np.concatenate([eigen(s.block) for s in split(band, 2).sectors])
@@ -144,19 +148,13 @@ def casimir_spectrum(rep: U2Rep) -> list[CasimirLevel]:
     N = rep.N
     vals = np.sort(_parity_eigenvalues(_casimir(rep)))[::-1]  # largest first: v = 0 pair leads
     out: list[CasimirLevel] = []
-    pos = 0
-    for v in range(N // 2 + 1):
-        sigma = N - 2 * v
-        expect = float(sigma * sigma)
-        signs = (1, -1) if sigma > 0 else (0,)
-        for sign in signs:
-            got = float(vals[pos])
-            if abs(got - expect) > 1e-6 * max(1.0, N * N):
-                raise NumericFailure(
-                    f"Casimir eigenvalue {got} does not match sigma^2={expect} at v={v}"
-                )
-            out.append(CasimirLevel(v, sign, got))
-            pos += 1
+    for (v, sign), got in zip(_branch_labels(N), vals.tolist(), strict=True):
+        expect = float((N - 2 * v) ** 2)
+        if abs(got - expect) > 1e-6 * max(1.0, N * N):
+            raise NumericFailure(
+                f"Casimir eigenvalue {got} does not match sigma^2={expect} at v={v}"
+            )
+        out.append(CasimirLevel(v, sign, got))
     return out
 
 
@@ -175,14 +173,8 @@ def pairing_prime_spectrum(rep: U2Rep) -> list[PairingLevel]:
     ):
         raise ValueError("pairing operator: boson form and N^2 - C2 disagree")
     vals = np.sort(_parity_eigenvalues(pairing))
-    out: list[PairingLevel] = []
-    pos = 0
-    for v in range(N // 2 + 1):
-        count = 2 if N - 2 * v > 0 else 1
-        for _ in range(count):
-            out.append(PairingLevel(v, float(vals[pos])))
-            pos += 1
-    return out
+    labels = _branch_labels(N)
+    return [PairingLevel(v, e) for (v, _), e in zip(labels, vals.tolist(), strict=True)]
 
 
 @dataclass(frozen=True)
@@ -191,8 +183,12 @@ class PairingBranchLevel:
 
     v: int
     m: Fraction
-    pi_prime: int
     energy: float
+
+    @property
+    def pi_prime(self) -> int:
+        """Branch sign: the sign of m."""
+        return (self.m > 0) - (self.m < 0)
 
 
 @dataclass(frozen=True)
@@ -215,40 +211,31 @@ class RepClassification:
     odd: ParityBranch
 
 
-def _doubled_j(N: int, parity: int) -> Fraction:
-    if N % 2 == 0:
-        return Fraction(N, 4) if parity == +1 else Fraction(N, 4) - Fraction(1, 2)
-    return Fraction(N - 1, 4)
-
-
 def classify_pairing_sp2(n_max: int) -> RepClassification:
     """Diagonalize -(a^dag^2 + a^2) on the truncated Fock space, by parity.
 
-    Each parity branch is assigned its quasi-spin j from the residue of the
-    truncation N mod 4 and its levels are indexed by v = j - m in ascending
-    energy order.  In the untruncated limit the branch spectrum approaches
-    the straight line -2m between -N and +N, but the approach is very slow
-    and is not asserted here.
+    Each parity branch of 2j + 1 states carries the quasi-spin j = (dim - 1)/2
+    of its block, which by the truncation N mod 4 is N/4 (even branch) or
+    N/4 - 1/2 (odd branch) at even N and (N - 1)/4 for both at odd N.  Its
+    levels are indexed by v = j - m in ascending energy order.  In the
+    untruncated limit the branch spectrum approaches the straight line -2m
+    between -N and +N, but the approach is very slow and is not asserted
+    here.  ``n_max`` must be an integer of at least 1.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1 (both parities need a state), got {n_max}")
+    if not _is_integer(n_max) or n_max < 1:
+        raise ValueError(
+            f"n_max must be an integer of at least 1 (both parities need a state), got {n_max!r}"
+        )
     N = n_max
     blocks = sector_blocks(pairing_poly(2, -1.0), N, 2)
     branches = {}
     for parity, residue in ((+1, 0), (-1, 1)):
         block = blocks[residue]
-        vals = eigen(block)
-        j = _doubled_j(N, parity)
-        if Fraction(2) * j + 1 != block.dim:
-            raise ValueError(
-                f"branch dimension {block.dim} inconsistent with j={j} at N={N}"
-            )
-        levels = []
-        for v, e in enumerate(vals):
-            m = j - v
-            sign = 1 if m > 0 else (-1 if m < 0 else 0)
-            levels.append(PairingBranchLevel(v, m, sign, float(e)))
-        branches[parity] = ParityBranch(parity, j, tuple(levels))
+        j = Fraction(block.dim - 1, 2)
+        levels = tuple(
+            PairingBranchLevel(v, j - v, e) for v, e in enumerate(eigen(block).tolist())
+        )
+        branches[parity] = ParityBranch(parity, j, levels)
     return RepClassification(N, branches[+1], branches[-1])
 
 

@@ -58,6 +58,15 @@ class TestKerrExactLevels:
             kerr_exact_levels(-1)
         with pytest.raises(ValueError):
             kerr_exact_levels(2.5)
+        assert kerr_exact_levels(4.0) == kerr_exact_levels(4)
+
+    def test_infinite_eta_refused(self):
+        with pytest.raises(ValueError, match="eta must be a non-negative integer"):
+            kerr_exact_levels(float("inf"))
+
+    def test_nan_eta_refused(self):
+        with pytest.raises(ValueError, match="eta must be a non-negative integer"):
+            kerr_exact_levels(float("nan"))
 
     @pytest.mark.parametrize("eta", range(9))
     def test_energy_identities(self, eta):

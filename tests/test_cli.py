@@ -709,6 +709,20 @@ class TestSvg:
         assert 1 <= len(ticks) <= 11
         assert len(_nice_ticks(y_min, y_max)) == len(ticks)
 
+    def test_subnormal_wide_grid_draws_one_x_tick(self, tmp_path):
+        # a grid too narrow for a normal float tick step gets the one tick at its start
+        payload = sweep_config(
+            str(tmp_path), hamiltonian={"xi": 1.0}, numeric={"n_max": 20, "n_probe": 40},
+            grid={"varying": "eta", "start": 0.0, "stop": 2e-310, "step": 1e-310},
+            output={"directory": str(tmp_path), "formats": ["csv", "svg"]},
+        )
+        assert main(["--config", str(write_config(tmp_path, payload)), "--threads", "1"]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len({row.split(",")[0] for row in rows}) == 3
+        ticks = [ln for ln in (tmp_path / "sweep.svg").read_text().splitlines()
+                 if 'text-anchor="middle"' in ln]
+        assert len(ticks) == 1
+
     def test_y_range_that_overflows_the_pixel_scale_exits_3(self, tmp_path, capsys):
         # levels up to about 100 lie 1e308 range widths above a range 1e-306
         # wide, beyond the largest float once scaled to pixels

@@ -20,6 +20,12 @@ from kerrspec.u2 import (
 from kerrspec.u2 import _casimir
 
 
+class TestU2Rep:
+    def test_non_integer_label_refused(self):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            U2Rep(2.5)
+
+
 class TestSo2Generator:
     def test_smallest_rep(self):
         g = so2_generator(U2Rep(1))
@@ -155,6 +161,21 @@ class TestRepresentationDoubling:
     def test_refuses_a_basis_without_an_odd_state(self, n_max):
         with pytest.raises(ValueError, match="n_max"):
             classify_pairing_sp2(n_max)
+
+    def test_refuses_a_non_integer_truncation(self):
+        with pytest.raises(ValueError, match="n_max"):
+            classify_pairing_sp2(2.5)
+
+    @pytest.mark.parametrize("N", range(1, 41))
+    def test_branch_j_follows_n_mod_4(self, N):
+        # the representation-doubling rule: j = N/4 and N/4 - 1/2 at even N, (N - 1)/4 at odd N
+        rc = classify_pairing_sp2(N)
+        if N % 2 == 0:
+            assert (rc.even.j, rc.odd.j) == (Fraction(N, 4), Fraction(N, 4) - Fraction(1, 2))
+        else:
+            assert rc.even.j == rc.odd.j == Fraction(N - 1, 4)
+        for branch in (rc.even, rc.odd):
+            assert branch.count == 2 * branch.j + 1
 
     def test_v_m_labels(self):
         rc = classify_pairing_sp2(50)
