@@ -10,16 +10,16 @@ parameter sweep.
 
 from __future__ import annotations
 
-import functools
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .eigensolve import DEFAULT_N_MAX
-from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec
+from .eigensolve import DEFAULT_N_MAX, DEFAULT_TOL_CONV, _level_flags, check_basis
+from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec, standard_hamiltonian
 from .sectors import detect_modulus, sector_dim
 from .sweep import (
     ConvergedSpectrum,
@@ -180,12 +180,17 @@ def degeneracy_groups(
     """Cluster ascending levels into groups with gaps <= tol_deg * max(1, |E|).
 
     Operates on the converged prefix of a ConvergedSpectrum; a plain
-    ascending array may be passed directly.
+    ascending array may be passed directly.  Levels that are not finite or
+    not ascending raise ValueError.
     """
     if isinstance(levels, ConvergedSpectrum):
         energies = np.asarray(levels.converged_levels().energies, dtype=float)
     else:
         energies = np.asarray(levels, dtype=float)
+    if not np.isfinite(energies).all():
+        raise ValueError("levels must be finite")
+    if (np.diff(energies) < 0).any():
+        raise ValueError("levels must be ascending")
     groups: list[DegeneracyGroup] = []
     start = 0
     for i in range(1, len(energies) + 1):
@@ -415,34 +420,48 @@ class LevelPair(NamedTuple):
 
 
 class TrackedCrossing(NamedTuple):
-    """One grid point of :func:`track_crossing_location`; eta_star is None where it was lost."""
+    """One grid point of :func:`track_crossing_location`; eta_star is None where it was lost.
+
+    ``converged`` is True where both levels at the root agree between n_max
+    and n_probe, as :func:`~kerrspec.eigensolve.certify` tests them; a lost
+    point is not converged.
+    """
 
     coupling_value: float
     eta_star: float | None
     gap: float
+    converged: bool
 
     @property
     def found(self) -> bool:
         return self.eta_star is not None
 
 
-def check_track_pair(pair: LevelPair, coupling: str, n_max: int) -> int:
+def check_track_pair(
+    pair: LevelPair, coupling: str, n_max: int, fixed: HamiltonianSpec = HamiltonianSpec()
+) -> int:
     """Raise ValueError unless ``pair`` names two different levels that exist under
-    ``coupling`` at ``n_max``.
+    ``coupling`` over the base spec ``fixed`` at ``n_max``.
 
-    k is the modulus of dH/d(coupling); sector r holds the states r, r + k,
-    ... <= n_max.  Returns k.  A level paired with itself has a gap that is
-    identically zero, so every bracket would report a root.
+    k is the sector modulus of the whole tracked Hamiltonian: the gcd of the
+    modulus of dH/d(coupling) and that of ``fixed`` (a diagonal ``fixed`` is
+    ``MOD_ALL``, 0, and leaves the coupling's); sector r holds the states r,
+    r + k, ... <= n_max.  Returns k.  A level paired with itself has a gap
+    that is identically zero, so every bracket would report a root.
     """
     if coupling not in COUPLING_KINDS:
         raise ValueError(f"coupling must be one of {sorted(COUPLING_KINDS)}")
     if pair[:2] == pair[2:]:
         raise ValueError(f"pair names the level {tuple(pair[:2])} twice")
-    k = detect_modulus(COUPLING_DERIVATIVES[COUPLING_KINDS[coupling]])
+    k = math.gcd(
+        detect_modulus(COUPLING_DERIVATIVES[COUPLING_KINDS[coupling]]),
+        detect_modulus(standard_hamiltonian(fixed)),
+    )
     for r, i in (pair[:2], pair[2:]):
         if not (0 <= r < k and 0 <= i < sector_dim(n_max + 1, k, r)):
             raise ValueError(
-                f"pair level ({r}, {i}) is not among the {coupling} sector levels at n_max={n_max}"
+                f"pair level ({r}, {i}) is not among the {coupling} track's sector levels "
+                f"(modulus {k}) at n_max={n_max}"
             )
     return k
 
@@ -453,45 +472,59 @@ def track_crossing_location(
     xi_grid,
     eta0: int,
     n_max: int = DEFAULT_N_MAX,
+    n_probe: int | None = None,
+    tol_conv: float = DEFAULT_TOL_CONV,
+    fixed: HamiltonianSpec = HamiltonianSpec(),
 ) -> list[TrackedCrossing]:
     """Follow the detuning eta*(xi) where a level pair stays degenerate.
 
-    ``coupling`` is one of P2, P3, P4, nP2; at xi = 0 the pair crosses at
-    eta0.  Each step brackets the signed pair difference in eta around the
+    ``coupling`` is one of P2, P3, P4, nP2, and its field takes each value
+    xi of ``xi_grid`` over the base spec ``fixed``, whose ``eta`` and
+    coupling field are overridden; at xi = 0 the pair crosses at eta0.
+    Each step brackets the signed pair difference in eta around the
     previous location, ``BRACKET_HALFWIDTH`` either side, doubling the
     bracket up to ``BRACKET_WIDENINGS`` times, and refines the root with
     Brent's method to ``ROOT_XTOL`` + ``ROOT_RTOL`` |eta|.  Each evaluation
     solves only the two levels of the pair at ``n_max``; the bracket ends
-    are not solved twice, and ``gap`` is |E_a - E_b| at the root.  A
-    bracket that never changes sign (the pair has merged into the avoided
-    regime) is reported as not found.  A pair that :func:`check_track_pair`
-    refuses raises ValueError before anything is solved.
+    are not solved twice, and ``gap`` is |E_a - E_b| at the root.  The two
+    levels are solved once more at ``n_probe`` at each root, and the point
+    is ``converged`` when both pass |E(n_max) - E(n_probe)| <= tol_conv *
+    max(1, |E|).  A bracket that never changes sign (the pair has merged
+    into the avoided regime) is reported as not found.  Basis settings that
+    :func:`check_basis` refuses, or a pair that :func:`check_track_pair`
+    refuses, raise ValueError before anything is solved.
     """
-    k = check_track_pair(pair, coupling, n_max)
+    n_probe = check_basis(n_max, n_probe, tol_conv)
+    k = check_track_pair(pair, coupling, n_max, fixed)
     field_name = COUPLING_KINDS[coupling]
     ra, ia, rb, ib = pair
     wanted = ((ra, ia), (rb, ib))
 
-    def level_diff(eta: float, xi: float) -> float:
-        spec = HamiltonianSpec(eta=eta, **{field_name: xi})
-        ea, eb = spec_levels(spec, n_max, k, wanted)
-        return ea - eb
+    def pair_levels(eta: float, xi: float, n: int) -> tuple[float, float]:
+        return spec_levels(replace(fixed, eta=eta, **{field_name: xi}), n, k, wanted)
 
     center = float(eta0)
     out: list[TrackedCrossing] = []
     for xi in xi_grid:
         xi = float(xi)
-        f = functools.partial(level_diff, xi=xi)
+        levels = {}  # eta -> the pair's n_max levels at this xi
+
+        def f(eta: float) -> float:
+            ea, eb = levels[eta] = pair_levels(eta, xi, n_max)
+            return ea - eb
+
         w = BRACKET_HALFWIDTH
         for _ in range(BRACKET_WIDENINGS + 1):
             lo, hi = center - w, center + w
             f_lo, f_hi = f(lo), f(hi)
             if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
                 root, gap = _brent(f, lo, hi, f_lo, f_hi)
-                out.append(TrackedCrossing(xi, float(root), abs(gap)))
+                probe = pair_levels(root, xi, n_probe)
+                ok = _level_flags(np.array(levels[root]), np.array(probe), tol_conv).all()
+                out.append(TrackedCrossing(xi, float(root), abs(gap), bool(ok)))
                 center = float(root)
                 break
             w *= 2.0
         else:
-            out.append(TrackedCrossing(xi, None, min(abs(f_lo), abs(f_hi))))
+            out.append(TrackedCrossing(xi, None, min(abs(f_lo), abs(f_hi)), False))
     return out

@@ -222,13 +222,7 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
     num = raw.get("numeric", {})
-    read = _NUMERIC_READ.get(command, _NUMERIC_KEYS)
-    _check_keys(num, set(_NUMERIC_KEYS), "numeric")
-    unread = sorted(set(num) - set(read))
-    if unread:
-        raise ConfigError(
-            f"the {command} command reads only numeric.{', numeric.'.join(read)}, not {unread}"
-        )
+    _check_keys(num, {"n_max", "n_probe", "tol_conv"}, "numeric")
     n_max = _integer(num, "n_max", DEFAULT_N_MAX, "numeric")
     n_probe = _as_count(num["n_probe"], "numeric.n_probe") if "n_probe" in num else None
     tol_conv = _as_number(num.get("tol_conv", DEFAULT_TOL_CONV), "numeric.tol_conv")
@@ -237,7 +231,7 @@ def load_config(path: str | Path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"numeric.{exc}") from exc
     for key, n in (("n_max", n_max), ("n_probe", n_probe)):
-        if key in read and n > MAX_BASIS:
+        if n > MAX_BASIS:
             raise ConfigError(f"numeric.{key}={n} is above the {MAX_BASIS}-state basis cap")
 
     coloring = raw.get("coloring", "parity")
@@ -329,8 +323,12 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(
                 f"track grid must vary one of {sorted(_TRACKED)}, not {plan.varying!r}"
             )
+        # track solves for eta, and its grid sets the coupling field
+        taken = [f"hamiltonian.{key}" for key in ("eta", plan.varying) if key in ham]
+        if taken:
+            raise ConfigError(f"the track command sets {' and '.join(taken)} itself")
         try:
-            check_track_pair(pair, _TRACKED[plan.varying], n_max)
+            check_track_pair(pair, _TRACKED[plan.varying], n_max, spec)
         except ValueError as exc:
             raise ConfigError(f"track.{exc}") from exc
 
@@ -404,10 +402,11 @@ _TABLES = {
     ),
     CasimirLevel: (["v", "pi_prime", "casimir_value"], "%d,%d,%.12g", tuple),
     TrackedCrossing: (
-        ["coupling_value", "eta_star", "found", "gap"],
-        "%.12g,%s,%d,%.12g",
+        ["coupling_value", "eta_star", "found", "gap", "converged"],
+        "%.12g,%s,%d,%.12g,%d",
         lambda e: (
-            e.coupling_value, "" if e.eta_star is None else "%.12g" % e.eta_star, e.found, e.gap
+            e.coupling_value, "" if e.eta_star is None else "%.12g" % e.eta_star, e.found, e.gap,
+            e.converged,
         ),
     ),
 }
@@ -665,17 +664,12 @@ _COMMANDS = {
     "esqpt": (("hamiltonian", "numeric", "grid", "esqpt"), _esqpt),
     "casimir": (("casimir",), lambda cfg, csv_path: _write_table(
         csv_path, CasimirLevel, casimir_spectrum(U2Rep(cfg.casimir_N)))),
-    "track": (("numeric", "grid", "track"), lambda cfg, csv_path: _write_table(
+    "track": (("hamiltonian", "numeric", "grid", "track"), lambda cfg, csv_path: _write_table(
         csv_path, TrackedCrossing, track_crossing_location(
             cfg.track_pair, _TRACKED[cfg.plan.varying], cfg.plan.grid, cfg.track_eta0,
-            n_max=cfg.plan.n_max))),
+            cfg.n_max, cfg.n_probe, cfg.tol_conv, cfg.hamiltonian))),
 }
 COMMANDS = tuple(_COMMANDS)
-
-# The numeric keys, and command -> those it reads where that is not all of them:
-# track solves its two levels at n_max only, uncertified
-_NUMERIC_KEYS = ("n_max", "n_probe", "tol_conv")
-_NUMERIC_READ = {"track": ("n_max",)}
 
 # grid field -> the coupling that track follows along it
 _TRACKED = {field: kind for kind, field in COUPLING_KINDS.items()}

@@ -23,7 +23,7 @@ from kerrspec.classify import (
     track_crossing_location,
 )
 from kerrspec import classify, converged_spectrum
-from kerrspec.fock import HamiltonianSpec
+from kerrspec.fock import HamiltonianSpec, HigherOrderCorrections
 from kerrspec.sweep import SweepPlan, run_sweep
 
 
@@ -132,6 +132,16 @@ class TestDegeneracyGroups:
         # at |E| = 1000 a gap of 1e-4 sits inside tol_deg = 1e-6 relative
         groups = degeneracy_groups(np.array([1000.0, 1000.0001, 2000.0]), 1e-6)
         assert [g.multiplicity for g in groups] == [2, 1]
+
+    @pytest.mark.parametrize(
+        "levels, problem",
+        [([3.0, 1.0, 0.0], "ascending"), ([0.0, np.nan, 1.0, 3.0], "finite"),
+         ([0.0, 1.0, np.inf], "finite")],
+    )
+    def test_bad_plain_array_refused(self, levels, problem):
+        # a descending step would always pass the gap test, and NaN compares false
+        with pytest.raises(ValueError, match=f"levels must be {problem}"):
+            degeneracy_groups(np.array(levels))
 
 
 class TestCrossingEvents:
@@ -439,6 +449,58 @@ class TestTrackCrossing:
         # same-parity pair never changes sign: no root to find
         points = track_crossing_location(LevelPair(0, 1, 0, 0), "P2", [1.0], 6, n_max=120)
         assert not points[0].found and points[0].eta_star is None
+        assert not points[0].converged
+
+    def test_base_spec_sets_the_sectors(self):
+        # P2 over a diagonal base keeps parity; over xi3 only modulus 1 is left
+        kerr3 = HamiltonianSpec(eta=5.0, higher=HigherOrderCorrections(kerr3=0.1))
+        assert check_track_pair(LevelPair(0, 20, 1, 19), "P2", 40, kerr3) == 2
+        xi3 = HamiltonianSpec(xi3=0.1)
+        assert check_track_pair(LevelPair(0, 0, 0, 40), "P2", 40, xi3) == 1
+        for pair in (LevelPair(0, 0, 1, 0), LevelPair(0, 0, 0, 41)):
+            with pytest.raises(ValueError, match=r"pair level \(\d+, \d+\) is not among"):
+                track_crossing_location(pair, "P2", [0.5], 2, n_max=40, fixed=xi3)
+        # the coupling field of the base is overridden, so it leaves the sectors alone
+        assert check_track_pair(LevelPair(2, 0, 0, 0), "P3", 40, HamiltonianSpec(xi3=5.0)) == 3
+
+    def test_basis_settings_refused_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a level")
+
+        monkeypatch.setattr(classify, "spec_levels", no_solve)
+        for n_probe, tol_conv, message in ((40, 1e-8, "n_probe=40 must exceed"),
+                                           (None, -1.0, "tol_conv must be finite")):
+            with pytest.raises(ValueError, match=message):
+                track_crossing_location(
+                    LevelPair(0, 0, 1, 0), "P2", [0.5], 2, 40, n_probe, tol_conv
+                )
+
+    def test_each_root_is_certified_once_at_n_probe(self, monkeypatch):
+        solves, spec_levels = [], classify.spec_levels
+
+        def recorded(spec, n, k, levels):
+            solves.append((spec, n))
+            return spec_levels(spec, n, k, levels)
+
+        monkeypatch.setattr(classify, "spec_levels", recorded)
+        fixed = HamiltonianSpec(eta=9.0, xi=9.0, higher=HigherOrderCorrections(kerr3=1e-3))
+        points = track_crossing_location(
+            LevelPair(0, 3, 1, 3), "P2", [0.5, 2.0], 6, 200, 250, fixed=fixed
+        )
+        assert all(p.found and p.converged for p in points)
+        probes = [spec for spec, n in solves if n == 250]
+        assert probes == [
+            dataclasses.replace(fixed, eta=p.eta_star, xi=p.coupling_value) for p in points
+        ]
+        assert {n for _, n in solves} == {200, 250}
+        # at n_max 18 truncation moves the pin off 6 by 3e-5 and the pair's levels
+        # by up to 1.4e-4 against n_probe 38: refused at tol_conv 1e-8, passed at 1e-2
+        small = [
+            track_crossing_location(LevelPair(0, 3, 1, 3), "P2", [2.0], 6, 18, 38, tol)[0]
+            for tol in (1e-8, 1e-2)
+        ]
+        assert [p.converged for p in small] == [False, True]
+        assert small[0].eta_star == small[1].eta_star != 6.0
 
     def test_numeric_fields_are_python_floats(self):
         # a numpy scalar among the tolerances would leak into the roots it ends on
@@ -448,3 +510,4 @@ class TestTrackCrossing:
         for p in found + lost:
             fields = (p.coupling_value, p.gap) + ((p.eta_star,) if p.found else ())
             assert all(type(x) is float for x in fields), p
+            assert type(p.converged) is bool

@@ -187,8 +187,12 @@ class TestMalformedConfigExitTwo:
         "track grid varies eta": lambda d: {
             **track_config(d), "grid": {"varying": "eta", "start": 1.0, "stop": 3.0, "step": 1.0}
         },
-        "n_probe on track": lambda d: {**track_config(d), "numeric": {"n_max": 60, "n_probe": 90}},
-        "tol_conv on track": lambda d: {**track_config(d), "numeric": {"n_max": 60, "tol_conv": 1}},
+        "n_probe on track": lambda d: {
+            **track_config(d), "numeric": {"n_max": 60, "n_probe": MAX_BASIS + 1}
+        },
+        "tol_conv on track": lambda d: {
+            **track_config(d), "numeric": {"n_max": 60, "tol_conv": -1}
+        },
         "normalize on crossings": lambda d: crossings_config(d, normalize="excitation"),
         "crossings max_levels zero": lambda d: crossings_config(d, crossings={"max_levels": 0}),
         "mod2x2 coloring": lambda d: sweep_config(d, coloring="mod2x2"),
@@ -210,8 +214,14 @@ class TestMalformedConfigExitTwo:
         "track ignores eta and xi3": lambda d: {
             **track_config(d), "hamiltonian": {"eta": 3, "xi3": 0.7}
         },
-        "track ignores higher_order": lambda d: {
-            **track_config(d), "hamiltonian": {"higher_order": {"kerr3": 0.2}}
+        "track sets the xi field": lambda d: {
+            **track_config(d), "hamiltonian": {"xi": 0.5, "higher_order": {"kerr3": 0.2}}
+        },
+        "P3 track sets the xi3 field": lambda d: {
+            **track_at_n_max_40(d, varying="xi3", pair=[1, 0, 2, 0]), "hamiltonian": {"xi3": 0.1}
+        },
+        "track pair residue beyond a xi3 base spec": lambda d: {
+            **track_config(d), "hamiltonian": {"xi3": 0.1}
         },
         "negative tol_conv": lambda d: with_numeric(d, n_max=30, n_probe=45, tol_conv=-1e-8),
         "reversed window": lambda d: spectrum_config(d, window=[5, 1]),
@@ -291,6 +301,13 @@ class TestMalformedConfigExitTwo:
         "basename ..": "output.basename must be a file name",
         "basename with a NUL": "output.basename must not contain a NUL",
         "directory with a NUL": "output.directory must not contain a NUL",
+        "n_probe on track": "numeric.n_probe=100001 is above the 100000-state basis cap",
+        "tol_conv on track": "numeric.tol_conv must be finite and not negative",
+        "track ignores eta and xi3": "the track command sets hamiltonian.eta itself",
+        "track sets the xi field": "the track command sets hamiltonian.xi itself",
+        "P3 track sets the xi3 field": "the track command sets hamiltonian.xi3 itself",
+        # P2 over xi3 conserves no occupation modulus but 1: one sector, residue 0
+        "track pair residue beyond a xi3 base spec": "pair level (1, 0) is not among",
         # the pairs v = 0..v_max need v_max + 1 odd levels
         "esqpt v_max one with one odd level": "v_max=1 needs 2 odd levels and the basis has 1",
     }
@@ -316,15 +333,21 @@ class TestMalformedConfigExitTwo:
         assert capsys.readouterr().err.startswith("error: invalid JSON")
         assert not (tmp_path / "out").exists()
 
-    def test_track_refuses_any_hamiltonian(self, tmp_path, capsys):
-        # track builds its Hamiltonian from track.eta0 and the grid's coupling alone
+    def test_track_refuses_the_fields_it_sets(self, tmp_path, capsys):
+        # track solves for eta, and its grid (xi here) sets the coupling field
         out = tmp_path / "out"
-        for ham in ({}, {"eta": 0.0, "xi": 0.0}, {"eta": 3, "xi3": 0.7},
-                    {"higher_order": {"kerr3": 0.2}}):
+        for ham, named in (({"eta": 0.0}, "hamiltonian.eta"), ({"xi": 0.0}, "hamiltonian.xi"),
+                           ({"eta": 0.0, "xi": 0.0}, "hamiltonian.eta and hamiltonian.xi")):
             cfg = write_config(tmp_path, {**track_config(str(out)), "hamiltonian": ham})
             assert main(["--config", str(cfg)]) == 2
-            assert "['hamiltonian']" in capsys.readouterr().err
+            assert f"the track command sets {named} itself" in capsys.readouterr().err
             assert not out.exists()
+        for ham in ({}, {"xi3": 0.0}, {"higher_order": {"kerr3": 0.2}}):
+            cfg = write_config(tmp_path, {**track_config(str(out)), "hamiltonian": ham})
+            assert load_config(cfg).hamiltonian == HamiltonianSpec(
+                xi3=ham.get("xi3", 0.0),
+                higher=HigherOrderCorrections(kerr3=0.2) if "higher_order" in ham else None,
+            )
 
     def test_track_grid_checked_before_the_output_directory_is_made(self, tmp_path, capsys):
         out = tmp_path / "not-yet"
@@ -349,16 +372,21 @@ class TestMalformedConfigExitTwo:
         with pytest.raises(ConfigError, match=r"^numeric\.n_probe=30 must exceed n_max=30$"):
             load_config(write_config(tmp_path, payload))
 
-    def test_track_basis_cap_is_on_n_max_alone(self, tmp_path):
-        # the default n_probe of n_max 90000 is 101250, above the cap, but track never reads it
-        payload = {**track_config(str(tmp_path)), "numeric": {"n_max": 90_000}}
-        assert load_config(write_config(tmp_path, payload)).plan.n_max == 90_000
+    def test_track_basis_cap_covers_n_probe(self, tmp_path):
+        # the default n_probe of n_max 90000 is 101250, above the cap, as on a sweep
+        for payload in (track_config(str(tmp_path)), sweep_config(str(tmp_path))):
+            payload["numeric"] = {"n_max": 90_000}
+            with pytest.raises(ConfigError, match=r"^numeric\.n_probe=101250 is above the"):
+                load_config(write_config(tmp_path, payload))
 
     def test_track_refusal_of_n_probe_names_what_it_reads(self, tmp_path, capsys):
-        payload = {**track_config(str(tmp_path / "out")), "numeric": {"n_max": 60, "n_probe": 90}}
+        # track reads n_probe like every command, so it refuses it with the same message
+        payload = {**track_config(str(tmp_path / "out")), "numeric": {"n_max": 60, "n_probe": 60}}
         assert main(["--config", str(write_config(tmp_path, payload))]) == 2
-        err = capsys.readouterr().err
-        assert "the track command reads only numeric.n_max, not ['n_probe']" in err
+        assert "error: numeric.n_probe=60 must exceed n_max=60" in capsys.readouterr().err
+        payload["numeric"] = {"n_max": 60, "n_probe": 90, "tol_conv": 1}
+        cfg = load_config(write_config(tmp_path, payload))
+        assert (cfg.plan.n_max, cfg.plan.n_probe, cfg.plan.tol_conv) == (60, 90, 1.0)
 
     def test_largest_casimir_N_accepted(self, tmp_path):
         payload = {
@@ -423,7 +451,7 @@ READS = {
     "crossings": {"hamiltonian", "numeric", "grid", "crossings"},
     "esqpt": {"hamiltonian", "numeric", "grid", "esqpt"},
     "casimir": {"casimir"},
-    "track": {"numeric", "grid", "track"},
+    "track": {"hamiltonian", "numeric", "grid", "track"},
 }
 
 # a valid value of every top-level section
@@ -870,6 +898,41 @@ class TestCommands:
             LevelPair(*pair), coupling, (0.1, 0.2), 2, n_max=40))
         assert (tmp_path / "out" / "track.csv").read_bytes() == expected.read_bytes()
 
+    @staticmethod
+    def _track_rows(tmp_path, higher: dict, eta0: int, pair: list, stop: float = 2.0) -> list:
+        payload = track_config(str(tmp_path / "out"), eta0=eta0, pair=pair)
+        payload["hamiltonian"] = {"higher_order": higher}
+        payload["numeric"] = {"n_max": 200, "n_probe": 250}
+        payload["grid"] = {"varying": "xi", "start": 0.5, "stop": stop, "step": 0.5}
+        assert main(["--config", str(write_config(tmp_path, payload))]) == 0
+        lines = (tmp_path / "out" / "track.csv").read_text().splitlines()
+        assert lines[0] == "coupling_value,eta_star,found,gap,converged"
+        return [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+
+    @pytest.mark.parametrize(
+        "term, eta0, pair, shift",
+        [("kerr3", 2, [0, 0, 1, 0], -2e-3), ("kerr3", 6, [0, 3, 1, 3], -6e-3),
+         ("detuning3", 2, [0, 0, 1, 0], -1e-3), ("detuning3", 6, [0, 3, 1, 3], -1e-3)],
+    )
+    def test_track_follows_a_higher_order_shift(self, term, eta0, pair, shift, tmp_path):
+        # P2 pins the pair at eta = eta0 at every xi.  detuning3 adds lambda to
+        # eta, and kerr3 scales H by 1 - lambda with eta / (1 - lambda) and
+        # xi / (1 - lambda) inside, so the pin moves to eta0 - lambda and to
+        # eta0 (1 - lambda): -eta0 lambda
+        rows = self._track_rows(tmp_path, {term: 1e-3}, eta0, pair)
+        assert [float(r["coupling_value"]) for r in rows] == [0.5, 1.0, 1.5, 2.0]
+        for r in rows:
+            assert (r["found"], r["converged"]) == ("1", "1")
+            assert float(r["eta_star"]) == pytest.approx(eta0 + shift, abs=1e-9)
+
+    def test_track_over_an_unbounded_spectrum_is_not_converged(self, tmp_path):
+        # cubic4 > 0 makes H unbounded below past a barrier near n = 2 / (3 cubic4),
+        # about 133.  The n_max 200 basis ends before the diagonal turns below the
+        # well, so the pair crosses; at n_probe 250 the lowest level of each
+        # sector lies past the barrier, thousands below
+        rows = self._track_rows(tmp_path, {"cubic4": 0.005}, 2, [0, 0, 1, 0], stop=1.0)
+        assert [(r["found"], r["converged"]) for r in rows] == [("1", "0")] * 2
+
     def test_numeric_failure_exit_code(self, tmp_path):
         payload = {
             "schema_version": 1,
@@ -996,8 +1059,10 @@ _ORACLE_TABLES = {
     ),
     CasimirLevel: ("v,pi_prime,casimir_value", lambda e: (e.v, e.pi_prime, e.value)),
     TrackedCrossing: (
-        "coupling_value,eta_star,found,gap",
-        lambda e: (e.coupling_value, e.eta_star, 1 if e.eta_star is not None else 0, e.gap),
+        "coupling_value,eta_star,found,gap,converged",
+        lambda e: (
+            e.coupling_value, e.eta_star, 1 if e.eta_star is not None else 0, e.gap, e.converged
+        ),
     ),
 }
 
@@ -1024,7 +1089,9 @@ _RECORDS = {
         st.sampled_from(["max_rate", "linear_extrapolation", "difference_bound"]), _XI_C, _REALS,
     ),
     CasimirLevel: st.builds(CasimirLevel, _COUNTS, st.sampled_from([-1, 0, 1]), _REALS),
-    TrackedCrossing: st.builds(TrackedCrossing, _REALS, st.none() | _REALS, _REALS),
+    TrackedCrossing: st.builds(
+        TrackedCrossing, _REALS, st.none() | _REALS, _REALS, st.booleans()
+    ),
 }
 
 
@@ -1040,7 +1107,7 @@ class TestTableOracle:
     def test_table_lines(self, kind, data):
         records = data.draw(st.lists(_RECORDS[kind], max_size=6))
         if kind is TrackedCrossing:  # a lost crossing in every table
-            records.append(TrackedCrossing(1.0, None, 2.0))
+            records.append(TrackedCrossing(1.0, None, 2.0, False))
         with tempfile.TemporaryDirectory() as tmp:
             path = _write_table(Path(tmp) / "table.csv", kind, records)
             assert path.read_text() == _oracle_table(kind, records)
@@ -1388,8 +1455,7 @@ def _fuzz_base(command: str) -> dict:
     if command in ("spectrum", "casimir"):
         del cfg["grid"]
     if command == "track":
-        del cfg["hamiltonian"]
-        cfg["numeric"] = {"n_max": 20}
+        cfg["hamiltonian"] = {}
         cfg["grid"] = {"varying": "xi", "start": 0.5, "stop": 2.0, "step": 0.5}
         cfg["track"] = {"eta0": 2, "pair": [0, 0, 1, 0]}
     if command == "casimir":
