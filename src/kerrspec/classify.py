@@ -10,7 +10,6 @@ parameter sweep.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -19,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigensolve import DEFAULT_N_MAX, DEFAULT_TOL_CONV, _level_flags, check_basis
-from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec, standard_hamiltonian
-from .sectors import detect_modulus, sector_dim
+from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec
+from .sectors import family_modulus, sector_dim
 from .sweep import (
     ConvergedSpectrum,
     SpectrumGrid,
@@ -443,9 +442,8 @@ def check_track_pair(
     """Raise ValueError unless ``pair`` names two different levels that exist under
     ``coupling`` over the base spec ``fixed`` at ``n_max``.
 
-    k is the sector modulus of the whole tracked Hamiltonian: the gcd of the
-    modulus of dH/d(coupling) and that of ``fixed`` (a diagonal ``fixed`` is
-    ``MOD_ALL``, 0, and leaves the coupling's); sector r holds the states r,
+    k is :func:`family_modulus` of ``fixed`` and the coupling's field (the
+    track's eta moves a diagonal term only); sector r holds the states r,
     r + k, ... <= n_max.  Returns k.  A level paired with itself has a gap
     that is identically zero, so every bracket would report a root.
     """
@@ -453,10 +451,7 @@ def check_track_pair(
         raise ValueError(f"coupling must be one of {sorted(COUPLING_KINDS)}")
     if pair[:2] == pair[2:]:
         raise ValueError(f"pair names the level {tuple(pair[:2])} twice")
-    k = math.gcd(
-        detect_modulus(COUPLING_DERIVATIVES[COUPLING_KINDS[coupling]]),
-        detect_modulus(standard_hamiltonian(fixed)),
-    )
+    k = family_modulus(fixed, COUPLING_KINDS[coupling])
     for r, i in (pair[:2], pair[2:]):
         if not (0 <= r < k and 0 <= i < sector_dim(n_max + 1, k, r)):
             raise ValueError(

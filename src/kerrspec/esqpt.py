@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import DEFAULT_TOL_DEG
-from .fock import NumericFailure
+from .fock import HigherOrderCorrections, NumericFailure
 from .sectors import sector_dim
 from .sweep import SpectrumGrid, SweepPlan
 
@@ -82,15 +82,17 @@ class CriticalPointEstimate(NamedTuple):
 def check_gap_sweep(plan: SweepPlan, v_max: int) -> None:
     """Raise ValueError unless :func:`gap_curves` can pair v = 0..v_max on this sweep.
 
-    That needs an undetuned two-photon sweep with parity sectors and
-    0 <= v_max below the number of odd levels.
+    That needs a two-photon sweep with parity sectors, no detuning (eta,
+    detuning3, detuning4) and 0 <= v_max below the number of odd levels.
     """
     if v_max < 0:
         raise ValueError(f"v_max must be >= 0, got {v_max}")
     if plan.varying != "xi":
         raise ValueError("gap curves require a sweep in the two-photon coupling")
-    if plan.fixed.eta != 0.0:
-        raise ValueError("gap curves are defined for the undetuned Hamiltonian")
+    h = plan.fixed.higher or HigherOrderCorrections()
+    detuning = {"eta": plan.fixed.eta, "detuning3": h.detuning3, "detuning4": h.detuning4}
+    if any(detuning.values()):
+        raise ValueError(f"gap curves are defined for the undetuned Hamiltonian, got {detuning}")
     if plan.modulus != 2:
         raise ValueError(f"expected parity sectors, got modulus {plan.modulus}")
     odd = sector_dim(plan.n_max + 1, 2, 1)

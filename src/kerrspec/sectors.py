@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BandedSymMatrix, OperatorPoly
+from .fock import (
+    COUPLING_DERIVATIVES,
+    BandedSymMatrix,
+    HamiltonianSpec,
+    OperatorPoly,
+    standard_hamiltonian,
+)
 
 __all__ = [
     "MOD_ALL",
@@ -22,6 +28,7 @@ __all__ = [
     "Sector",
     "SectorDecomposition",
     "detect_modulus",
+    "family_modulus",
     "sector_dim",
     "split",
 ]
@@ -47,6 +54,15 @@ def detect_modulus(poly: OperatorPoly) -> int:
     if not poly.is_hermitian():
         raise ValueError("modulus detection expects a Hermitian polynomial")
     return math.gcd(*(abs(t.step) for t in poly.terms if t.coeff != 0.0))
+
+
+def family_modulus(fixed: HamiltonianSpec, field: str) -> int:
+    """Conserved occupation modulus shared by every ``replace(fixed, field=t)``.
+
+    H(fixed) + dH/d(field), a sum that concatenates terms, holds every step
+    some member has; a member where a varied coefficient vanishes may conserve more.
+    """
+    return detect_modulus(standard_hamiltonian(fixed) + COUPLING_DERIVATIVES[field])
 
 
 @dataclass(frozen=True)
@@ -79,22 +95,16 @@ def split(matrix: BandedSymMatrix, k: int) -> SectorDecomposition:
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"modulus must be a non-negative integer, got {k!r}")
     stride = k or matrix.dim
-    _check_zero_offsets(
-        matrix, (d for d in range(1, matrix.bandwidth + 1) if d % stride != 0)
-    )
+    for d in range(1, matrix.bandwidth + 1):
+        diag = matrix.diagonals[d]
+        if d % stride and len(diag) and np.max(np.abs(diag)) > VIOLATION_TOL:
+            i = int(np.argmax(np.abs(diag)))
+            raise SymmetryViolation(
+                f"entry ({i + d}, {i}) = {diag[i]:.3e} violates the claimed modulus"
+            )
     sectors = []
     for r in range(min(stride, matrix.dim)):
         # local diagonal dd of sector r: every stride-th entry of diagonal dd * stride
         diags = tuple(diag[r::stride] for diag in matrix.diagonals[::stride])
         sectors.append(Sector(r, BandedSymMatrix(diags)))
     return SectorDecomposition(tuple(sectors))
-
-
-def _check_zero_offsets(matrix: BandedSymMatrix, offsets) -> None:
-    for d in offsets:
-        diag = matrix.diagonals[d]
-        if len(diag) and np.max(np.abs(diag)) > VIOLATION_TOL:
-            i = int(np.argmax(np.abs(diag)))
-            raise SymmetryViolation(
-                f"entry ({i + d}, {i}) = {diag[i]:.3e} violates the claimed modulus"
-            )

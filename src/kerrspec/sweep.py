@@ -36,7 +36,7 @@ from .fock import (
     assemble,
     standard_hamiltonian,
 )
-from .sectors import detect_modulus, sector_dim, split
+from .sectors import detect_modulus, family_modulus, sector_dim, split
 
 __all__ = [
     "ConvergedSpectrum",
@@ -92,19 +92,8 @@ class SweepPlan:
 
 
 def plan_modulus(plan: SweepPlan) -> int:
-    """Common sector structure over the whole grid, read off its first two points.
-
-    Points where some coupling vanishes may conserve more than the generic
-    point (a diagonal matrix satisfies any modulus), so moduli are combined
-    by gcd, whose identity is ``MOD_ALL`` (0).  Each pairing coefficient of
-    :func:`standard_hamiltonian` is a constant or ``-field + constant``, so
-    unless it is 0 everywhere it is 0 at one point of a strictly increasing
-    grid at most: a term present anywhere on the grid is present at its first
-    or second point, and the gcd over those two is that of the whole grid.
-    """
-    return math.gcd(
-        *(detect_modulus(standard_hamiltonian(plan.spec_at(v))) for v in plan.grid[:2])
-    )
+    """Sector modulus of the whole grid: :func:`family_modulus` of the varied field."""
+    return family_modulus(plan.fixed, plan.varying)
 
 
 def sector_blocks(poly: OperatorPoly, n: int, k: int) -> dict[int, BandedSymMatrix]:

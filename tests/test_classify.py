@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from kerrspec.classify import (
+    ROOT_MAXITER,
     ROOT_XTOL,
     CrossingEvent,
     LevelPair,
@@ -246,6 +247,19 @@ class TestBrentRoot:
         assert _brent(never, 1.0, 2.0, -3.0, 0.0) == (2.0, 0.0)
         with pytest.raises(ValueError, match="no sign change"):
             _brent(never, 1.0, 2.0, 1.0, 3.0)
+
+    def test_stops_after_root_maxiter_steps(self):
+        # a jump is no root the bracket can close on: ROOT_MAXITER halvings of a
+        # 2e300-wide bracket leave it about 1e270 wide
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return 1.0 if x > 0.1 else -1.0
+
+        with pytest.raises(RuntimeError, match=f"not converged after {ROOT_MAXITER} iterations"):
+            _brent(step, -1e300, 1e300, -1.0, 1.0)
+        assert len(calls) == ROOT_MAXITER
 
 
 class TestUnconvergedWarning:

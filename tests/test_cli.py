@@ -232,6 +232,9 @@ class TestMalformedConfigExitTwo:
             d, grid={"varying": "eta", "start": 0.0, "stop": 2.0, "step": 0.5}
         ),
         "esqpt detuned": lambda d: esqpt_config(d, hamiltonian={"eta": 1.0}),
+        "esqpt detuned through higher_order": lambda d: esqpt_config(
+            d, hamiltonian={"higher_order": {"detuning3": 3.0}}
+        ),
         "esqpt without parity sectors": lambda d: esqpt_config(d, hamiltonian={"xi3": 0.1}),
         "esqpt v_max beyond the odd levels": lambda d: esqpt_config(d, esqpt={"v_max": 30}),
         "esqpt v_max one with one odd level": lambda d: esqpt_config(
@@ -310,6 +313,8 @@ class TestMalformedConfigExitTwo:
         "track pair residue beyond a xi3 base spec": "pair level (1, 0) is not among",
         # the pairs v = 0..v_max need v_max + 1 odd levels
         "esqpt v_max one with one odd level": "v_max=1 needs 2 odd levels and the basis has 1",
+        "esqpt detuned through higher_order": "undetuned Hamiltonian, got {'eta': 0.0, "
+        "'detuning3': 3.0, 'detuning4': 0.0}",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -13,7 +13,7 @@ from kerrspec.esqpt import (
     xi_c_linear_extrapolation,
     xi_c_max_rate,
 )
-from kerrspec.fock import HamiltonianSpec, NumericFailure
+from kerrspec.fock import HamiltonianSpec, HigherOrderCorrections, NumericFailure
 from kerrspec.sweep import SpectrumGrid, SweepPlan, run_sweep
 
 
@@ -61,6 +61,19 @@ class TestGapCurves:
         with pytest.raises(ValueError):
             gap_curves(run_sweep(detuned), 1)
 
+    def test_higher_order_detuning_refused(self):
+        # detuning3 and detuning4 add to eta in the Hamiltonian, so each detunes it
+        for field in ("detuning3", "detuning4"):
+            plan = SweepPlan(
+                varying="xi", grid=(0.0, 0.5),
+                fixed=HamiltonianSpec(higher=HigherOrderCorrections(**{field: 3.0})),
+                n_max=30, n_probe=45,
+            )
+            with pytest.raises(ValueError, match=f"undetuned Hamiltonian, got .*'{field}': 3.0"):
+                check_gap_sweep(plan, 2)
+        kerr3 = HamiltonianSpec(higher=HigherOrderCorrections(kerr3=0.1))
+        check_gap_sweep(SweepPlan(varying="xi", grid=(0.0, 0.5), fixed=kerr3, n_max=30), 2)
+
     def test_negative_v_max_refused(self, xi_sweep):
         # gap_curves(grid, -1) used to return no curve without an error
         with pytest.raises(ValueError, match="v_max"):
@@ -93,6 +106,10 @@ class TestGapCurves:
     def test_orientation_guard(self):
         with pytest.raises(ValueError, match="pairing convention"):
             GapCurve(0, np.arange(3.0), np.array([0.1, -0.2, 0.1]), np.ones(3))
+
+    def test_arrays_of_unequal_length_refused(self):
+        with pytest.raises(ValueError, match="must share a length"):
+            GapCurve(0, np.arange(3.0), np.ones(2), np.ones(3))
 
 
 class TestMaxRate:

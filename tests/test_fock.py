@@ -52,6 +52,14 @@ class TestMatrixElement:
         with pytest.raises(ValueError):
             matrix_element(OperatorTerm(1, 0, 0), 7, FockSpace(4))
 
+    def test_malformed_basis_and_terms_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            FockSpace(-1)
+        with pytest.raises(ValueError, match="ladder powers must be non-negative"):
+            OperatorTerm(1.0, -1, 0)
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            OperatorTerm(1.0, 1, 1, ())
+
     @pytest.mark.parametrize("p", range(5))
     @pytest.mark.parametrize("q", range(5))
     @pytest.mark.parametrize("weight", [(1.0,), (0.5, -1.0), (0.0, 1.0, 0.25), (2.0, 0.0, -0.5, 0.125)])
@@ -97,6 +105,13 @@ class TestAssemble:
         space = FockSpace(25)
         banded = assemble(poly, space).to_dense()
         np.testing.assert_array_equal(banded, poly_to_dense(poly, space))
+
+    def test_dense_skips_zero_coefficient_terms(self):
+        # the zero term's infinite weight would put nan entries in the matrix
+        space = FockSpace(6)
+        poly = pairing_poly(2) + OperatorPoly((OperatorTerm(0.0, 1, 1, (np.inf,)),))
+        want = poly_to_dense(pairing_poly(2), space)
+        np.testing.assert_array_equal(poly_to_dense(poly, space), want)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
@@ -232,6 +247,16 @@ class TestCommutators:
         rhs = p2 @ p2 - poly_to_dense(number_poly((2.0, 2.0, 2.0)), space)
         interior = slice(0, 27)
         assert np.max(np.abs((p4 - rhs)[interior, interior])) < self._tol(30)
+
+    def test_basis_below_the_interior_block_refused(self):
+        # a^dag^4 needs n_max >= 4 to leave a one-state interior
+        with pytest.raises(ValueError, match="too small for interior block of power 4"):
+            commutator_residual(
+                ladder_poly(1, 4, 0), ladder_poly(1, 0, 1), ladder_poly(0, 0, 0), FockSpace(3)
+            )
+        assert commutator_residual(
+            ladder_poly(1, 0, 1), ladder_poly(1, 1, 0), number_poly((1.0,)), FockSpace(1)
+        ) == 0.0
 
     def test_interior_excludes_truncation_artifacts(self):
         # outside the interior block the truncated product is wrong by design

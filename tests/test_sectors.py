@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kerrspec.eigensolve import eigen
-from kerrspec.fock import FockSpace, HamiltonianSpec, assemble, standard_hamiltonian
+from kerrspec.fock import FockSpace, HamiltonianSpec, assemble, ladder_poly, standard_hamiltonian
 from kerrspec.sectors import MOD_ALL, SymmetryViolation, detect_modulus, split
 
 
@@ -29,6 +29,10 @@ class TestDetectModulus:
     def test_zero_coefficient_terms_ignored(self):
         poly = standard_hamiltonian(HamiltonianSpec(eta=1, xi=0.0, xi3=2.0))
         assert detect_modulus(poly) == 3
+
+    def test_non_hermitian_refused(self):
+        with pytest.raises(ValueError, match="expects a Hermitian polynomial"):
+            detect_modulus(ladder_poly(1.0, 2, 0))
 
 
 class TestSplit:

@@ -10,12 +10,19 @@ import pytest
 
 import kerrspec.classify
 from kerrspec import cli
-from kerrspec.classify import UnrefinedCrossingWarning, detect_crossings, kerr_exact_levels
+from kerrspec.classify import (
+    LevelPair,
+    UnrefinedCrossingWarning,
+    check_track_pair,
+    detect_crossings,
+    kerr_exact_levels,
+)
 from kerrspec import converged_spectrum
 from kerrspec.eigensolve import eigen
 from kerrspec.fock import (
     COUPLING_DERIVATIVES,
     COUPLING_FIELDS,
+    COUPLING_KINDS,
     HamiltonianSpec,
     HigherOrderCorrections,
     standard_hamiltonian,
@@ -69,23 +76,33 @@ class TestSweepPlan:
 
     @pytest.mark.parametrize("varying", COUPLING_FIELDS)
     def test_first_two_points_give_the_whole_grid_modulus(self, varying):
-        # each pairing coefficient vanishes at one field value at most: c below, where a
-        # higher-order term cancels the swept one; the grid meets c first, second or later
+        # oracle: the gcd over every grid point, and over the first two.  Each pairing
+        # coefficient vanishes at one field value at most: c below, where a higher-order
+        # term cancels the swept one; the grid meets c first, second or later.  Some base
+        # specs cancel a drive at ``fixed`` itself (xi 0.5, xi4 0.25, xi2p 0.75)
         higher = HigherOrderCorrections(squeeze3=0.5, number_squeeze3=0.75, quad_squeeze4=0.25)
         cancel = {"eta": 1.0, "xi": 0.5, "xi3": 0.0, "xi4": 0.25, "xi2p": 0.75}[varying]
         fixed_specs = [
             HamiltonianSpec(), HamiltonianSpec(xi=1.0), HamiltonianSpec(xi3=0.2),
             HamiltonianSpec(xi=1.0, xi3=0.2), HamiltonianSpec(xi4=0.1, xi2p=0.3),
             HamiltonianSpec(higher=higher), HamiltonianSpec(xi3=0.2, higher=higher),
+            HamiltonianSpec(xi=0.5, higher=higher),
+            HamiltonianSpec(xi=0.5, xi4=0.25, xi2p=0.75, higher=higher),
+            HamiltonianSpec(xi=0.5, xi3=0.2, xi4=0.25, higher=higher),
         ]
+        kinds = [kind for kind, f in COUPLING_KINDS.items() if f == varying]
         for fixed in fixed_specs:
             for at in (0, 1, 3):
                 grid = tuple(cancel + 0.25 * (i - at) for i in range(6))
                 plan = SweepPlan(varying=varying, grid=grid, fixed=fixed, n_max=4, n_probe=8)
-                every_point = math.gcd(
-                    *(detect_modulus(standard_hamiltonian(plan.spec_at(v))) for v in grid)
-                )
-                assert plan_modulus(plan) == every_point, (fixed, at)
+                moduli = [detect_modulus(standard_hamiltonian(plan.spec_at(v))) for v in grid]
+                every_point, first_two = math.gcd(*moduli), math.gcd(*moduli[:2])
+                assert plan_modulus(plan) == every_point == first_two, (fixed, at)
+                # a track of the drive whose field this plan varies shares its sectors
+                # (P2 over the xi3 base spec conserves n mod gcd(2, 3) = 1 only)
+                for kind in kinds:
+                    k = check_track_pair(LevelPair(0, 0, 0, 1), kind, plan.n_max, fixed)
+                    assert k == plan.modulus, (kind, fixed)
 
     @pytest.mark.parametrize(
         "fixed, k",

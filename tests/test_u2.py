@@ -215,6 +215,14 @@ class TestContraction:
         with pytest.raises(ValueError, match="two-photon drive only"):
             contraction_check(spec, 100, 3)
 
+    def test_level_count_and_unconverged_reference_refused(self):
+        for n_levels in (0, 11):
+            with pytest.raises(ValueError, match="need 0 < n_levels <= N"):
+                contraction_check(HamiltonianSpec(xi=1.0), 10, n_levels)
+        # a strong drive needs far more than 10 bosons for its low levels
+        with pytest.raises(ValueError, match="Fock reference not converged for 5 levels at N=10"):
+            contraction_check(HamiltonianSpec(xi=20.0), 10, 5)
+
     def test_all_zero_corrections_are_no_corrections(self):
         # standard_hamiltonian expands both specs to the same polynomial
         plain = contraction_check(HamiltonianSpec(xi=1.0), 100, 5)
