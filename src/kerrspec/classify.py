@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigensolve import DEFAULT_N_MAX, DEFAULT_TOL_CONV, _level_flags, check_basis
-from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec
+from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec, check_count
 from .sectors import family_modulus, sector_dim
 from .sweep import (
     ConvergedSpectrum,
@@ -147,9 +147,9 @@ def kerr_exact_levels(eta: int) -> list[KerrLevel]:
     The multiplet spans Fock occupations n1 = 0..eta+1 with m = (n2 - n1)/2;
     energies are m^2 - 1/4 for even eta and m^2 for odd eta, in integer
     arithmetic.  All eta + 2 levels are returned, sorted by (energy, n1).
-    An integral float such as 4.0 is taken as its integer.
+    An integral float such as 4.0 is taken as its integer, and a bool is refused.
     """
-    if not eta >= 0 or eta % 1:  # also refuses inf and nan
+    if isinstance(eta, (bool, np.bool_)) or not eta >= 0 or eta % 1:  # also refuses inf, nan
         raise ValueError(f"eta must be a non-negative integer, got {eta}")
     N = int(eta) + 1
     levels = [KerrLevel(TwoBosonState(n1, N - n1)) for n1 in range(N + 1)]
@@ -351,8 +351,8 @@ def detect_crossings(
     G being the grid length.  ``max_levels`` is None (every level) or at
     least 1; anything else raises ValueError.
     """
-    if max_levels is not None and max_levels < 1:
-        raise ValueError(f"max_levels must be None or at least 1, got {max_levels!r}")
+    if max_levels is not None:
+        check_count(max_levels, "max_levels", 1)
     plan, params = grid.plan, grid.params
     events: list[CrossingEvent] = []
     curves = [grid.curves[r][:, :max_levels] for r in grid.residues]
@@ -449,11 +449,13 @@ def check_track_pair(
     """
     if coupling not in COUPLING_KINDS:
         raise ValueError(f"coupling must be one of {sorted(COUPLING_KINDS)}")
+    for name, value in zip(LevelPair._fields, pair):
+        check_count(value, name)
     if pair[:2] == pair[2:]:
         raise ValueError(f"pair names the level {tuple(pair[:2])} twice")
     k = family_modulus(fixed, COUPLING_KINDS[coupling])
     for r, i in (pair[:2], pair[2:]):
-        if not (0 <= r < k and 0 <= i < sector_dim(n_max + 1, k, r)):
+        if not (r < k and i < sector_dim(n_max + 1, k, r)):
             raise ValueError(
                 f"pair level ({r}, {i}) is not among the {coupling} track's sector levels "
                 f"(modulus {k}) at n_max={n_max}"

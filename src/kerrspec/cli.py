@@ -46,6 +46,7 @@ from .fock import (
     HamiltonianSpec,
     HigherOrderCorrections,
     NumericFailure,
+    check_count,
 )
 from .sweep import (
     SpectrumGrid,
@@ -121,8 +122,8 @@ class SvgStyle:
             sys.float_info.min <= self.y_max - self.y_min < math.inf
         ):
             raise ValueError("y_min must be below y_max, a finite and normal range apart")
-        if self.max_levels is not None and self.max_levels < 1:
-            raise ValueError("max_levels must be at least 1")
+        if self.max_levels is not None:
+            check_count(self.max_levels, "max_levels", 1)
         for kind in self.separatrices:
             SeparatrixModel(kind)
 
@@ -438,8 +439,8 @@ def emit_csv(
     ``%.12g``, the parameter formatted once per point, and the flag is
     ``%d`` of a bool.
     """
-    if max_levels is not None and max_levels < 1:
-        raise ValueError("max_levels must be at least 1")
+    if max_levels is not None:
+        check_count(max_levels, "max_levels", 1)
     path = Path(path)
     ground = grid.ground_energy.tolist()
     sectors = []

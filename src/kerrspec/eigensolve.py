@@ -23,12 +23,11 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 from pathlib import Path
 
 import numpy as np
 
-from .fock import BandedSymMatrix
+from .fock import BandedSymMatrix, check_count
 
 __all__ = [
     "EigenSolverError",
@@ -90,10 +89,6 @@ def _check_info(info: int, driver: str) -> None:
         )
 
 
-def _is_integer(n) -> bool:
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
-
-
 def check_basis(
     n_max: int, n_probe: int | None = None, tol_conv: float = DEFAULT_TOL_CONV
 ) -> int:
@@ -104,13 +99,10 @@ def check_basis(
     negative.  An omitted n_probe is n_max + max(50, n_max // 8): 900 at
     n_max 800.
     """
-    if not _is_integer(n_max) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    check_count(n_max, "n_max")
     if n_probe is None:
         n_probe = n_max + max(50, n_max // 8)
-    elif not _is_integer(n_probe):
-        raise ValueError(f"n_probe must be an integer, got {n_probe!r}")
-    elif not n_probe > n_max:
+    elif not check_count(n_probe, "n_probe") > n_max:
         raise ValueError(f"n_probe={n_probe} must exceed n_max={n_max}")
     if not (math.isfinite(tol_conv) and tol_conv >= 0):
         raise ValueError(f"tol_conv must be finite and not negative, got {tol_conv!r}")
@@ -140,7 +132,7 @@ def _level(
 
     Diagonal blocks are read off exactly and every other one goes to ``dsbevx``.
     """
-    if not 0 <= index < matrix.dim:
+    if not 0 <= check_count(index, "index", -math.inf) < matrix.dim:
         raise IndexError(f"level {index} outside a {matrix.dim}-state block")
     if matrix.bandwidth == 0:
         n = np.argsort(matrix.diagonal, kind="stable")[index]

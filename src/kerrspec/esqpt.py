@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import DEFAULT_TOL_DEG
-from .fock import HigherOrderCorrections, NumericFailure
+from .fock import HigherOrderCorrections, NumericFailure, check_count
 from .sectors import sector_dim
 from .sweep import SpectrumGrid, SweepPlan
 
@@ -85,8 +85,7 @@ def check_gap_sweep(plan: SweepPlan, v_max: int) -> None:
     That needs a two-photon sweep with parity sectors, no detuning (eta,
     detuning3, detuning4) and 0 <= v_max below the number of odd levels.
     """
-    if v_max < 0:
-        raise ValueError(f"v_max must be >= 0, got {v_max}")
+    check_count(v_max, "v_max")
     if plan.varying != "xi":
         raise ValueError("gap curves require a sweep in the two-photon coupling")
     h = plan.fixed.higher or HigherOrderCorrections()

@@ -14,7 +14,9 @@ bandwidth (0 diagonal, 1 tridiagonal), which is all the eigensolvers read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "BandedSymMatrix",
     "NonHermitianError",
     "NumericFailure",
+    "check_count",
     "matrix_element",
     "assemble",
     "poly_to_dense",
@@ -50,6 +53,16 @@ class NumericFailure(ValueError):
     """Valid input whose computation failed: an overflow, unconverged levels, a broken identity."""
 
 
+def check_count(value, name: str, least: float = 0):
+    """Return ``value`` if it is an integer (not a bool) of at least ``least``, which is
+    0, 1 or -inf (no bound); otherwise raise ValueError naming the argument ``name``."""
+    # int is named first: an isinstance against the ABC alone costs about 10 times as much
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < least:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(least, "an integer")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Truncated single-mode Fock basis |0>, ..., |n_max>."""
@@ -57,8 +70,7 @@ class FockSpace:
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be non-negative, got {self.n_max}")
+        check_count(self.n_max, "n_max")
 
     @property
     def dim(self) -> int:
@@ -80,8 +92,8 @@ class OperatorTerm:
     weight: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
-            raise ValueError("ladder powers must be non-negative")
+        check_count(self.p, "p")
+        check_count(self.q, "q")
         if len(self.weight) == 0:
             raise ValueError("weight polynomial needs at least one coefficient")
         object.__setattr__(self, "weight", tuple(float(c) for c in self.weight))
@@ -142,7 +154,7 @@ def matrix_element(
     Returns ``(row, value)`` or None when the term maps |n> out of the basis
     (n - q < 0 or n + p - q > n_max).
     """
-    if not 0 <= n <= space.n_max:
+    if check_count(n, "n") > space.n_max:
         raise ValueError(f"n={n} outside basis 0..{space.n_max}")
     cols, values = _entries(term, space)
     if not 0 <= n - term.q < len(cols):
@@ -210,6 +222,16 @@ def pairing_poly(k: int, coeff: float = 1.0) -> OperatorPoly:
     return OperatorPoly((OperatorTerm(coeff, k, 0), OperatorTerm(coeff, 0, k)))
 
 
+def _check_finite(record, names) -> None:
+    """Raise ValueError naming the first of the fields ``names`` that is not a finite real."""
+    for name in names:
+        value = getattr(record, name)
+        # a bool is no coupling; float is named first for speed, as int is in check_count
+        real = isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HigherOrderCorrections:
     """Third- and fourth-order static corrections, in units of the Kerr scale.
@@ -228,6 +250,9 @@ class HigherOrderCorrections:
     cubic4: float = 0.0          # coefficient of -(n^3 - 3n^2 - 2n)
     quad_squeeze4: float = 0.0   # coefficient of +(a^dag^4 + a^4)
 
+    def __post_init__(self) -> None:
+        _check_finite(self, (f.name for f in fields(self)))
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -244,6 +269,9 @@ class HamiltonianSpec:
     xi4: float = 0.0
     xi2p: float = 0.0
     higher: HigherOrderCorrections | None = None
+
+    def __post_init__(self) -> None:
+        _check_finite(self, COUPLING_FIELDS)
 
 
 # Drive -> (HamiltonianSpec field, photon number k, number weight w, partner): each adds

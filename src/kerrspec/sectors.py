@@ -19,6 +19,7 @@ from .fock import (
     BandedSymMatrix,
     HamiltonianSpec,
     OperatorPoly,
+    check_count,
     standard_hamiltonian,
 )
 
@@ -92,9 +93,7 @@ def split(matrix: BandedSymMatrix, k: int) -> SectorDecomposition:
     its own one-state sector.  Raises SymmetryViolation if any stored entry
     sits on a diagonal whose offset is not a multiple of the stride.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"modulus must be a non-negative integer, got {k!r}")
-    stride = k or matrix.dim
+    stride = check_count(k, "modulus") or matrix.dim
     for d in range(1, matrix.bandwidth + 1):
         diag = matrix.diagonals[d]
         if d % stride and len(diag) and np.max(np.abs(diag)) > VIOLATION_TOL:

@@ -50,7 +50,9 @@ __all__ = [
     "spec_levels",
 ]
 
-# Consecutive grid points whose levels share one certify call.
+# Consecutive grid points whose levels share one certify call.  At 64 the
+# esqpt_xi benchmark's certify time drops from 0.47 to 0.32 s, but the peak RSS
+# of crossings_eta rises from 64.0 to 71.4 MiB.
 CHUNK = 16
 
 

@@ -16,12 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigensolve import _is_integer, eigen
+from .eigensolve import eigen
 from .fock import (
     BandedSymMatrix,
     HamiltonianSpec,
     HigherOrderCorrections,
     NumericFailure,
+    check_count,
     pairing_poly,
 )
 from .sectors import split
@@ -52,8 +53,7 @@ class U2Rep:
     N: int
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.N) or self.N < 1:
-            raise ValueError(f"representation label N must be a positive integer, got {self.N!r}")
+        check_count(self.N, "representation label N", 1)
 
     @property
     def dim(self) -> int:
@@ -222,11 +222,7 @@ def classify_pairing_sp2(n_max: int) -> RepClassification:
     between -N and +N, but the approach is very slow and is not asserted
     here.  ``n_max`` must be an integer of at least 1.
     """
-    if not _is_integer(n_max) or n_max < 1:
-        raise ValueError(
-            f"n_max must be an integer of at least 1 (both parities need a state), got {n_max!r}"
-        )
-    N = n_max
+    N = check_count(n_max, "n_max", 1)  # both parities need a state
     blocks = sector_blocks(pairing_poly(2, -1.0), N, 2)
     branches = {}
     for parity, residue in ((+1, 0), (-1, 1)):

@@ -60,6 +60,9 @@ class TestKerrExactLevels:
         with pytest.raises(ValueError):
             kerr_exact_levels(2.5)
         assert kerr_exact_levels(4.0) == kerr_exact_levels(4)
+        for eta in (True, False, np.True_):  # True once gave the eta = 1 multiplet
+            with pytest.raises(ValueError, match="eta must be a non-negative integer"):
+                kerr_exact_levels(eta)
 
     def test_infinite_eta_refused(self):
         with pytest.raises(ValueError, match="eta must be a non-negative integer"):
@@ -385,8 +388,8 @@ class TestScan:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert len(detect_crossings(grid, None)) == 7
-        for max_levels in (0, -1):
-            with pytest.raises(ValueError, match="max_levels"):
+        for max_levels in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="^max_levels must be a positive integer"):
                 detect_crossings(grid, max_levels)
 
     def test_memory_peak_within_a_small_multiple_of_the_curves(self):
@@ -447,6 +450,22 @@ class TestTrackCrossing:
                 track_crossing_location(pair, "P2", [0.5], 2, n_max=40)
         assert check_track_pair(LevelPair(0, 20, 1, 19), "P2", 40) == 2
         assert check_track_pair(LevelPair(2, 12, 0, 13), "P3", 40) == 3
+
+    def test_pair_entry_that_is_not_an_integer_refused_before_any_solve(self, monkeypatch):
+        # (0, 1.5, 1, 0) once followed level 1 and (0.5, 0, 1, 0) failed in a range
+        def no_solve(*args):
+            raise AssertionError("solved a level")
+
+        monkeypatch.setattr(classify, "spec_levels", no_solve)
+        for pair, name in (((0, 1.5, 1, 0), "index_a"), ((0.5, 0, 1, 0), "residue_a"),
+                           ((0, 0, True, 0), "residue_b")):
+            with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+                track_crossing_location(LevelPair(*pair), "P2", [0.5], 2, n_max=20)
+
+    def test_non_finite_coupling_refused(self):
+        # a NaN grid value once failed in assembly as a non-Hermitian polynomial
+        with pytest.raises(ValueError, match="^xi must be a finite real, got nan$"):
+            track_crossing_location(LevelPair(0, 0, 1, 0), "P2", [0.5, float("nan")], 2, n_max=20)
 
     def test_pair_of_one_level_refused_before_any_solve(self, monkeypatch):
         # its gap is identically 0, so every bracket would report a "root"

@@ -612,7 +612,7 @@ class TestCsv:
                 emit_svg(grid, SvgStyle(), path, coloring="bogus")
         assert not path.exists()
 
-    @pytest.mark.parametrize("max_levels", [0, -1])
+    @pytest.mark.parametrize("max_levels", [0, -1, 2.5, True])
     def test_level_cap_below_one_refused(self, max_levels, tmp_path):
         # such a cap used to write a header-only table without a word
         plan = SweepPlan(
@@ -620,7 +620,7 @@ class TestCsv:
             n_max=15, n_probe=25,
         )
         path = tmp_path / "capped.csv"
-        with pytest.raises(ValueError, match="max_levels"):
+        with pytest.raises(ValueError, match="^max_levels must be a positive integer"):
             emit_csv(run_sweep(plan), path, max_levels=max_levels)
         assert not path.exists()
 
@@ -808,6 +808,8 @@ class TestSvg:
         "y range wider than a float": dict(y_min=-1e308, y_max=1e308),
         "NaN y_max": dict(y_min=0.0, y_max=math.nan),
         "max_levels zero": dict(max_levels=0),
+        "max_levels fractional": dict(max_levels=2.5),
+        "max_levels true": dict(max_levels=True),
         "unknown separatrix": dict(separatrices=("kerr", "bogus")),
     }
 

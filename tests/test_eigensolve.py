@@ -191,6 +191,15 @@ class TestSingleLevel:
             with pytest.raises(IndexError):
                 solve(m, -1)
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, True])
+    def test_index_that_is_not_an_integer_refused(self, index):
+        # a tridiagonal block once returned level 1 for each of these
+        for m in (BandedSymMatrix((np.zeros(2), np.array([1.0]))), BandedSymMatrix((np.arange(2.0),))):
+            for solve in (eigenvalue, eigenpair):
+                with pytest.raises(ValueError, match="^index must be an integer, got "):
+                    solve(m, index)
+            assert eigenvalue(m, np.int64(1)) == eigenvalue(m, 1)
+
     def test_eigenpair_value_is_eigenvalue_bit_for_bit(self):
         widths = set()
         for name, block in self.blocks():

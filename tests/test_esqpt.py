@@ -80,6 +80,9 @@ class TestGapCurves:
             gap_curves(xi_sweep, -1)
         with pytest.raises(ValueError, match="v_max"):
             check_gap_sweep(xi_sweep.plan, -1)
+        # 2.5 once failed with a TypeError from range
+        with pytest.raises(ValueError, match="^v_max must be a non-negative integer, got 2.5$"):
+            gap_curves(xi_sweep, 2.5)
 
     def test_unconverged_pairs_refused(self):
         plan = SweepPlan(

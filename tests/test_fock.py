@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,10 +55,21 @@ class TestMatrixElement:
             matrix_element(OperatorTerm(1, 0, 0), 7, FockSpace(4))
 
     def test_malformed_basis_and_terms_rejected(self):
-        with pytest.raises(ValueError, match="n_max must be non-negative"):
+        with pytest.raises(ValueError, match=r"^n_max must be a non-negative integer, got -1$"):
             FockSpace(-1)
-        with pytest.raises(ValueError, match="ladder powers must be non-negative"):
+        with pytest.raises(ValueError, match=r"^p must be a non-negative integer, got -1$"):
             OperatorTerm(1.0, -1, 0)
+        # each of these once failed later with a TypeError, or not at all
+        for n_max in (2.5, True):
+            with pytest.raises(ValueError, match="^n_max must be a non-negative integer"):
+                FockSpace(n_max)
+        with pytest.raises(ValueError, match="^p must be a non-negative integer, got 1.5$"):
+            OperatorTerm(1, 1.5, 0)
+        with pytest.raises(ValueError, match="^q must be a non-negative integer, got True$"):
+            OperatorTerm(1, 0, True)
+        with pytest.raises(ValueError, match="^n must be a non-negative integer, got 1.5$"):
+            matrix_element(OperatorTerm(1.0, 0, 0), 1.5, FockSpace(4))
+        assert FockSpace(np.int64(3)).dim == 4
         with pytest.raises(ValueError, match="at least one coefficient"):
             OperatorTerm(1.0, 1, 1, ())
 
@@ -200,6 +213,28 @@ class TestStandardHamiltonian:
             + 0.06 * (ad4 + ad4.T)
         )
         np.testing.assert_allclose(built, literal, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "record, field, value",
+        [
+            (HamiltonianSpec, "xi", math.nan),
+            (HamiltonianSpec, "eta", math.nan),
+            (HamiltonianSpec, "xi4", -math.inf),
+            (HamiltonianSpec, "xi", "1"),
+            (HamiltonianSpec, "xi2p", True),
+            (HigherOrderCorrections, "kerr3", math.inf),
+            (HigherOrderCorrections, "cubic4", math.nan),
+            (HigherOrderCorrections, "squeeze3", False),
+        ],
+    )
+    def test_field_that_is_not_a_finite_real_refused(self, record, field, value):
+        # these once failed in assembly or modulus detection, or with a TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real, got "):
+            record(**{field: value})
+
+    def test_integer_and_numpy_fields_accepted(self):
+        spec = HamiltonianSpec(eta=4, xi=np.float64(0.5), higher=HigherOrderCorrections(kerr3=0))
+        assert standard_hamiltonian(spec) == standard_hamiltonian(HamiltonianSpec(eta=4.0, xi=0.5))
 
 
 class TestCommutators:

@@ -88,9 +88,15 @@ class TestSplit:
             split(_ham(6, eta=1, xi=1), MOD_ALL)
 
     def test_bad_modulus_rejected(self):
-        for k in (-1, 2.5, "all"):
-            with pytest.raises(ValueError):
+        for k in (-1, 2.5, "all", True):
+            with pytest.raises(ValueError, match="^modulus must be a non-negative integer"):
                 split(_ham(4, eta=1), k)
+
+    def test_numpy_integer_modulus_accepted(self):
+        m = _ham(6, eta=1, xi=1)
+        for a, b in zip(split(m, np.int64(2)).sectors, split(m, 2).sectors, strict=True):
+            assert a.residue == b.residue
+            np.testing.assert_array_equal(a.block.to_dense(), b.block.to_dense())
 
 
 class TestSectorSpectraInvariants:

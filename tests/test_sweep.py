@@ -143,13 +143,19 @@ class TestBasisSettings:
             ("n_probe", dict(n_max=40, n_probe=60.5)),
             ("n_probe", dict(n_max=40, n_probe=60.0)),
             ("n_probe", dict(n_max=40, n_probe=True)),
+            ("eta", dict(eta=math.nan)),
+            ("xi", dict(xi=math.nan)),
+            ("xi3", dict(xi3=math.nan)),
         ],
     )
     def test_bad_settings_raise_naming_them(self, setting, numeric):
+        # a coupling key sets the plan's fixed spec and the point's spec
+        spec = {k: v for k, v in numeric.items() if k in COUPLING_FIELDS}
+        basis = {k: v for k, v in numeric.items() if k not in spec}
         with pytest.raises(ValueError, match=f"^{setting}"):
-            SweepPlan(varying="xi", grid=(0.0, 0.1), **numeric)
+            SweepPlan(varying="xi", grid=(0.0, 0.1), fixed=HamiltonianSpec(**spec), **basis)
         with pytest.raises(ValueError, match=f"^{setting}"):
-            converged_spectrum(HamiltonianSpec(xi=1.0), **numeric)
+            converged_spectrum(HamiltonianSpec(**{"xi": 1.0, **spec}), **basis)
 
 
 class TestRunSweep:
