@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigensolve import DEFAULT_N_MAX, DEFAULT_TOL_CONV, _level_flags, check_basis
-from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec, check_count
+from .fock import COUPLING_DERIVATIVES, COUPLING_KINDS, HamiltonianSpec, check_count, check_real
 from .sectors import family_modulus, sector_dim
 from .sweep import (
     ConvergedSpectrum,
@@ -180,8 +180,9 @@ def degeneracy_groups(
 
     Operates on the converged prefix of a ConvergedSpectrum; a plain
     ascending array may be passed directly.  Levels that are not finite or
-    not ascending raise ValueError.
+    not ascending raise ValueError, and so does a negative or non-finite tol_deg.
     """
+    check_real(tol_deg, "tol_deg", 0)
     if isinstance(levels, ConvergedSpectrum):
         energies = np.asarray(levels.converged_levels().energies, dtype=float)
     else:
@@ -488,22 +489,23 @@ def track_crossing_location(
     is ``converged`` when both pass |E(n_max) - E(n_probe)| <= tol_conv *
     max(1, |E|).  A bracket that never changes sign (the pair has merged
     into the avoided regime) is reported as not found.  Basis settings that
-    :func:`check_basis` refuses, or a pair that :func:`check_track_pair`
-    refuses, raise ValueError before anything is solved.
+    :func:`check_basis` refuses, a pair that :func:`check_track_pair`
+    refuses, an xi that is not a finite real or an eta0 that is not a
+    non-negative integer raise ValueError before anything is solved.
     """
     n_probe = check_basis(n_max, n_probe, tol_conv)
     k = check_track_pair(pair, coupling, n_max, fixed)
     field_name = COUPLING_KINDS[coupling]
+    xi_grid = [float(check_real(xi, field_name)) for xi in xi_grid]
+    center = float(check_count(eta0, "eta0"))
     ra, ia, rb, ib = pair
     wanted = ((ra, ia), (rb, ib))
 
     def pair_levels(eta: float, xi: float, n: int) -> tuple[float, float]:
         return spec_levels(replace(fixed, eta=eta, **{field_name: xi}), n, k, wanted)
 
-    center = float(eta0)
     out: list[TrackedCrossing] = []
     for xi in xi_grid:
-        xi = float(xi)
         levels = {}  # eta -> the pair's n_max levels at this xi
 
         def f(eta: float) -> float:

@@ -47,6 +47,7 @@ from .fock import (
     HigherOrderCorrections,
     NumericFailure,
     check_count,
+    check_real,
 )
 from .sweep import (
     SpectrumGrid,
@@ -117,6 +118,9 @@ class SvgStyle:
     separatrices: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("y_min", "y_max"):
+            if getattr(self, name) is not None:
+                check_real(getattr(self, name), name)
         # a span below the smallest normal float overflows the pixel scale
         if None not in (self.y_min, self.y_max) and not (
             sys.float_info.min <= self.y_max - self.y_min < math.inf
@@ -158,28 +162,27 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
 
 
 def _as_number(value, what: str) -> float:
-    """A finite JSON number as a float; NaN and Infinity parse but are never valid input."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{what} must be a number")
+    """A JSON number that :func:`check_real` takes, as a float: NaN and Infinity parse but fail."""
     try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ConfigError(f"{what} must be finite")
-    return float(value)
+        return float(check_real(value, what))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _as_count(value, what: str) -> int:
-    """A non-negative integer; an integral float such as 40.0 is accepted."""
+def _as_count(value, what: str, least: int = 0) -> int:
+    """A JSON number that :func:`check_count` takes, or an integral float such as 40.0; read as
+    a real first, so an integer past the float range is refused, not counted."""
     _as_number(value, what)
-    if value < 0 or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{what} must be a non-negative integer")
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        return check_count(value, what, least)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _integer(section: dict, key: str, default, where: str) -> int:
-    return _as_count(section.get(key, default), f"{where}.{key}")
+def _integer(section: dict, key: str, default, where: str, least: int = 0) -> int:
+    return _as_count(section.get(key, default), f"{where}.{key}", least)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -191,7 +194,7 @@ def load_config(path: str | Path) -> RunConfig:
     """
     try:
         raw = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError, the int digit limit
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -283,19 +286,16 @@ def load_config(path: str | Path) -> RunConfig:
     _check_keys(cas, {"N"}, "casimir")
     _check_keys(trk, {"eta0", "pair"}, "track")
     _check_keys(cro, {"max_levels"}, "crossings")
-    casimir_N = _integer(cas, "N", 50, "casimir")
-    if not 1 <= casimir_N <= MAX_CASIMIR_N:
+    casimir_N = _integer(cas, "N", 50, "casimir", 1)
+    if casimir_N > MAX_CASIMIR_N:
         raise ConfigError(f"casimir.N must be in 1..{MAX_CASIMIR_N}")
     pair = trk.get("pair", [0, 0, 1, 0])
     if not (isinstance(pair, list) and len(pair) == 4):
         raise ConfigError("track.pair must be [residue_a, index_a, residue_b, index_b]")
     pair = LevelPair(*(_as_count(x, "track.pair entry") for x in pair))
-    v_max = _integer(esq, "v_max", 12, "esqpt")
-    crossings_max_levels = _integer(cro, "max_levels", DEFAULT_MAX_LEVELS, "crossings")
     # at 0 there is nothing to estimate (pairs v >= 1) or scan
-    for key, n in (("esqpt.v_max", v_max), ("crossings.max_levels", crossings_max_levels)):
-        if n == 0:
-            raise ConfigError(f"{key} must be at least 1")
+    v_max = _integer(esq, "v_max", 12, "esqpt", 1)
+    crossings_max_levels = _integer(cro, "max_levels", DEFAULT_MAX_LEVELS, "crossings", 1)
 
     # checks that join sections
     plan = None

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import BandedSymMatrix, check_count
+from .fock import BandedSymMatrix, check_count, check_real
 
 __all__ = [
     "EigenSolverError",
@@ -95,17 +95,16 @@ def check_basis(
     """Validate the basis settings of a certified spectrum; returns n_probe.
 
     Raises ValueError, naming the setting, unless n_max is a non-negative
-    integer, n_probe is an integer above it and tol_conv is finite and not
-    negative.  An omitted n_probe is n_max + max(50, n_max // 8): 900 at
-    n_max 800.
+    integer, n_probe is an integer above it and tol_conv a finite real that
+    is not negative (:func:`fock.check_real`).  An omitted n_probe is
+    n_max + max(50, n_max // 8): 900 at n_max 800.
     """
     check_count(n_max, "n_max")
     if n_probe is None:
         n_probe = n_max + max(50, n_max // 8)
     elif not check_count(n_probe, "n_probe") > n_max:
         raise ValueError(f"n_probe={n_probe} must exceed n_max={n_max}")
-    if not (math.isfinite(tol_conv) and tol_conv >= 0):
-        raise ValueError(f"tol_conv must be finite and not negative, got {tol_conv!r}")
+    check_real(tol_conv, "tol_conv", 0)
     return n_probe
 
 

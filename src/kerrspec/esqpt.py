@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import DEFAULT_TOL_DEG
-from .fock import HigherOrderCorrections, NumericFailure, check_count
+from .fock import NO_CORRECTIONS, NumericFailure, check_count
 from .sectors import sector_dim
 from .sweep import SpectrumGrid, SweepPlan
 
@@ -88,7 +88,7 @@ def check_gap_sweep(plan: SweepPlan, v_max: int) -> None:
     check_count(v_max, "v_max")
     if plan.varying != "xi":
         raise ValueError("gap curves require a sweep in the two-photon coupling")
-    h = plan.fixed.higher or HigherOrderCorrections()
+    h = plan.fixed.higher or NO_CORRECTIONS
     detuning = {"eta": plan.fixed.eta, "detuning3": h.detuning3, "detuning4": h.detuning4}
     if any(detuning.values()):
         raise ValueError(f"gap curves are defined for the undetuned Hamiltonian, got {detuning}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -26,10 +27,12 @@ __all__ = [
     "OperatorPoly",
     "HigherOrderCorrections",
     "HamiltonianSpec",
+    "NO_CORRECTIONS",
     "BandedSymMatrix",
     "NonHermitianError",
     "NumericFailure",
     "check_count",
+    "check_real",
     "matrix_element",
     "assemble",
     "poly_to_dense",
@@ -59,6 +62,17 @@ def check_count(value, name: str, least: float = 0):
     # int is named first: an isinstance against the ABC alone costs about 10 times as much
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < least:
         kind = {0: "a non-negative integer", 1: "a positive integer"}.get(least, "an integer")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def check_real(value, name: str, least: float = -math.inf):
+    """Return ``value`` if it is a real (not a bool) that is finite as a float and at least
+    ``least``, which is -inf (no bound) or 0; otherwise raise ValueError naming ``name``."""
+    # float named first as int is in check_count; NaN, inf and ints past a float fail abs() <= max
+    if (isinstance(value, bool) or not isinstance(value, (float, numbers.Real))
+            or not abs(value) <= sys.float_info.max or value < least):
+        kind = "finite and not negative" if least == 0 else "a finite real"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return value
 
@@ -222,16 +236,6 @@ def pairing_poly(k: int, coeff: float = 1.0) -> OperatorPoly:
     return OperatorPoly((OperatorTerm(coeff, k, 0), OperatorTerm(coeff, 0, k)))
 
 
-def _check_finite(record, names) -> None:
-    """Raise ValueError naming the first of the fields ``names`` that is not a finite real."""
-    for name in names:
-        value = getattr(record, name)
-        # a bool is no coupling; float is named first for speed, as int is in check_count
-        real = isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
-        if not (real and math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite real, got {value!r}")
-
-
 @dataclass(frozen=True)
 class HigherOrderCorrections:
     """Third- and fourth-order static corrections, in units of the Kerr scale.
@@ -251,7 +255,12 @@ class HigherOrderCorrections:
     quad_squeeze4: float = 0.0   # coefficient of +(a^dag^4 + a^4)
 
     def __post_init__(self) -> None:
-        _check_finite(self, (f.name for f in fields(self)))
+        for f in fields(self):
+            check_real(getattr(self, f.name), f.name)
+
+
+# The record of a spec without corrections, shared rather than rebuilt per expansion.
+NO_CORRECTIONS = HigherOrderCorrections()
 
 
 @dataclass(frozen=True)
@@ -271,7 +280,8 @@ class HamiltonianSpec:
     higher: HigherOrderCorrections | None = None
 
     def __post_init__(self) -> None:
-        _check_finite(self, COUPLING_FIELDS)
+        for name in COUPLING_FIELDS:
+            check_real(getattr(self, name), name)
 
 
 # Drive -> (HamiltonianSpec field, photon number k, number weight w, partner): each adds
@@ -298,7 +308,7 @@ def standard_hamiltonian(spec: HamiltonianSpec) -> OperatorPoly:
     the squeeze-free Hamiltonian is one term and the two-photon-driven one
     is three.  The pairing terms follow :data:`DRIVES`, in its order.
     """
-    h = spec.higher if spec.higher is not None else HigherOrderCorrections()
+    h = spec.higher or NO_CORRECTIONS
     detuning = spec.eta + h.detuning3 + h.detuning4
     kerr = 1.0 - h.kerr3 - h.kerr4
     # -(detuning) n + kerr n(n-1) - cubic4 (n^3 - 3n^2 - 2n), as powers of n

@@ -12,7 +12,6 @@ a sweep's time.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -34,6 +33,8 @@ from .fock import (
     HamiltonianSpec,
     OperatorPoly,
     assemble,
+    check_count,
+    check_real,
     standard_hamiltonian,
 )
 from .sectors import detect_modulus, family_modulus, sector_dim, split
@@ -77,11 +78,9 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if self.varying not in COUPLING_FIELDS:
             raise ValueError(f"unknown sweep parameter {self.varying!r}")
-        grid = tuple(float(g) for g in self.grid)
+        grid = tuple(float(check_real(g, "grid value")) for g in self.grid)
         if len(grid) < 2:
             raise ValueError("grid needs at least two points")
-        if not all(math.isfinite(g) for g in grid):
-            raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
         n_probe = check_basis(self.n_max, self.n_probe, self.tol_conv)
@@ -215,12 +214,11 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> SpectrumGrid:
     over all their levels, then one batched Sturm count of a separator per
     sector block and of the levels the bound leaves open.
     Chunks run in grid order in the calling thread.  ``threads`` is accepted
-    for compatibility and must not be negative; it changes neither results
-    nor scheduling, since the LAPACK calls hold the GIL and worker threads
-    would run them one at a time anyway.
+    for compatibility and must be a non-negative integer; it changes neither
+    results nor scheduling, since the LAPACK calls hold the GIL and worker
+    threads would run them one at a time anyway.
     """
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
+    check_count(threads, "threads")
     values = np.asarray(plan.grid, dtype=float)
     curves: dict[int, np.ndarray] = {}
     flags: dict[int, np.ndarray] = {}

@@ -18,11 +18,12 @@ import numpy as np
 
 from .eigensolve import eigen
 from .fock import (
+    NO_CORRECTIONS,
     BandedSymMatrix,
     HamiltonianSpec,
-    HigherOrderCorrections,
     NumericFailure,
     check_count,
+    check_real,
     pairing_poly,
 )
 from .sectors import split
@@ -241,6 +242,9 @@ def u2_hamiltonian(eta: float, xi: float, N: int) -> BandedSymMatrix:
     The compact squeeze strength is normalized to xi / N so the contracted
     (N -> infinity) Hamiltonian matches the Fock one at equal xi.
     """
+    check_real(eta, "eta")
+    check_real(xi, "xi")
+    check_count(N, "N", 1)
     n = np.arange(N + 1, dtype=float)
     diag0 = -eta * n + n * (n - 1.0)
     eps2 = xi / N
@@ -256,9 +260,9 @@ def contraction_check(spec: HamiltonianSpec, N: int, n_levels: int) -> float:
     probe basis certifying convergence of the compared levels.  The deviation
     must shrink as N grows.
     """
-    if spec.xi3 or spec.xi4 or spec.xi2p or spec.higher not in (None, HigherOrderCorrections()):
+    if spec.xi3 or spec.xi4 or spec.xi2p or spec.higher not in (None, NO_CORRECTIONS):
         raise ValueError("contraction check is defined for the two-photon drive only")
-    if not 0 < n_levels <= N:
+    if not 0 < check_count(n_levels, "n_levels") <= check_count(N, "N", 1):
         raise ValueError("need 0 < n_levels <= N")
 
     compact = eigen(u2_hamiltonian(spec.eta, spec.xi, N))

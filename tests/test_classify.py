@@ -147,6 +147,12 @@ class TestDegeneracyGroups:
         with pytest.raises(ValueError, match=f"levels must be {problem}"):
             degeneracy_groups(np.array(levels))
 
+    @pytest.mark.parametrize("tol_deg", [np.nan, -1.0])
+    def test_negative_or_non_finite_tolerance_refused(self, tol_deg):
+        # NaN once lumped every level into one group and -1 put each in its own
+        with pytest.raises(ValueError, match="^tol_deg must be finite and not negative, got "):
+            degeneracy_groups(np.array([0.0, 1e-9, 1.0]), tol_deg)
+
 
 class TestCrossingEvents:
     def test_diagonal_sweep_crossings_at_integers(self):
@@ -507,6 +513,14 @@ class TestTrackCrossing:
                 track_crossing_location(
                     LevelPair(0, 0, 1, 0), "P2", [0.5], 2, 40, n_probe, tol_conv
                 )
+        # each once ran: eta0 as a float and the strings as numbers
+        for xi_grid, eta0, message in (([0.5], 2.5, "^eta0 must be a non-negative integer"),
+                                       ([0.5], True, "^eta0 must be a non-negative integer"),
+                                       ([0.5], "2", "^eta0 must be a non-negative integer"),
+                                       (["0.5"], 2, "^xi must be a finite real, got '0.5'$"),
+                                       ([0.5, True], 2, "^xi must be a finite real, got True$")):
+            with pytest.raises(ValueError, match=message):
+                track_crossing_location(LevelPair(0, 0, 1, 0), "P2", xi_grid, eta0, 40)
 
     def test_each_root_is_certified_once_at_n_probe(self, monkeypatch):
         solves, spec_levels = [], classify.spec_levels

@@ -44,9 +44,10 @@ from kerrspec.sweep import SpectrumGrid, SweepPlan, converged_spectrum, run_swee
 from kerrspec.u2 import CasimirLevel
 
 
-def write_config(tmp_path: Path, payload: dict) -> Path:
+def write_config(tmp_path: Path, payload: dict | str) -> Path:
+    """Write a payload as JSON; a str is taken as the document's text."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return path
 
 
@@ -287,6 +288,19 @@ class TestMalformedConfigExitTwo:
             d, output={"directory": d, "basename": "x\0y"}
         ),
         "directory with a NUL": lambda d: sweep_config(d, output={"directory": d + "\0x"}),
+        # past Python's 4300-digit limit json.loads raises a plain ValueError
+        "5000-digit integer": lambda d: json.dumps(spectrum_config(d)).replace(
+            '"eta": 0.0', '"eta": 1' + "0" * 4999
+        ),
+        # each is read as a real first: a count past the float range is not counted
+        "400-digit hamiltonian.eta": lambda d: spectrum_config(
+            d, hamiltonian={"eta": 10**399, "xi": 1.0}
+        ),
+        "400-digit crossings.max_levels": lambda d: crossings_config(
+            d, crossings={"max_levels": 10**399}
+        ),
+        "400-digit track.eta0": lambda d: track_config(d, eta0=10**399),
+        "tol_conv true": lambda d: with_numeric(d, n_max=30, n_probe=45, tol_conv=True),
     }
 
     # case -> a fragment its error message must hold
@@ -315,6 +329,11 @@ class TestMalformedConfigExitTwo:
         "esqpt v_max one with one odd level": "v_max=1 needs 2 odd levels and the basis has 1",
         "esqpt detuned through higher_order": "undetuned Hamiltonian, got {'eta': 0.0, "
         "'detuning3': 3.0, 'detuning4': 0.0}",
+        "5000-digit integer": "invalid JSON",
+        "400-digit hamiltonian.eta": "hamiltonian.eta must be a finite real, got 1000",
+        "400-digit crossings.max_levels": "crossings.max_levels must be a finite real, got 1000",
+        "400-digit track.eta0": "track.eta0 must be a finite real, got 1000",
+        "tol_conv true": "numeric.tol_conv must be a finite real, got True",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -807,6 +826,11 @@ class TestSvg:
         "y range below a normal float": dict(y_min=0.0, y_max=5e-324),
         "y range wider than a float": dict(y_min=-1e308, y_max=1e308),
         "NaN y_max": dict(y_min=0.0, y_max=math.nan),
+        # an end on its own was once taken unchecked
+        "y_min not a number": dict(y_min="a"),
+        "NaN y_min on its own": dict(y_min=math.nan),
+        "y_min true": dict(y_min=True),
+        "infinite y_max on its own": dict(y_max=math.inf),
         "max_levels zero": dict(max_levels=0),
         "max_levels fractional": dict(max_levels=2.5),
         "max_levels true": dict(max_levels=True),

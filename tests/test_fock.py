@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -225,12 +226,24 @@ class TestStandardHamiltonian:
             (HigherOrderCorrections, "kerr3", math.inf),
             (HigherOrderCorrections, "cubic4", math.nan),
             (HigherOrderCorrections, "squeeze3", False),
+            # an int past the float range once raised OverflowError
+            pytest.param(HamiltonianSpec, "xi", 10**400, id="HamiltonianSpec-xi-10**400"),
+            pytest.param(
+                HigherOrderCorrections, "kerr4", -(10**400), id="HigherOrderCorrections-kerr4-10**400"
+            ),
         ],
     )
     def test_field_that_is_not_a_finite_real_refused(self, record, field, value):
         # these once failed in assembly or modulus detection, or with a TypeError
         with pytest.raises(ValueError, match=f"^{field} must be a finite real, got "):
             record(**{field: value})
+
+    def test_the_largest_float_is_the_bound(self):
+        # an int is compared with the largest float exactly, never rounded to it
+        top = int(sys.float_info.max)
+        assert HamiltonianSpec(xi=top).xi == top
+        with pytest.raises(ValueError, match="^xi must be a finite real, got "):
+            HamiltonianSpec(xi=top + 1)
 
     def test_integer_and_numpy_fields_accepted(self):
         spec = HamiltonianSpec(eta=4, xi=np.float64(0.5), higher=HigherOrderCorrections(kerr3=0))

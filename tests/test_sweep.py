@@ -146,6 +146,10 @@ class TestBasisSettings:
             ("eta", dict(eta=math.nan)),
             ("xi", dict(xi=math.nan)),
             ("xi3", dict(xi3=math.nan)),
+            # True once certified at tolerance 1, and 10**400 overflowed a float
+            ("tol_conv", dict(tol_conv=True)),
+            ("tol_conv", dict(tol_conv="1e-8")),
+            ("tol_conv", dict(tol_conv=10**400)),
         ],
     )
     def test_bad_settings_raise_naming_them(self, setting, numeric):
@@ -156,6 +160,12 @@ class TestBasisSettings:
             SweepPlan(varying="xi", grid=(0.0, 0.1), fixed=HamiltonianSpec(**spec), **basis)
         with pytest.raises(ValueError, match=f"^{setting}"):
             converged_spectrum(HamiltonianSpec(**{"xi": 1.0, **spec}), **basis)
+
+    @pytest.mark.parametrize("value", ["0", True, 10**400], ids=["str", "bool", "10**400"])
+    def test_grid_value_that_is_not_a_finite_real_refused(self, value):
+        # "0" and True were once read as 0.0 and 1.0, and 10**400 overflowed a float
+        with pytest.raises(ValueError, match="^grid value must be a finite real, got "):
+            SweepPlan(varying="xi", grid=(value, 2.0), n_max=20)
 
 
 class TestRunSweep:
@@ -209,6 +219,20 @@ class TestRunSweep:
                 np.testing.assert_array_equal(grid.converged[r][i], cs.converged[cs.residues == r])
             unconverged += int((~cs.converged).sum())
         assert unconverged > 0
+
+    def test_spec_without_corrections_builds_no_corrections_record(self, monkeypatch):
+        # each grid point once built a HigherOrderCorrections() of its own to expand
+        def refuse(self):
+            raise AssertionError("built a HigherOrderCorrections")
+
+        monkeypatch.setattr(HigherOrderCorrections, "__post_init__", refuse)
+        run_sweep(small_plan())
+
+    @pytest.mark.parametrize("threads", [True, 1.5])
+    def test_threads_that_is_not_a_count_refused(self, threads):
+        # once let through, as only a negative count was refused
+        with pytest.raises(ValueError, match="^threads must be a non-negative integer, got "):
+            run_sweep(small_plan(), threads=threads)
 
     def test_threads_start_no_thread(self, monkeypatch, tmp_path):
         # sweeps run in the calling thread whatever threads says

@@ -208,6 +208,20 @@ class TestContraction:
         n = np.arange(41.0)
         np.testing.assert_array_equal(m.diagonal, -2 * n + n * (n - 1))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # 0 once divided by zero, 2.5 failed in numpy and "a" with a TypeError
+            ((2.0, 1.0, 0), "^N must be a positive integer, got 0$"),
+            ((2.0, 1.0, 2.5), "^N must be a positive integer, got 2.5$"),
+            ((2.0, "a", 40), "^xi must be a finite real, got 'a'$"),
+            ((float("nan"), 1.0, 40), "^eta must be a finite real, got nan$"),
+        ],
+    )
+    def test_compact_hamiltonian_refuses_bad_arguments(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            u2_hamiltonian(*args)
+
     def test_rejects_other_couplings(self):
         with pytest.raises(ValueError):
             contraction_check(HamiltonianSpec(eta=0.0, xi3=1.0), 100, 3)
@@ -219,6 +233,11 @@ class TestContraction:
         for n_levels in (0, 11):
             with pytest.raises(ValueError, match="need 0 < n_levels <= N"):
                 contraction_check(HamiltonianSpec(xi=1.0), 10, n_levels)
+        # True once compared as 1 level and returned 0.0
+        with pytest.raises(ValueError, match="^n_levels must be a non-negative integer, got True$"):
+            contraction_check(HamiltonianSpec(xi=1.0), 10, True)
+        with pytest.raises(ValueError, match="^N must be a positive integer, got 10.0$"):
+            contraction_check(HamiltonianSpec(xi=1.0), 10.0, 5)
         # a strong drive needs far more than 10 bosons for its low levels
         with pytest.raises(ValueError, match="Fock reference not converged for 5 levels at N=10"):
             contraction_check(HamiltonianSpec(xi=20.0), 10, 5)
